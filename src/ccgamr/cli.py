@@ -104,25 +104,19 @@ def _parse_config_text(text: str, source: str) -> ParserConfig:
 
 
 def _build_config(path: str | None) -> ParserConfig | int:
-    if path is None:
-        config = ParserConfig()
-    else:
-        text = _read(path)
-        if text is None:
-            return USAGE
-        try:
-            config = _parse_config_text(text, path)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return USAGE
+    text = "" if path is None else _read(path)
+    if text is None:
+        return USAGE
     limit = os.environ.get(MAX_CELL_ENV)
-    if limit:
-        try:
-            config = replace(config, max_cell_items=int(limit))
-        except ValueError:
-            print(f"error: {MAX_CELL_ENV} must be an integer", file=sys.stderr)
-            return USAGE
-    return config
+    if limit and not limit.strip().lstrip("+-").isdigit():
+        print(f"error: {MAX_CELL_ENV} must be an integer", file=sys.stderr)
+        return USAGE
+    try:
+        config = _parse_config_text(text, path or "<default>")
+        return replace(config, max_cell_items=int(limit)) if limit else config
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return USAGE
 
 
 def _print_derivation(d: Derivation, show_script: bool) -> None:

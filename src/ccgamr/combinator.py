@@ -2,13 +2,16 @@
 crossed, second order), their relation-wise variants, type raising, identity
 shortcuts, and conjunction.
 
+Application is composition of order 0.  Category matching
+(``match_categories``) runs before any graph work (``combine_matched``).
+
 Variant selection is automatic: a relation-wise combination fires if and only
 if the two graphs share an edge (same concrete label, or an underspecified
 label on the function side) carrying the function's first free variable and
-the argument's k-th free variable, where k is 1 for application and
-order + 1 for composition.  When several edge pairs qualify, the first by
-edge-insertion order wins and the outcome carries a note.  The endpoints of
-the shared edge unify side by side: source with source, target with target.
+the argument's k-th free variable, where k = order + 1.  When several edge
+pairs qualify, the first by edge-insertion order wins and the outcome carries
+a note.  The endpoints of the shared edge unify side by side: source with
+source, target with target.
 
 Free-variable ordering of a result is positional.  Regular application keeps
 the function's remaining variables first, regular composition the argument's;
@@ -46,13 +49,6 @@ class CombinationError(Exception):
 
 class Identity:
     """Semantics of words that shape syntax but add no graph material."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "ID"
@@ -134,8 +130,7 @@ def relation_wise_combine(
     f: AmrSubgraph,
     a: AmrSubgraph,
     match: SharedEdgeMatch,
-    mode: str,
-    k: int,
+    order: int,
 ) -> tuple[AmrSubgraph, tuple[str, ...]]:
     """Union the graphs and identify the shared edge.
 
@@ -157,9 +152,9 @@ def relation_wise_combine(
     ws.merge(fmap[fe.source], amap[ae.source])
     ws.merge(fmap[fe.target], amap[ae.target])
     ws.set_edge_label(f_offset + match.f_edge_pos, match.label)
-    a_rest = [amap[x] for i, x in enumerate(a.fv) if i != k - 1]
+    a_rest = [amap[x] for i, x in enumerate(a.fv) if i != order]
     f_all = [fmap[x] for x in f.fv]
-    slots = f_all + a_rest if mode == "application" else a_rest + f_all
+    slots = a_rest + f_all if order else f_all + a_rest
     graph, _ = ws.freeze(root, slots)
     notes = ()
     if match.ambiguous:
@@ -167,11 +162,11 @@ def relation_wise_combine(
     return graph, notes
 
 
-def _regular_semantics(f: AmrSubgraph, a: AmrSubgraph, mode: str) -> AmrSubgraph:
+def _regular_semantics(f: AmrSubgraph, a: AmrSubgraph, order: int) -> AmrSubgraph:
     if not f.fv:
         raise CombinationError("function semantics has no free variable to fill")
     sub = substitute(f, 1, a)
-    if mode == "application":
+    if order == 0:
         return sub.graph  # already f-remaining then a-remaining
     return with_fv_order(sub.graph, sub.h_remaining + sub.g_remaining)
 
@@ -184,19 +179,6 @@ def _check_result(category: Category, semantics: object) -> None:
         )
 
 
-def _span(direction: str, function: Constituent, argument: Constituent) -> tuple[int, int]:
-    left, right = (function, argument) if direction == "forward" else (argument, function)
-    if left.end != right.start:
-        raise CombinationError(
-            f"constituents are not adjacent: ({left.start},{left.end}) + ({right.start},{right.end})"
-        )
-    return left.start, right.end
-
-
-def _function_slash(direction: str) -> str:
-    return FORWARD if direction == "forward" else BACKWARD
-
-
 def _reject_partial(*constituents: Constituent) -> None:
     for c in constituents:
         if isinstance(c.semantics, ConjPartial):
@@ -204,18 +186,18 @@ def _reject_partial(*constituents: Constituent) -> None:
 
 
 def _semantic_combination(
-    f: AmrSubgraph, a: AmrSubgraph, mode: str, k: int, variant: str
+    f: AmrSubgraph, a: AmrSubgraph, order: int, variant: str
 ) -> tuple[AmrSubgraph, bool, tuple[str, ...]]:
     """Shared path: returns (graph, relation_wise_used, notes)."""
     match = None
     if variant in ("auto", "relation"):
-        match = relation_wise_match(f, a, k)
+        match = relation_wise_match(f, a, order + 1)
     if variant == "relation" and match is None:
         raise CombinationError("forced relation-wise combination, but no shared edge exists")
     notes: tuple[str, ...] = ()
     if match is not None and variant != "regular":
         try:
-            graph, notes = relation_wise_combine(f, a, match, mode, k)
+            graph, notes = relation_wise_combine(f, a, match, order)
             return graph, True, notes
         except UnificationError as err:
             if variant == "relation":
@@ -223,7 +205,87 @@ def _semantic_combination(
             notes = (f"shared-edge unification failed ({err}); fell back to the regular variant",)
     if a.fv and a.is_free(a.root):
         notes += ("argument is rooted at a free variable; the merged variable keeps the argument's slot",)
-    return _regular_semantics(f, a, mode), False, notes
+    return _regular_semantics(f, a, order), False, notes
+
+
+def match_categories(
+    direction: str, order: int, fcat: Category, acat: Category
+) -> tuple[Category, bool] | None:
+    """(result category, crossed) of an order-``order`` composition (order 0
+    is application), or None: ``fcat``'s argument must unify with ``acat``
+    after ``order`` arguments are peeled off its result spine."""
+    own = FORWARD if direction == "forward" else BACKWARD
+    if not isinstance(fcat, Functor) or fcat.slash != own:
+        return None
+    peeled: list[Functor] = []
+    inner = acat
+    for _ in range(order):
+        if not isinstance(inner, Functor):
+            return None
+        peeled.append(inner)
+        inner = inner.result
+    unified = unify(fcat.argument, inner)
+    if unified is None:
+        return None
+    # X|X modifiers pass resolved features through to the result
+    result: Category = unified if fcat.result == fcat.argument else fcat.result
+    for arg in reversed(peeled):
+        result = Functor(result, arg.slash, arg.argument)
+    return result, any(arg.slash != own for arg in peeled)
+
+
+def combine_matched(
+    direction: str,
+    order: int,
+    function: Constituent,
+    argument: Constituent,
+    match: tuple[Category, bool],
+    variant: str = "auto",
+) -> Combined:
+    """Graph step for adjacent, non-pending constituents whose categories match."""
+    result_cat, crossed = match
+    left, right = (function, argument) if direction == "forward" else (argument, function)
+    base = ">" if direction == "forward" else "<"
+    suffix = ("B2" if order == 2 else "B" if order else "") + ("x" if crossed else "")
+    if isinstance(function.semantics, Identity) or isinstance(argument.semantics, Identity):
+        other = argument.semantics if isinstance(function.semantics, Identity) else function.semantics
+        if variant == "relation":
+            raise CombinationError("identity semantics has no edges to share")
+        _check_result(result_cat, other)
+        return Combined(Constituent(left.start, right.end, result_cat, other), base + suffix)
+    semantics, used_relation, notes = _semantic_combination(
+        function.semantics, argument.semantics, order, variant
+    )
+    _check_result(result_cat, semantics)
+    rule = base + ("R" if used_relation else "") + suffix
+    return Combined(Constituent(left.start, right.end, result_cat, semantics), rule, notes)
+
+
+def _combine(
+    direction: str,
+    order: int,
+    function: Constituent,
+    argument: Constituent,
+    crossed: bool | None,
+    variant: str,
+) -> Combined:
+    _reject_partial(function, argument)
+    left, right = (function, argument) if direction == "forward" else (argument, function)
+    if left.end != right.start:
+        raise CombinationError(
+            f"constituents are not adjacent: ({left.start},{left.end}) + ({right.start},{right.end})"
+        )
+    match = match_categories(direction, order, function.category, argument.category)
+    if match is None:
+        rule = "application" if order == 0 else f"order-{order} composition"
+        raise CombinationError(
+            f"no {direction} {rule} of {format_category(function.category)}"
+            f" with {format_category(argument.category)}"
+        )
+    if crossed is not None and crossed != match[1]:
+        want = "crossed" if crossed else "non-crossed"
+        raise CombinationError(f"expected {want} composition, categories say otherwise")
+    return combine_matched(direction, order, function, argument, match, variant)
 
 
 def combine_application(
@@ -233,42 +295,7 @@ def combine_application(
     variant: str = "auto",
 ) -> Combined:
     """Function application, relation-wise when a shared edge exists."""
-    _reject_partial(function, argument)
-    span = _span(direction, function, argument)
-    fcat = function.category
-    if not isinstance(fcat, Functor) or fcat.slash != _function_slash(direction):
-        raise CombinationError(f"{format_category(fcat)} is not a {direction} functor")
-    unified = unify(fcat.argument, argument.category)
-    if unified is None:
-        raise CombinationError(
-            f"argument {format_category(argument.category)} does not fit "
-            f"{format_category(fcat)}"
-        )
-    # X|X modifiers pass resolved features through to the result
-    result_cat = unified if fcat.result == fcat.argument else fcat.result
-    base = ">" if direction == "forward" else "<"
-    if isinstance(function.semantics, Identity) or isinstance(argument.semantics, Identity):
-        other = argument.semantics if isinstance(function.semantics, Identity) else function.semantics
-        if variant == "relation":
-            raise CombinationError("identity semantics has no edges to share")
-        _check_result(result_cat, other)
-        return Combined(Constituent(span[0], span[1], result_cat, other), base)
-    semantics, used_relation, notes = _semantic_combination(
-        function.semantics, argument.semantics, "application", 1, variant
-    )
-    _check_result(result_cat, semantics)
-    rule = base + ("R" if used_relation else "")
-    return Combined(Constituent(span[0], span[1], result_cat, semantics), rule, notes)
-
-
-def _peel(cat: Category, order: int) -> tuple[Category, list[tuple[str, Category]]] | None:
-    peeled: list[tuple[str, Category]] = []
-    for _ in range(order):
-        if not isinstance(cat, Functor):
-            return None
-        peeled.append((cat.slash, cat.argument))
-        cat = cat.result
-    return cat, peeled
+    return _combine(direction, 0, function, argument, None, variant)
 
 
 def combine_composition(
@@ -284,46 +311,9 @@ def combine_composition(
     ``crossed`` asserts the expected slash configuration when given;
     otherwise it is inferred from the argument's peeled slashes.
     """
-    _reject_partial(function, argument)
     if order < 1:
         raise CombinationError("composition order must be at least 1")
-    span = _span(direction, function, argument)
-    fcat = function.category
-    own = _function_slash(direction)
-    if not isinstance(fcat, Functor) or fcat.slash != own:
-        raise CombinationError(f"{format_category(fcat)} is not a {direction} functor")
-    peeled = _peel(argument.category, order)
-    if peeled is None:
-        raise CombinationError(
-            f"argument {format_category(argument.category)} is too shallow for order-{order} composition"
-        )
-    inner, args = peeled
-    unified = unify(fcat.argument, inner)
-    if unified is None:
-        raise CombinationError(
-            f"cannot compose {format_category(fcat)} with {format_category(argument.category)}"
-        )
-    actually_crossed = any(slash != own for slash, _ in args)
-    if crossed is not None and crossed != actually_crossed:
-        want = "crossed" if crossed else "non-crossed"
-        raise CombinationError(f"expected {want} composition, categories say otherwise")
-    result_cat: Category = unified if fcat.result == fcat.argument else fcat.result
-    for slash, arg in reversed(args):
-        result_cat = Functor(result_cat, slash, arg)
-    base = ">" if direction == "forward" else "<"
-    suffix = ("B2" if order == 2 else "B") + ("x" if actually_crossed else "")
-    if isinstance(function.semantics, Identity) or isinstance(argument.semantics, Identity):
-        other = argument.semantics if isinstance(function.semantics, Identity) else function.semantics
-        if variant == "relation":
-            raise CombinationError("identity semantics has no edges to share")
-        _check_result(result_cat, other)
-        return Combined(Constituent(span[0], span[1], result_cat, other), base + suffix)
-    semantics, used_relation, notes = _semantic_combination(
-        function.semantics, argument.semantics, "composition", order + 1, variant
-    )
-    _check_result(result_cat, semantics)
-    rule = base + ("R" if used_relation else "") + suffix
-    return Combined(Constituent(span[0], span[1], result_cat, semantics), rule, notes)
+    return _combine(direction, order, function, argument, crossed, variant)
 
 
 def type_raise(c: Constituent, target: Category, direction: str) -> Combined:

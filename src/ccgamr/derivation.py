@@ -15,6 +15,7 @@ isomorphism class.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 
 from . import penman
@@ -27,9 +28,11 @@ from .combinator import (
     Identity,
     combine_application,
     combine_composition,
+    combine_matched,
     conj_attach,
     coordinate,
     is_graph,
+    match_categories,
     type_raise,
 )
 from .graph import UNDERSPECIFIED, iso_equal, validate
@@ -79,8 +82,8 @@ class Binary:
 
 ScriptNode = Leaf | Unary | Binary
 
-_APPLICATION_RE = re.compile(r"^([><])(R?)$")
-_COMPOSITION_RE = re.compile(r"^([><])(R?)B(2?)(x?)$")
+# >, <R, >B, <RB2x, ...: application is composition of order 0, written without B
+_BINARY_RE = re.compile(r"^([><])(R?)(?:B(2?)(x?))?$")
 _RAISE_RE = re.compile(r"^([><])T\[(.+)\]$")
 
 
@@ -115,7 +118,7 @@ def parse_script(text: str) -> ScriptNode:
             out: ScriptNode = Leaf(int(index), entry_id)
         elif _RAISE_RE.match(head):
             out = Unary(head, node())
-        elif head == "&" or _APPLICATION_RE.match(head) or _COMPOSITION_RE.match(head):
+        elif head == "&" or _BINARY_RE.match(head):
             left = node()
             right = node()
             out = Binary(head, left, right)
@@ -174,18 +177,14 @@ def _binary_outcome(
     name: str, left: Constituent, right: Constituent
 ) -> Combined:
     """Run the operation a script step names, with automatic variant choice."""
-    m = _APPLICATION_RE.match(name)
+    m = _BINARY_RE.match(name)
     if m:
         direction = "forward" if m.group(1) == ">" else "backward"
         f, a = (left, right) if direction == "forward" else (right, left)
-        return combine_application(direction, f, a)
-    m = _COMPOSITION_RE.match(name)
-    if m:
-        direction = "forward" if m.group(1) == ">" else "backward"
+        if m.group(3) is None:
+            return combine_application(direction, f, a)
         order = 2 if m.group(3) else 1
-        crossed = bool(m.group(4))
-        f, a = (left, right) if direction == "forward" else (right, left)
-        return combine_composition(direction, order, f, a, crossed=crossed)
+        return combine_composition(direction, order, f, a, crossed=bool(m.group(4)))
     if name == "&":
         if isinstance(left.category, Atom) and left.category.base == "Conj":
             return conj_attach(left, right)
@@ -289,6 +288,12 @@ class ParserConfig:
     max_cell_items: int = 200
     goal: str = "S"  # atomic base of complete derivations
 
+    def __post_init__(self):
+        if self.max_composition_order not in (1, 2):
+            raise ValueError("max_composition_order must be 1 or 2")
+        if self.max_cell_items < 1:
+            raise ValueError("max_cell_items must be at least 1")
+
 
 @dataclass
 class _Item:
@@ -339,27 +344,26 @@ def _allowed(config: ParserConfig, rule: str) -> bool:
     return config.enabled is None or rule in config.enabled
 
 
-def _try(outcomes: list[Combined], fn, *args, **kwargs) -> None:
-    try:
-        outcomes.append(fn(*args, **kwargs))
-    except CombinationError:
-        pass
-
-
 def _binary_candidates(
     left: Constituent, right: Constituent, config: ParserConfig
 ) -> list[Combined]:
+    """Every rule's outcome on two adjacent constituents; graph work runs only
+    for rules whose categories match."""
     out: list[Combined] = []
-    _try(out, combine_application, "forward", left, right)
-    _try(out, combine_application, "backward", right, left)
-    for order in range(1, config.max_composition_order + 1):
-        _try(out, combine_composition, "forward", order, left, right)
-        _try(out, combine_composition, "backward", order, right, left)
+    if not isinstance(left.semantics, ConjPartial) and not isinstance(right.semantics, ConjPartial):
+        for order in range(config.max_composition_order + 1):
+            for direction, f, a in (("forward", left, right), ("backward", right, left)):
+                match = match_categories(direction, order, f.category, a.category)
+                if match is not None:
+                    with suppress(CombinationError):
+                        out.append(combine_matched(direction, order, f, a, match))
     if isinstance(left.category, Atom) and left.category.base == "Conj":
-        _try(out, conj_attach, left, right)
+        with suppress(CombinationError):
+            out.append(conj_attach(left, right))
     if isinstance(right.semantics, ConjPartial):
         partial: ConjPartial = right.semantics
-        _try(out, coordinate, partial.conj, left, partial.right, config.strict_conjunction)
+        with suppress(CombinationError):
+            out.append(coordinate(partial.conj, left, partial.right, config.strict_conjunction))
     return [o for o in out if _allowed(config, o.rule)]
 
 
@@ -392,8 +396,6 @@ def _raise_closure(chart: _Chart, span: tuple[int, int]) -> None:
 def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None = None) -> list[Derivation]:
     """All complete derivations over the goal category, one per iso-class."""
     config = config or ParserConfig()
-    if config.max_composition_order not in (1, 2):
-        raise ValueError("max_composition_order must be 1 or 2")
     n = len(tokens)
     if n == 0:
         return []

@@ -83,12 +83,6 @@ class AmrSubgraph:
         return sum(1 for n in self.nodes if not n.is_free)
 
 
-def single_node(concept: str | None) -> AmrSubgraph:
-    """Graph holding one node; a free variable when concept is None."""
-    fv = (0,) if concept is None else ()
-    return AmrSubgraph((Node(0, concept),), (), 0, fv)
-
-
 class Workspace:
     """Mutable scratch for unioning graphs and merging their nodes.
 

@@ -4,8 +4,9 @@ One entry per line::
 
     token | category | semantics-or-ID [| id]
 
-``#`` starts a comment.  The semantics field is either ``ID`` (identity) or
-a PENMAN-FV graph.  Entry ids default to ``token.N`` with N counting entries
+``#`` starts a comment, except inside a double-quoted literal such as
+``:op1 "#ccg"``.  The semantics field is either ``ID`` (identity) or a
+PENMAN-FV graph.  Entry ids default to ``token.N`` with N counting entries
 for the same token in file order.  Every entry must satisfy the
 functional-isomorphism principle and its graph must validate; violations are
 collected and reported together.
@@ -13,6 +14,7 @@ collected and reported together.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +22,9 @@ from . import penman
 from .category import Category, CategoryError, check_iso_principle, parse_category
 from .combinator import IDENTITY, Identity
 from .graph import AmrSubgraph, validate
+
+
+_CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')  # a line up to its first '#' outside quotes
 
 
 class LexiconError(Exception):
@@ -68,7 +73,7 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
     counts: dict[str, int] = {}
     ids: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CODE_RE.match(raw).group().strip()
         if not line:
             continue
         parts = [p.strip() for p in line.split("|")]

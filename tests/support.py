@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ccgamr import penman
 from ccgamr.category import Atom, Functor, format_category, unify
 from ccgamr.combinator import (
+    Combined,
     CombinationError,
     ConjPartial,
     Constituent,
@@ -128,6 +129,33 @@ def _exact_key(c: Constituent) -> str:
     return f"{format_category(c.category)} :: {shown}"
 
 
+def try_every_combinator(left: Constituent, right: Constituent, config: ParserConfig) -> list[Combined]:
+    """Every binary outcome for two adjacent constituents, found by calling
+    each public combinator in the chart's order and dropping the ones that
+    raise ``CombinationError``."""
+    out = []
+    attempts = [
+        lambda: combine_application("forward", left, right),
+        lambda: combine_application("backward", right, left),
+    ]
+    for order in range(1, config.max_composition_order + 1):
+        attempts.append(lambda o=order: combine_composition("forward", o, left, right))
+        attempts.append(lambda o=order: combine_composition("backward", o, right, left))
+    if isinstance(left.category, Atom) and left.category.base == "Conj":
+        attempts.append(lambda: conj_attach(left, right))
+    if isinstance(right.semantics, ConjPartial):
+        partial = right.semantics
+        attempts.append(
+            lambda: coordinate(partial.conj, left, partial.right, config.strict_conjunction)
+        )
+    for attempt in attempts:
+        try:
+            out.append(attempt())
+        except CombinationError:
+            pass
+    return out
+
+
 def brute_force_classes(tokens, lexicon, config: ParserConfig) -> list[AmrSubgraph]:
     """Final semantic iso-classes found by enumerating all bracketings.
 
@@ -159,29 +187,6 @@ def brute_force_classes(tokens, lexicon, config: ParserConfig) -> list[AmrSubgra
                     pass
         return out
 
-    def combos(left: Constituent, right: Constituent) -> list[Constituent]:
-        out = []
-        attempts = [
-            lambda: combine_application("forward", left, right),
-            lambda: combine_application("backward", right, left),
-        ]
-        for order in range(1, config.max_composition_order + 1):
-            attempts.append(lambda o=order: combine_composition("forward", o, left, right))
-            attempts.append(lambda o=order: combine_composition("backward", o, right, left))
-        if isinstance(left.category, Atom) and left.category.base == "Conj":
-            attempts.append(lambda: conj_attach(left, right))
-        if isinstance(right.semantics, ConjPartial):
-            partial = right.semantics
-            attempts.append(
-                lambda: coordinate(partial.conj, left, partial.right, config.strict_conjunction)
-            )
-        for attempt in attempts:
-            try:
-                out.append(attempt().constituent)
-            except CombinationError:
-                pass
-        return out
-
     def span(i: int, j: int) -> list[Constituent]:
         if (i, j) in memo:
             return memo[(i, j)]
@@ -194,7 +199,9 @@ def brute_force_classes(tokens, lexicon, config: ParserConfig) -> list[AmrSubgra
             for split in range(i + 1, j):
                 for left in span(i, split):
                     for right in span(split, j):
-                        items.extend(combos(left, right))
+                        items.extend(
+                            o.constituent for o in try_every_combinator(left, right, config)
+                        )
         memo[(i, j)] = closure(items)
         return memo[(i, j)]
 

@@ -290,3 +290,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "ok:" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "setting, env",
+    [("max_composition_order = 3", None), ("max_cell_items = 0", None), (None, "0")],
+)
+def test_invalid_config_value_is_usage_error_without_traceback(tmp_path, setting, env):
+    import os, subprocess, sys
+
+    argv = [sys.executable, "-m", "ccgamr", "parse", "--lexicon", LEX, "--sentence", "John likes the cat"]
+    if setting is not None:
+        cfg = tmp_path / "parser.cfg"
+        cfg.write_text(setting + "\n")
+        argv += ["--config", str(cfg)]
+    environ = dict(os.environ)
+    if env is not None:
+        environ["CCGAMR_MAX_CELL"] = env
+    proc = subprocess.run(argv, capture_output=True, text=True, env=environ)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and "must be" in line and "integer" not in line

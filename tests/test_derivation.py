@@ -1,5 +1,9 @@
+from contextlib import suppress
+
 import pytest
 
+from ccgamr.category import Atom, unify
+from ccgamr.combinator import CombinationError, Constituent, conj_attach, is_graph, type_raise
 from ccgamr.derivation import (
     Binary,
     ChartOverflowError,
@@ -10,6 +14,7 @@ from ccgamr.derivation import (
     ScriptError,
     Unary,
     UnknownTokenError,
+    _binary_candidates,
     cky_parse,
     finalize_check,
     format_script,
@@ -21,7 +26,7 @@ from ccgamr.lexicon import Lexicon
 from ccgamr.penman import parse
 from ccgamr.fixtures import script as script_path
 
-from support import constituent
+from support import _exact_key, constituent, try_every_combinator
 
 ALL_SCRIPTS = [
     "like_cat",
@@ -191,6 +196,45 @@ def test_cky_steps_stay_inside_their_spans(lexicon):
         for step in d.steps:
             c = step.constituent
             assert 0 <= c.start < c.end <= n
+
+
+def _chart_items(lexicon, start: int) -> list[Constituent]:
+    """Every lexical entry at (start, start+1), plus its NP_TO_S-raised form."""
+    items = []
+    for e in lexicon.entries:
+        c = Constituent(start, start + 1, e.category, e.semantics)
+        items.append(c)
+        for rule in NP_TO_S:
+            if is_graph(c.semantics) and unify(rule.source, c.category) is not None:
+                items.append(type_raise(c, rule.target, rule.direction).constituent)
+    return items
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_binary_candidates_agree_with_trying_every_combinator(lexicon, order):
+    config = ParserConfig(max_composition_order=order)
+    lefts, rights = _chart_items(lexicon, 0), _chart_items(lexicon, 1)
+    partials = []
+    for conj in rights:
+        if conj.category == Atom("Conj"):
+            for right in _chart_items(lexicon, 2):
+                with suppress(CombinationError):
+                    partials.append(conj_attach(conj, right).constituent)
+    assert partials
+
+    def shown(outcomes):
+        return [
+            (o.rule, o.constituent.start, o.constituent.end, _exact_key(o.constituent), o.notes)
+            for o in outcomes
+        ]
+
+    hits = 0
+    for left in lefts:
+        for right in rights + partials:
+            want = shown(try_every_combinator(left, right, config))
+            assert shown(_binary_candidates(left, right, config)) == want, (left, right)
+            hits += len(want)
+    assert hits > len(lefts)
 
 
 def test_cky_unknown_token(lexicon):

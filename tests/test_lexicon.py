@@ -77,3 +77,9 @@ def test_load_is_idempotent_and_order_independent():
 def test_load_from_path_matches_loads(lexicon):
     again = load(LEXICON_PATH)
     assert [e.entry_id for e in again.entries] == [e.entry_id for e in lexicon.entries]
+
+
+def test_hash_inside_quotes_is_literal():
+    lex = loads('q | NP | (h/hashtag :op1 "#ccg")  # a trailing comment\n# a whole-line comment')
+    [entry] = lex.entries
+    assert iso_equal(entry.semantics, parse('(h/hashtag :op1 "#ccg")'))
