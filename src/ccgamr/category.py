@@ -23,13 +23,13 @@ class CategoryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     base: str
     feature: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Functor:
     result: "Category"
     slash: str
@@ -149,12 +149,11 @@ def check_iso_principle(cat: Category, semantics: object) -> list[str]:
         return []
     n = len(semantics.fv)
     a = arity(cat)
-    shown = format_category(cat)
     problems = []
     if n > a:
-        problems.append(f"{n} free variables exceed arity {a} of {shown}")
+        problems.append(f"{n} free variables exceed arity {a} of {format_category(cat)}")
     if a >= 1 and n == 0:
-        problems.append(f"functor category {shown} needs at least one free variable")
+        problems.append(f"functor category {format_category(cat)} needs at least one free variable")
     if a == 0 and n > 0:
-        problems.append(f"atomic category {shown} allows no free variables")
+        problems.append(f"atomic category {format_category(cat)} allows no free variables")
     return problems

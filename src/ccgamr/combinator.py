@@ -57,7 +57,7 @@ class Identity:
 IDENTITY = Identity()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constituent:
     start: int
     end: int
@@ -82,7 +82,7 @@ class SharedEdgeMatch:
     ambiguous: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Combined:
     constituent: Constituent
     rule: str

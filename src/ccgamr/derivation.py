@@ -35,7 +35,7 @@ from .combinator import (
     match_categories,
     type_raise,
 )
-from .graph import UNDERSPECIFIED, iso_equal, validate
+from .graph import UNDERSPECIFIED, invariant, iso_equal, validate
 from .lexicon import Lexicon
 
 
@@ -61,19 +61,19 @@ class ChartOverflowError(Exception):
 # ---------------------------------------------------------------------------
 # Derivation scripts
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     token_index: int
     entry_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     name: str
     child: "ScriptNode"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     name: str
     left: "ScriptNode"
@@ -295,7 +295,7 @@ class ParserConfig:
             raise ValueError("max_cell_items must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Item:
     constituent: Constituent
     script: ScriptNode
@@ -319,19 +319,38 @@ def _same_semantics(a: object, b: object) -> bool:
     return False
 
 
+def _semantic_key(sem: object) -> object:
+    """Equal for any two semantics that ``_same_semantics`` calls the same."""
+    if is_graph(sem):
+        return invariant(sem)
+    if isinstance(sem, ConjPartial):
+        return tuple(
+            (c.category, _semantic_key(c.semantics)) for c in (sem.conj, sem.right)
+        )
+    return None  # Identity
+
+
 class _Chart:
+    """Cells of items in insertion order, one item per (category, iso-class).
+
+    Items are bucketed by (span, category, semantic key), so a new item is
+    compared for isomorphism only with the items of its own bucket.
+    """
+
     def __init__(self, config: ParserConfig):
         self.config = config
         self.cells: dict[tuple[int, int], list[_Item]] = {}
+        self._buckets: dict[tuple, list[_Item]] = {}
 
     def add(self, span: tuple[int, int], item: _Item) -> bool:
-        cell = self.cells.setdefault(span, [])
-        for existing in cell:
-            if existing.constituent.category == item.constituent.category and _same_semantics(
-                existing.constituent.semantics, item.constituent.semantics
-            ):
+        c = item.constituent
+        bucket = self._buckets.setdefault((span, c.category, _semantic_key(c.semantics)), [])
+        for existing in bucket:
+            if _same_semantics(existing.constituent.semantics, c.semantics):
                 existing.forest_count += item.forest_count
                 return False
+        bucket.append(item)
+        cell = self.cells.setdefault(span, [])
         cell.append(item)
         if len(cell) > self.config.max_cell_items:
             raise ChartOverflowError(

@@ -12,6 +12,12 @@ Two primitive operations underlie every combinator: :func:`substitute`
 :func:`merge_nodes` (identify two nodes of one graph).  Both are implemented
 on top of :class:`Workspace`, a mutable scratch structure with union-find
 over merged nodes.
+
+Isomorphism classes are keyed on :func:`invariant`: the node count, the
+free-variable count, the root's concept and a hash of the sorted
+(source concept, label, target concept) edge triples.  Isomorphic graphs
+always share it, so :func:`iso_map` searches for a bijection only between
+graphs whose invariants are equal.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ class UnificationError(Exception):
     """Raised when two constant nodes with different concepts are merged."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: int
     concept: str | None = None  # None marks a free variable
@@ -37,7 +43,7 @@ class Node:
         return self.concept is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: int
     label: str
@@ -275,42 +281,50 @@ def validate(g: AmrSubgraph) -> list[str]:
         if seen != ids:
             missing = sorted(ids - seen)
             problems.append(f"graph is disconnected; unreachable nodes {missing}")
-    # acyclicity in stored direction
-    state: dict[int, int] = {}
-
-    def dfs(u: int) -> bool:
-        state[u] = 1
-        for e in g.edges:
-            if e.source != u or e.target not in ids:
-                continue
-            v = e.target
-            if state.get(v) == 1:
-                return False
-            if state.get(v) is None and not dfs(v):
-                return False
-        state[u] = 2
-        return True
-
-    for start in sorted(ids):
-        if state.get(start) is None and not dfs(start):
-            problems.append("graph has a directed cycle")
-            break
+    # acyclicity in stored direction: Kahn's algorithm over out-edges
+    out: dict[int, list[int]] = {i: [] for i in ids}
+    indegree = dict.fromkeys(ids, 0)
+    for e in g.edges:
+        if e.source in ids and e.target in ids:
+            out[e.source].append(e.target)
+            indegree[e.target] += 1
+    ready = [i for i in ids if indegree[i] == 0]
+    done = 0
+    while ready:
+        done += 1
+        for v in out[ready.pop()]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    if done != len(ids):
+        problems.append("graph has a directed cycle")
     return problems
 
 
-def _signature(g: AmrSubgraph) -> tuple:
-    concepts = sorted(n.concept or "" for n in g.nodes)
-    labels = sorted(e.label for e in g.edges)
-    return (len(g.nodes), len(g.fv), concepts, labels)
+def invariant(g: AmrSubgraph) -> tuple[int, int, str, int]:
+    """Isomorphism invariant: isomorphic graphs have equal invariants.
+
+    It holds the node count, the free-variable count, the root's concept and
+    a hash of the sorted (source concept, label, target concept) edge
+    triples, with free variables counted as concept ``""``.
+    """
+    concept = {n.id: n.concept or "" for n in g.nodes}
+    triples = sorted((concept[e.source], e.label, concept[e.target]) for e in g.edges)
+    return (len(g.nodes), len(g.fv), concept[g.root], hash(tuple(triples)))
 
 
 def iso_map(g1: AmrSubgraph, g2: AmrSubgraph) -> dict[int, int] | None:
     """Bijection witnessing isomorphism, or None.
 
     Concepts, edges, the root, and fv positions must all be preserved; free
-    variables can only map to free variables at the same fv index.
+    variables can only map to free variables at the same fv index.  Graphs
+    whose :func:`invariant` differs (node count, fv count, root concept, or
+    the hash of the concept-labelled edge triples) are rejected at once.
+    Otherwise the fv pairs and the roots are bound first, then the remaining
+    nodes of g1 are tried in node order against g2's nodes of the same
+    concept, in node order, by a depth-first search with an explicit stack.
     """
-    if _signature(g1) != _signature(g2):
+    if invariant(g1) != invariant(g2):
         return None
     mapping: dict[int, int] = {}
     used: set[int] = set()
@@ -319,8 +333,6 @@ def iso_map(g1: AmrSubgraph, g2: AmrSubgraph) -> dict[int, int] | None:
         if a in mapping:
             return mapping[a] == b
         if b in used:
-            return False
-        if (g1.concept(a) is None) != (g2.concept(b) is None):
             return False
         if g1.concept(a) != g2.concept(b):
             return False
@@ -334,42 +346,56 @@ def iso_map(g1: AmrSubgraph, g2: AmrSubgraph) -> dict[int, int] | None:
     if not bind(g1.root, g2.root):
         return None
 
-    remaining = [n.id for n in g1.nodes if n.id not in mapping]
-    candidates = {
-        u.id: [v.id for v in g2.nodes if v.concept == u.concept and v.id not in used]
-        for u in g1.nodes
-    }
     e2 = {(e.source, e.label, e.target) for e in g2.edges}
+    incident: dict[int, list[Edge]] = {n.id: [] for n in g1.nodes}
+    for e in g1.edges:
+        if e.source in mapping and e.target in mapping:
+            if (mapping[e.source], e.label, mapping[e.target]) not in e2:
+                return None
+        incident[e.source].append(e)
+        if e.target != e.source:
+            incident[e.target].append(e)
+    # every g1 edge maps into e2 once all nodes are bound, so equal sizes
+    # make the image all of e2
+    if len({(e.source, e.label, e.target) for e in g1.edges}) != len(e2):
+        return None
+    by_concept: dict[str | None, list[int]] = {}
+    for n in g2.nodes:
+        if n.id not in used:
+            by_concept.setdefault(n.concept, []).append(n.id)
+    remaining = [n for n in g1.nodes if n.id not in mapping]
 
     def consistent(u: int) -> bool:
         # every edge between already-mapped nodes must exist on the other side
-        for e in g1.edges:
-            if u not in (e.source, e.target):
-                continue
+        for e in incident[u]:
             if e.source in mapping and e.target in mapping:
                 if (mapping[e.source], e.label, mapping[e.target]) not in e2:
                     return False
         return True
 
-    def search(i: int) -> bool:
-        if i == len(remaining):
-            image = {(mapping[e.source], e.label, mapping[e.target]) for e in g1.edges}
-            return image == e2
-        u = remaining[i]
-        for v in candidates[u]:
+    if not remaining:
+        return dict(mapping)
+    stack = [iter(by_concept.get(remaining[0].concept, ()))]
+    while stack:
+        u = remaining[len(stack) - 1].id
+        if u in mapping:  # undo the last choice at this depth
+            used.discard(mapping.pop(u))
+        for v in stack[-1]:
             if v in used:
                 continue
             mapping[u] = v
             used.add(v)
-            if consistent(u) and search(i + 1):
-                return True
+            if consistent(u):
+                break
             del mapping[u]
             used.discard(v)
-        return False
-
-    if not search(0):
-        return None
-    return dict(mapping)
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(remaining):
+            return dict(mapping)
+        stack.append(iter(by_concept.get(remaining[len(stack)].concept, ())))
+    return None
 
 
 def iso_equal(g1: AmrSubgraph, g2: AmrSubgraph) -> bool:

@@ -29,6 +29,10 @@ from .graph import UNDERSPECIFIED, AmrSubgraph, Edge, Node, validate
 __all__ = ["parse", "serialize", "PenmanError", "PenmanSyntaxError"]
 
 
+#: Deepest parenthesised nesting ``parse`` accepts.
+MAX_DEPTH = 500
+
+
 class PenmanError(ValueError):
     pass
 
@@ -97,17 +101,34 @@ class _Parser:
             self.fvs[index] = self._new_node(None)
         return self.fvs[index]
 
-    def parse_node(self) -> int:
+    def parse_node(self, depth: int = 1) -> int:
         kind, value, pos = self._peek()
-        if kind == "lparen":
-            self._next()
-            node = self._head()
-            self._relations(node)
-            kind, value, pos = self._next()
-            if kind != "rparen":
-                raise PenmanSyntaxError(f"expected ')', found {value!r}", pos)
-            return node
-        return self._bare()
+        if kind != "lparen":
+            return self._bare()
+        if depth > MAX_DEPTH:
+            raise PenmanSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", pos)
+        self._next()
+        node = self._head()
+        # one Python frame per nesting level, so MAX_DEPTH stays well under
+        # the interpreter's recursion limit
+        while self._peek()[0] == "role":
+            _, role, rpos = self._next()
+            inverse = role.endswith("-of")
+            label = role[:-3] if inverse else role
+            if label != UNDERSPECIFIED and not re.fullmatch(r":[A-Za-z][A-Za-z0-9-]*", label):
+                raise PenmanSyntaxError(f"malformed role {role!r}", rpos)
+            slot = len(self.edges)  # keep textual edge order despite recursion
+            self.edges.append(None)
+            child = self.parse_node(depth + 1)
+            edge = (child, label, node) if inverse else (node, label, child)
+            if edge in self.edges:
+                del self.edges[slot]
+            else:
+                self.edges[slot] = edge
+        kind, value, pos = self._next()
+        if kind != "rparen":
+            raise PenmanSyntaxError(f"expected ')', found {value!r}", pos)
+        return node
 
     def _head(self) -> int:
         kind, value, pos = self._next()
@@ -147,22 +168,6 @@ class _Parser:
                 return self.vars[value]
             return self._new_node(value)
         raise PenmanSyntaxError(f"expected a node, found {value!r}", pos)
-
-    def _relations(self, node: int) -> None:
-        while self._peek()[0] == "role":
-            _, role, pos = self._next()
-            inverse = role.endswith("-of")
-            label = role[:-3] if inverse else role
-            if label != UNDERSPECIFIED and not re.fullmatch(r":[A-Za-z][A-Za-z0-9-]*", label):
-                raise PenmanSyntaxError(f"malformed role {role!r}", pos)
-            slot = len(self.edges)  # keep textual edge order despite recursion
-            self.edges.append(None)
-            child = self.parse_node()
-            edge = (child, label, node) if inverse else (node, label, child)
-            if edge in self.edges:
-                del self.edges[slot]
-            else:
-                self.edges[slot] = edge
 
     def finish(self) -> AmrSubgraph:
         root = self.parse_node()

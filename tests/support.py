@@ -87,6 +87,11 @@ def relabeled(g: AmrSubgraph, seed: int) -> AmrSubgraph:
     return AmrSubgraph(nodes, edges, m[g.root], tuple(m[x] for x in g.fv))
 
 
+def nested(depth: int) -> str:
+    """PENMAN text of a :mod chain written as ``depth`` nested parenthesised nodes."""
+    return "".join(f"(a{i} / x :mod " for i in range(depth - 1)) + "(z / x" + ")" * depth
+
+
 def iso_oracle(g1: AmrSubgraph, g2: AmrSubgraph) -> bool:
     """Brute-force bijection search: free variables are pinned by position,
     constants permute within same-concept groups."""

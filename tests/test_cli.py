@@ -3,6 +3,8 @@ import pytest
 from ccgamr.cli import main
 from ccgamr.fixtures import LEXICON_PATH, gold, script
 
+from support import nested
+
 LEX = str(LEXICON_PATH)
 
 
@@ -312,3 +314,30 @@ def test_invalid_config_value_is_usage_error_without_traceback(tmp_path, setting
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error:") and "must be" in line and "integer" not in line
+
+
+def _compare_subprocess(tmp_path, text):
+    import subprocess, sys
+
+    path = tmp_path / "graph.amr"
+    path.write_text(text)
+    return subprocess.run(
+        [sys.executable, "-m", "ccgamr", "compare", str(path), str(path)],
+        capture_output=True, text=True,
+    )
+
+
+def test_compare_wide_flat_graph_is_isomorphic(tmp_path):
+    wide = "(r / root " + " ".join(f":mod (c{i} / x)" for i in range(1500)) + ")"
+    proc = _compare_subprocess(tmp_path, wide)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "isomorphic"
+    assert "Traceback" not in proc.stderr
+
+
+def test_compare_too_deep_graph_is_usage_error_without_traceback(tmp_path):
+    proc = _compare_subprocess(tmp_path, nested(1200))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and "nesting deeper than" in line

@@ -1,7 +1,9 @@
 from contextlib import suppress
+from itertools import combinations
 
 import pytest
 
+from ccgamr import derivation
 from ccgamr.category import Atom, unify
 from ccgamr.combinator import CombinationError, Constituent, conj_attach, is_graph, type_raise
 from ccgamr.derivation import (
@@ -21,7 +23,7 @@ from ccgamr.derivation import (
     parse_script,
     replay,
 )
-from ccgamr.graph import iso_equal
+from ccgamr.graph import invariant, iso_equal
 from ccgamr.lexicon import Lexicon
 from ccgamr.penman import parse
 from ccgamr.fixtures import script as script_path
@@ -235,6 +237,38 @@ def test_binary_candidates_agree_with_trying_every_combinator(lexicon, order):
             assert shown(_binary_candidates(left, right, config)) == want, (left, right)
             hits += len(want)
     assert hits > len(lefts)
+
+
+def coordination_chain(k: int) -> list[str]:
+    """k clauses joined by "and", alternating John and Mary."""
+    clauses = ["John likes cats", "Mary hates cats"]
+    return " and ".join(clauses[i % 2] for i in range(k)).split()
+
+
+@pytest.mark.parametrize("raising", [(), NP_TO_S])
+def test_cky_results_are_pairwise_distinct_classes(lexicon, raising):
+    results = cky_parse(coordination_chain(3), lexicon, ParserConfig(type_raising=raising))
+    assert results
+    for a, b in combinations(results, 2):
+        assert not (
+            a.final.category == b.final.category
+            and iso_equal(a.final.semantics, b.final.semantics)
+        )
+
+
+def test_chart_compares_only_graphs_with_equal_invariants(lexicon, monkeypatch):
+    calls = []
+    original = derivation.iso_equal
+
+    def counting(a, b):
+        calls.append(invariant(a) == invariant(b))
+        return original(a, b)
+
+    monkeypatch.setattr(derivation, "iso_equal", counting)
+    results = cky_parse(coordination_chain(4), lexicon, ParserConfig(type_raising=NP_TO_S))
+    assert len(results) == 80  # Catalan(3) bracketings times 2^4 name readings
+    assert all(calls)
+    assert len(calls) <= 400
 
 
 def test_cky_unknown_token(lexicon):

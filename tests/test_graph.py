@@ -7,6 +7,7 @@ from ccgamr.graph import (
     Edge,
     Node,
     UnificationError,
+    invariant,
     iso_equal,
     merge_nodes,
     substitute,
@@ -182,3 +183,34 @@ def test_iso_transitive_spot_check():
     a = relabeled(g, seed=11)
     b = relabeled(a, seed=23)
     assert iso_equal(g, a) and iso_equal(a, b) and iso_equal(g, b)
+
+
+@given(a=graphs(max_nodes=6, max_fv=2), b=graphs(max_nodes=6, max_fv=2), seed=st.integers(0, 999))
+@settings(max_examples=150, deadline=None)
+def test_invariant_is_an_isomorphism_invariant(a, b, seed):
+    assert invariant(a) == invariant(relabeled(a, seed))
+    if iso_equal(a, b):
+        assert invariant(a) == invariant(b)
+
+
+def test_invariant_separates_root_and_fv_count():
+    assert invariant(parse("(a/alpha :mod (b/beta))")) != invariant(parse("(b/beta :mod-of (a/alpha))"))
+    assert invariant(parse("(g/go-01 :ARG0 ?1)")) != invariant(parse("(g/go-01 :ARG0 (y/you))"))
+
+
+def test_validate_long_chain_and_three_cycle():
+    n = 1500
+    chain = AmrSubgraph(
+        tuple(Node(i, "x") for i in range(n)),
+        tuple(Edge(i, ":mod", i + 1) for i in range(n - 1)),
+        0,
+        (),
+    )
+    assert validate(chain) == []
+    cycle = AmrSubgraph(
+        tuple(Node(i, "x") for i in range(3)),
+        tuple(Edge(i, ":mod", (i + 1) % 3) for i in range(3)),
+        0,
+        (),
+    )
+    assert "graph has a directed cycle" in validate(cycle)

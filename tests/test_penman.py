@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgamr.graph import UNDERSPECIFIED, iso_equal, validate
-from ccgamr.penman import PenmanError, PenmanSyntaxError, parse, serialize
+from ccgamr.penman import MAX_DEPTH, PenmanError, PenmanSyntaxError, parse, serialize
 
-from support import LABELS, graphs
+from support import LABELS, graphs, nested
 
 
 def test_parse_control_verb_entry():
@@ -151,3 +151,17 @@ def test_parse_never_leaks_foreign_exceptions(text):
         parse(text)
     except PenmanError:
         pass
+
+
+@pytest.mark.parametrize("depth", [400, MAX_DEPTH])
+def test_parse_accepts_nesting_up_to_max_depth(depth):
+    g = parse(nested(depth))
+    assert len(g.nodes) == depth
+    assert validate(g) == []
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1200])
+def test_parse_rejects_nesting_past_max_depth(depth):
+    with pytest.raises(PenmanError, match="nesting deeper than") as err:
+        parse(nested(depth))
+    assert isinstance(err.value, PenmanSyntaxError)
