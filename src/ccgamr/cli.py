@@ -14,14 +14,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import penman
-from .category import format_category, parse_category
+from .category import format_category
 from .derivation import (
     ChartOverflowError,
     Derivation,
     ParserConfig,
     ReplayError,
     ScriptError,
-    TypeRaisingRule,
     UnknownTokenError,
     cky_parse,
     describe_semantics,
@@ -61,48 +60,6 @@ def _load_lexicon(path: str) -> Lexicon | int:
         return INVALID
 
 
-def _parse_config_text(text: str, source: str) -> ParserConfig:
-    kwargs: dict = {}
-    raising: list[TypeRaisingRule] = []
-    saw_raising = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{source}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key == "max_composition_order":
-            kwargs["max_composition_order"] = int(value)
-        elif key == "max_cell_items":
-            kwargs["max_cell_items"] = int(value)
-        elif key == "strict_conjunction":
-            kwargs["strict_conjunction"] = value.lower() in ("1", "true", "yes")
-        elif key == "goal":
-            kwargs["goal"] = value
-        elif key == "combinators":
-            kwargs["enabled"] = frozenset(v.strip() for v in value.split(",") if v.strip())
-        elif key == "type_raise":
-            saw_raising = True
-            if value.lower() != "none":
-                # e.g. "NP > S" raises NP forward to S/(S\NP)
-                m = value.replace(" ", "")
-                for direction, symbol in (("forward", ">"), ("backward", "<")):
-                    if symbol in m:
-                        src, tgt = m.split(symbol, 1)
-                        raising.append(
-                            TypeRaisingRule(parse_category(src), parse_category(tgt), direction)
-                        )
-                        break
-                else:
-                    raise ValueError(f"{source}:{lineno}: bad type_raise rule {value!r}")
-        else:
-            raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
-    if saw_raising:
-        kwargs["type_raising"] = tuple(raising)
-    return ParserConfig(**kwargs)
-
-
 def _build_config(path: str | None) -> ParserConfig | int:
     text = "" if path is None else _read(path)
     if text is None:
@@ -112,7 +69,7 @@ def _build_config(path: str | None) -> ParserConfig | int:
         print(f"error: {MAX_CELL_ENV} must be an integer", file=sys.stderr)
         return USAGE
     try:
-        config = _parse_config_text(text, path or "<default>")
+        config = ParserConfig.from_text(text, path or "<default>")
         return replace(config, max_cell_items=int(limit)) if limit else config
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

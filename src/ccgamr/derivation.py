@@ -10,6 +10,11 @@ selects (relation-wise or regular, crossed or not) is the one the script
 names.  CKY search explores all enabled combinators over a token sequence
 and returns complete derivations deduplicated by category and semantic
 isomorphism class.
+
+Chart items keep back-pointers to the items they were built from, and
+``cky_parse`` builds each result's steps from them without replaying its
+script.  That chart and replay agree is asserted in the tests
+(``tests/test_derivation.py``), not re-checked at run time.
 """
 
 from __future__ import annotations
@@ -294,6 +299,50 @@ class ParserConfig:
         if self.max_cell_items < 1:
             raise ValueError("max_cell_items must be at least 1")
 
+    @classmethod
+    def from_text(cls, text: str, source: str = "<string>") -> "ParserConfig":
+        """Read ``key = value`` lines (``#`` starts a comment); errors name
+        ``source`` and the line number."""
+        kwargs: dict = {}
+        raising: list[TypeRaisingRule] = []
+        saw_raising = False
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{source}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key == "max_composition_order":
+                kwargs["max_composition_order"] = int(value)
+            elif key == "max_cell_items":
+                kwargs["max_cell_items"] = int(value)
+            elif key == "strict_conjunction":
+                kwargs["strict_conjunction"] = value.lower() in ("1", "true", "yes")
+            elif key == "goal":
+                kwargs["goal"] = value
+            elif key == "combinators":
+                kwargs["enabled"] = frozenset(v.strip() for v in value.split(",") if v.strip())
+            elif key == "type_raise":
+                saw_raising = True
+                if value.lower() != "none":
+                    # e.g. "NP > S" raises NP forward to S/(S\NP)
+                    m = value.replace(" ", "")
+                    for direction, symbol in (("forward", ">"), ("backward", "<")):
+                        if symbol in m:
+                            src, tgt = m.split(symbol, 1)
+                            raising.append(
+                                TypeRaisingRule(parse_category(src), parse_category(tgt), direction)
+                            )
+                            break
+                    else:
+                        raise ValueError(f"{source}:{lineno}: bad type_raise rule {value!r}")
+            else:
+                raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
+        if saw_raising:
+            kwargs["type_raising"] = tuple(raising)
+        return cls(**kwargs)
+
 
 @dataclass(slots=True)
 class _Item:
@@ -302,6 +351,21 @@ class _Item:
     rule: str
     notes: tuple[str, ...] = ()
     forest_count: int = 1
+    children: tuple["_Item", ...] = ()  # back-pointers: () lexical, 1 raised, 2 binary
+
+
+def _steps(item: _Item) -> list[Step]:
+    """The steps ``replay(item.script)`` records, read off the back-pointers:
+    post-order, left child first."""
+    steps: list[Step] = []
+
+    def walk(it: _Item, path: tuple[int, ...]) -> None:
+        for i, child in enumerate(it.children):
+            walk(child, path + (i,))
+        steps.append(Step(path, it.rule, it.constituent, it.notes))
+
+    walk(item, ())
+    return steps
 
 
 def _same_semantics(a: object, b: object) -> bool:
@@ -407,7 +471,7 @@ def _raise_closure(chart: _Chart, span: tuple[int, int]) -> None:
                     continue
                 script = Unary(outcome.rule, item.script)
                 new = _Item(outcome.constituent, script, outcome.rule, outcome.notes,
-                            item.forest_count)
+                            item.forest_count, (item,))
                 if chart.add(span, new):
                     changed = True
 
@@ -445,6 +509,7 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
                                     outcome.rule,
                                     outcome.notes,
                                     litem.forest_count * ritem.forest_count,
+                                    (litem, ritem),
                                 ),
                             )
             _raise_closure(chart, (i, j))
@@ -455,7 +520,7 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
             continue
         if finalize_check(item.constituent):
             continue
-        derivation = replay(item.script, lexicon)
-        derivation.forest_count = item.forest_count
-        results.append(derivation)
+        results.append(
+            Derivation(item.script, _steps(item), item.constituent, item.forest_count)
+        )
     return results

@@ -78,6 +78,7 @@ class _Parser:
         self.i = 0
         self.concepts: list[str | None] = []
         self.edges: list[tuple[int, str, int] | None] = []
+        self.seen_edges: set[tuple[int, str, int]] = set()
         self.vars: dict[str, int] = {}
         self.fvs: dict[int, int] = {}  # fv index -> node id
 
@@ -121,9 +122,10 @@ class _Parser:
             self.edges.append(None)
             child = self.parse_node(depth + 1)
             edge = (child, label, node) if inverse else (node, label, child)
-            if edge in self.edges:
+            if edge in self.seen_edges:
                 del self.edges[slot]
             else:
+                self.seen_edges.add(edge)
                 self.edges[slot] = edge
         kind, value, pos = self._next()
         if kind != "rparen":
@@ -228,44 +230,53 @@ class _Serializer:
     def _pending(self, node: int) -> list[int]:
         return [i for i in self.incident[node] if i not in self.visited_edges]
 
-    def _emit(self, node: int, depth: int) -> str:
+    def _emit(self, root: int) -> str:
+        """Depth-first over the graph with an explicit stack, so deep graphs do
+        not recurse.  The stack holds (node, depth, text written before it)
+        entries and the ``")"`` that closes each opened node."""
         g = self.g
-        first = node not in self.visited_nodes
-        self.visited_nodes.add(node)
-        rels = self._pending(node) if first else []
-        for i in rels:
-            self.visited_edges.add(i)
-        concept = g.concept(node)
-        if concept is None:
-            head = f"?{g.fv_index(node)}"
-            needs_var = False
-        elif _is_literal(concept):
-            # a literal only needs a variable if it is ever mentioned again
-            needs_var = len(self.incident[node]) > 1 or bool(rels)
-            head = f"{self._name(node)}/{concept}" if needs_var else concept
-        else:
-            head = f"{self._name(node)}/{concept}"
-            needs_var = True
-        if not first:
-            return f"?{g.fv_index(node)}" if concept is None else self._name(node)
-        if not rels:
-            if depth == 0 and needs_var:
-                return f"({head})"
-            return head
-        parts = [head]
-        for i in rels:
-            e = g.edges[i]
-            if e.source == node:
-                role, child = e.label, e.target
+        out: list[str] = []
+        todo: list[tuple[int, int, str] | str] = [(root, 0, "")]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            node, depth, prefix = item
+            out.append(prefix)
+            first = node not in self.visited_nodes
+            self.visited_nodes.add(node)
+            rels = self._pending(node) if first else []
+            self.visited_edges.update(rels)
+            concept = g.concept(node)
+            if concept is None:
+                head = f"?{g.fv_index(node)}"
+                needs_var = False
+            elif _is_literal(concept):
+                # a literal only needs a variable if it is ever mentioned again
+                needs_var = len(self.incident[node]) > 1 or bool(rels)
+                head = f"{self._name(node)}/{concept}" if needs_var else concept
             else:
-                role, child = e.label + "-of", e.source
-            parts.append(f"{role} {self._emit(child, depth + 1)}")
-        if self.indent is None:
-            return "(" + " ".join(parts) + ")"
-        pad = "\n" + " " * (self.indent * (depth + 1))
-        return "(" + pad.join(parts) + ")"
+                head = f"{self._name(node)}/{concept}"
+                needs_var = True
+            if not first:
+                out.append(f"?{g.fv_index(node)}" if concept is None else self._name(node))
+            elif not rels:
+                out.append(f"({head})" if depth == 0 and needs_var else head)
+            else:
+                sep = " " if self.indent is None else "\n" + " " * (self.indent * (depth + 1))
+                out.append("(" + head)
+                todo.append(")")
+                for i in reversed(rels):  # pushed last to first, so written in edge order
+                    e = g.edges[i]
+                    if e.source == node:
+                        role, child = e.label, e.target
+                    else:
+                        role, child = e.label + "-of", e.source
+                    todo.append((child, depth + 1, f"{sep}{role} "))
+        return "".join(out)
 
 
 def serialize(g: AmrSubgraph, indent: int | None = None) -> str:
     """Deterministic text for a valid graph; ``parse`` round-trips it."""
-    return _Serializer(g, indent)._emit(g.root, 0)
+    return _Serializer(g, indent)._emit(g.root)

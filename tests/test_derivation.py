@@ -14,6 +14,7 @@ from ccgamr.derivation import (
     ParserConfig,
     ReplayError,
     ScriptError,
+    TypeRaisingRule,
     Unary,
     UnknownTokenError,
     _binary_candidates,
@@ -191,6 +192,63 @@ def test_cky_results_replay_their_own_scripts(lexicon):
             assert iso_equal(again.final.semantics, d.final.semantics)
 
 
+#: The 15 scripted fixture sentences (goal, NP_TO_S raising), plus the two
+#: coordinations again without raising.
+FIXTURE_PARSES = [
+    ("John likes the cat", "S", ()),
+    ("John likes and Mary hates cats", "S", NP_TO_S),
+    ("John was eaten by bears", "S", ()),
+    ("What did you decide to eat yesterday", "S", ()),
+    ("math teachers", "NP", ()),
+    ("people who teach math", "NP", ()),
+    ("John made a decision on his major", "S", ()),
+    ("Mary seems to practice guitar often", "S", ()),
+    ("Mary wants to practice guitar", "S", ()),
+    ("Mary persuaded John to practice guitar", "S", ()),
+    ("Who did you persuade to smile", "S", ()),
+    ("Mary bought a ticket to see the movie", "S", ()),
+    ("Tomorrow John may eat rice", "S", ()),
+    ("John arrived to eat and to party", "S", ()),
+    ("I should and you may eat", "S", NP_TO_S),
+    ("John likes and Mary hates cats", "S", ()),
+    ("I should and you may eat", "S", ()),
+]
+
+
+def _assert_chart_steps_equal_replay(results, lexicon) -> int:
+    """The steps the chart reads off its back-pointers are the steps replaying
+    the result's own script records, field for field."""
+    for d in results:
+        again = replay(parse_script(d.to_script()), lexicon)
+        assert again.steps == d.steps, d.to_script()
+        assert again.final == d.final, d.to_script()
+    return len(results)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_cky_steps_equal_replay_on_fixtures(lexicon, order):
+    checked = 0
+    for sentence, goal, raising in FIXTURE_PARSES:
+        config = ParserConfig(goal=goal, type_raising=raising, max_composition_order=order)
+        checked += _assert_chart_steps_equal_replay(
+            cky_parse(sentence.split(), lexicon, config), lexicon
+        )
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_cky_steps_equal_replay_on_adjunct_chains(lexicon, k):
+    tokens = "John likes the cat".split() + ["yesterday"] * k
+    assert _assert_chart_steps_equal_replay(cky_parse(tokens, lexicon, ParserConfig()), lexicon)
+
+
+@pytest.mark.parametrize("raising", [(), NP_TO_S])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cky_steps_equal_replay_on_coordination_chains(lexicon, k, raising):
+    results = cky_parse(coordination_chain(k), lexicon, ParserConfig(type_raising=raising))
+    assert _assert_chart_steps_equal_replay(results, lexicon)
+
+
 def test_cky_steps_stay_inside_their_spans(lexicon):
     results = cky_parse("John was eaten by bears".split(), lexicon, ParserConfig())
     for d in results:
@@ -269,6 +327,35 @@ def test_chart_compares_only_graphs_with_equal_invariants(lexicon, monkeypatch):
     assert len(results) == 80  # Catalan(3) bracketings times 2^4 name readings
     assert all(calls)
     assert len(calls) <= 400
+
+
+def test_parser_config_from_text_reads_every_key():
+    text = """
+    # every key once, type_raise three times
+    combinators = >, <, >B, >T[S]  # trailing comment
+    type_raise = none
+    type_raise = NP > S
+    type_raise = NP < S
+    goal = NP
+    strict_conjunction = yes
+    max_cell_items = 50
+    max_composition_order = 1
+    """
+    forward, backward = (TypeRaisingRule(Atom("NP"), Atom("S"), d) for d in ("forward", "backward"))
+    assert ParserConfig.from_text(text) == ParserConfig(
+        enabled=frozenset({">", "<", ">B", ">T[S]"}),
+        max_composition_order=1,
+        type_raising=(forward, backward),
+        strict_conjunction=True,
+        max_cell_items=50,
+        goal="NP",
+    )
+    assert ParserConfig.from_text("type_raise = none").type_raising == ()
+    assert ParserConfig.from_text("") == ParserConfig()
+    with pytest.raises(ValueError, match=r"^parser\.cfg:2: unknown config key 'beam'"):
+        ParserConfig.from_text("goal = S\nbeam = 4", "parser.cfg")
+    with pytest.raises(ValueError, match=r"^<string>:1: bad type_raise rule"):
+        ParserConfig.from_text("type_raise = NP")
 
 
 def test_cky_unknown_token(lexicon):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccgamr.graph import UNDERSPECIFIED, iso_equal, validate
+from ccgamr.graph import UNDERSPECIFIED, AmrSubgraph, Edge, Node, iso_equal, validate
 from ccgamr.penman import MAX_DEPTH, PenmanError, PenmanSyntaxError, parse, serialize
 
 from support import LABELS, graphs, nested
@@ -55,6 +55,22 @@ def test_parse_underspecified_role():
 def test_parse_duplicate_edges_collapse():
     g = parse("(a/alpha :mod (b/beta) :mod b)")
     assert len(g.edges) == 1
+
+
+def test_parse_drops_nested_repeats_and_keeps_textual_edge_order():
+    g = parse("(a/x :ARG1 (b/y :mod (c/z)) :ARG1 b :mod (c :mod-of b))")
+    assert [(e.source, e.label, e.target) for e in g.edges] == [
+        (0, ":ARG1", 1),
+        (1, ":mod", 2),
+        (0, ":mod", 2),
+    ]
+
+
+def test_parse_flat_graph_with_many_children():
+    n = 6000
+    g = parse("(r/root " + " ".join(f":mod (c{i}/c)" for i in range(n)) + ")")
+    assert len(g.nodes) == n + 1
+    assert [e.target for e in g.edges] == list(range(1, n + 1))
 
 
 def test_parse_syntax_error_carries_position():
@@ -165,3 +181,74 @@ def test_parse_rejects_nesting_past_max_depth(depth):
     with pytest.raises(PenmanError, match="nesting deeper than") as err:
         parse(nested(depth))
     assert isinstance(err.value, PenmanSyntaxError)
+
+
+def chain(n: int) -> AmrSubgraph:
+    """A :mod chain of ``n`` nodes built through the API, not through ``parse``."""
+    return AmrSubgraph(
+        tuple(Node(i, "c") for i in range(n)),
+        tuple(Edge(i, ":mod", i + 1) for i in range(n - 1)),
+        0,
+        (),
+    )
+
+
+def test_serialize_chain_deeper_than_the_recursion_limit():
+    g = chain(1500)
+    text = serialize(g)
+    assert text.startswith("(c/c :mod (c2/c :mod (c3/c")
+    assert text.endswith("c1500/c" + ")" * 1499)
+    assert serialize(g, indent=1).count("\n") == 1499
+
+
+@pytest.mark.parametrize("depth", [400, MAX_DEPTH])
+def test_serialize_round_trips_chains_up_to_max_depth(depth):
+    g = chain(depth)
+    assert parse(serialize(g)) == g
+    assert parse(serialize(g, indent=2)) == g
+    assert parse(serialize(parse(nested(depth)))) == parse(nested(depth))
+
+
+#: ``serialize`` output of every bundled gold graph, one-line form.
+GOLD_ONE_LINE = {
+    "coordinated_purpose": "(a/and :op1 (a2/arrive-01 :ARG1 (p/person :name j/John :ARG0-of e/eat-01 :ARG0-of p2/party-01) :purpose e :purpose p2) :op2 a2)",
+    "coordinated_purpose_correct": "(a/arrive-01 :ARG1 (p/person :name j/John :ARG0-of (e/eat-01 :op1-of (a2/and :op2 p2/party-01)) :ARG0-of p2) :purpose a2)",
+    "coordination": '(a/and :op1 (l/like-01 :ARG0 (p/person :name (n/name :op1 "John")) :ARG1 (c/cat :ARG1-of (h/hate-01 :ARG0 (p2/person :name (n2/name :op1 "Mary"))))) :op2 h)',
+    "light_verb": '(d/decide-01 :ARG0 (p/person :name (n/name :op1 "John")) :ARG1 (m/major :poss h/he))',
+    "like_cat": '(l/like-01 :ARG0 (p/person :name (n/name :op1 "John")) :ARG1 c/cat)',
+    "math_teachers": "(p/person :ARG0-of (t/teach-01 :ARG1 m/math))",
+    "modal_preposed": "(p/possible-01 :ARG1 (e/eat-01 :ARG0 (p2/person :name j/John) :ARG1 r/rice) :time t/tomorrow)",
+    "modal_preposed_correct": "(p/possible-01 :ARG1 (e/eat-01 :ARG0 (p2/person :name j/John) :ARG1 r/rice :time t/tomorrow))",
+    "object_control": "(p/persuade-01 :ARG0 (p2/person :name m/Mary) :ARG1 (p3/person :name j/John :ARG0-of (p4/practice-01 :ARG1 g/guitar)) :ARG2 p4)",
+    "object_control_wh": "(p/persuade-01 :ARG0 y/you :ARG1 (a/amr-unknown :ARG0-of s/smile-01) :ARG2 s)",
+    "passive": '(e/eat-01 :ARG0 b/bear :ARG1 (p/person :name (n/name :op1 "John")))',
+    "raising": "(s/seem-01 :ARG1 (p/practice-01 :ARG0 (p2/person :name m/Mary) :ARG1 g/guitar :frequency o/often))",
+    "right_node_raising": "(a/and :op1 (r/recommend-01 :ARG1 (e/eat-01 :ARG0 i/i :ARG1-of p/permit-01 :ARG0 y/you)) :op2 p)",
+    "right_node_raising_correct": "(a/and :op1 (r/recommend-01 :ARG1 (e/eat-01 :ARG0 i/i)) :op2 (p/permit-01 :ARG1 (e2/eat-01 :ARG0 y/you)))",
+    "subject_control": "(w/want-01 :ARG0 (p/person :name m/Mary :ARG0-of (p2/practice-01 :ARG1 g/guitar)) :ARG1 p2)",
+    "to_purpose": "(b/buy-01 :ARG0 (p/person :name m/Mary :ARG0-of (s/see-01 :ARG1 m2/movie)) :ARG1 t/ticket :purpose s)",
+    "wh_control": "(d/decide-01 :ARG0 (y/you :ARG0-of (e/eat-01 :ARG1 a/amr-unknown :time y2/yesterday)) :ARG1 e)",
+}
+
+
+def test_serialize_output_of_gold_fixtures_is_pinned():
+    from ccgamr.fixtures import FIXTURES_DIR
+
+    paths = sorted((FIXTURES_DIR / "gold").glob("*.amr"))
+    assert [p.stem for p in paths] == sorted(GOLD_ONE_LINE)
+    for path in paths:
+        g = parse(path.read_text())
+        one_line = serialize(g)
+        assert one_line == GOLD_ONE_LINE[path.stem], path.stem
+        for indent in (2, 4):
+            # indented output differs only in the whitespace between relations
+            assert " ".join(serialize(g, indent=indent).split()) == one_line, path.stem
+    wh = parse((FIXTURES_DIR / "gold" / "wh_control.amr").read_text())
+    assert serialize(wh, indent=4) == (
+        "(d/decide-01\n"
+        "    :ARG0 (y/you\n"
+        "        :ARG0-of (e/eat-01\n"
+        "            :ARG1 a/amr-unknown\n"
+        "            :time y2/yesterday))\n"
+        "    :ARG1 e)"
+    )
