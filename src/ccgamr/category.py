@@ -38,6 +38,9 @@ class Functor:
 
 Category = Union[Atom, Functor]
 
+#: Deepest parenthesised nesting ``parse_category`` accepts.
+MAX_DEPTH = 500
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<feat>\[[A-Za-z0-9]+\])|(?P<punct>[()/\\]))")
 
 
@@ -58,44 +61,47 @@ def parse_category(text: str) -> Category:
     def peek():
         return tokens[i] if i < len(tokens) else (None, "", len(text))
 
-    def item() -> Category:
-        nonlocal i
+    # An explicit stack of the expressions that enclose each open '(': the
+    # operand so far and the slash waiting for its argument.
+    enclosing: list[tuple[Category | None, str | None]] = []
+    cat: Category | None = None
+    slash: str | None = None
+    while True:
         kind, value, at = peek()
         if kind == "punct" and value == "(":
+            if len(enclosing) >= MAX_DEPTH:
+                raise CategoryError(f"nesting deeper than {MAX_DEPTH} levels at offset {at}")
+            enclosing.append((cat, slash))
+            cat = slash = None
             i += 1
-            cat = expr()
+            continue
+        if kind != "name":
+            raise CategoryError(f"expected a category at offset {at}")
+        i += 1
+        if value not in ATOM_BASES:
+            raise CategoryError(f"unknown atomic category {value!r} at offset {at}")
+        feature = None
+        kind, value2, _ = peek()
+        if kind == "feat":
+            feature = value2[1:-1]
+            i += 1
+        done: Category = Atom(value, feature)
+        while True:  # attach the finished item, closing parentheses after it
+            cat = done if cat is None else Functor(cat, slash, done)
             kind, value, at = peek()
+            if kind == "punct" and value in (FORWARD, BACKWARD):
+                slash = value
+                i += 1
+                break
+            if not enclosing:
+                if i != len(tokens):
+                    raise CategoryError(f"trailing category input at offset {at}")
+                return cat
             if not (kind == "punct" and value == ")"):
                 raise CategoryError(f"expected ')' at offset {at}")
             i += 1
-            return cat
-        if kind == "name":
-            i += 1
-            if value not in ATOM_BASES:
-                raise CategoryError(f"unknown atomic category {value!r} at offset {at}")
-            feature = None
-            kind2, value2, _ = peek()
-            if kind2 == "feat":
-                feature = value2[1:-1]
-                i += 1
-            return Atom(value, feature)
-        raise CategoryError(f"expected a category at offset {at}")
-
-    def expr() -> Category:
-        nonlocal i
-        cat = item()
-        while True:
-            kind, value, _ = peek()
-            if kind == "punct" and value in (FORWARD, BACKWARD):
-                i += 1
-                cat = Functor(cat, value, item())
-            else:
-                return cat
-
-    result = expr()
-    if i != len(tokens):
-        raise CategoryError(f"trailing category input at offset {tokens[i][2]}")
-    return result
+            done = cat
+            cat, slash = enclosing.pop()
 
 
 def format_category(cat: Category) -> str:

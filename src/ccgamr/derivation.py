@@ -9,7 +9,9 @@ constituent, and verifies at each step that the combinator the engine
 selects (relation-wise or regular, crossed or not) is the one the script
 names.  CKY search explores all enabled combinators over a token sequence
 and returns complete derivations deduplicated by category and semantic
-isomorphism class.
+isomorphism class.  Two equal graphs merge without an isomorphism search,
+and the rule matches of a pair of adjacent categories come from a bounded
+cache (``_category_matches``) instead of being recomputed per item pair.
 
 Chart items keep back-pointers to the items they were built from, and
 ``cky_parse`` builds each result's steps from them without replaying its
@@ -22,6 +24,7 @@ from __future__ import annotations
 import re
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import penman
 from .category import Atom, Category, parse_category, unify
@@ -92,12 +95,13 @@ _BINARY_RE = re.compile(r"^([><])(R?)(?:B(2?)(x?))?$")
 _RAISE_RE = re.compile(r"^([><])T\[(.+)\]$")
 
 
-def _lex_script(text: str) -> list[str]:
-    return re.findall(r"[()]|[^\s()]+", text)
+_SCRIPT_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 
 def parse_script(text: str) -> ScriptNode:
-    tokens = _lex_script(text)
+    """Parse a derivation script nested at most ``penman.MAX_DEPTH`` deep."""
+    found = list(_SCRIPT_TOKEN_RE.finditer(text))
+    tokens = [m.group() for m in found]
     if not tokens:
         raise ScriptError("empty derivation script")
     pos = 0
@@ -110,11 +114,16 @@ def parse_script(text: str) -> ScriptNode:
         pos += 1
         return tok
 
-    def node() -> ScriptNode:
+    def node(depth: int) -> ScriptNode:
+        # one Python frame per nesting level, so MAX_DEPTH stays well under
+        # the interpreter's recursion limit
         nonlocal pos
         tok = take()
         if tok != "(":
             raise ScriptError(f"expected '(', found {tok!r}")
+        if depth > penman.MAX_DEPTH:
+            offset = found[pos - 1].start()
+            raise ScriptError(f"nesting deeper than {penman.MAX_DEPTH} levels at offset {offset}")
         head = take()
         if head == "leaf":
             index, entry_id = take(), take()
@@ -122,10 +131,10 @@ def parse_script(text: str) -> ScriptNode:
                 raise ScriptError(f"leaf index must be an integer, found {index!r}")
             out: ScriptNode = Leaf(int(index), entry_id)
         elif _RAISE_RE.match(head):
-            out = Unary(head, node())
+            out = Unary(head, node(depth + 1))
         elif head == "&" or _BINARY_RE.match(head):
-            left = node()
-            right = node()
+            left = node(depth + 1)
+            right = node(depth + 1)
             out = Binary(head, left, right)
         else:
             raise ScriptError(f"unknown combinator {head!r}")
@@ -134,7 +143,7 @@ def parse_script(text: str) -> ScriptNode:
         pos += 1
         return out
 
-    root = node()
+    root = node(1)
     if pos != len(tokens):
         raise ScriptError(f"trailing script input {tokens[pos]!r}")
     return root
@@ -372,7 +381,8 @@ def _same_semantics(a: object, b: object) -> bool:
     if isinstance(a, Identity) and isinstance(b, Identity):
         return True
     if is_graph(a) and is_graph(b):
-        return iso_equal(a, b)
+        # equal graphs are isomorphic under the identity map
+        return a == b or iso_equal(a, b)
     if isinstance(a, ConjPartial) and isinstance(b, ConjPartial):
         return (
             a.conj.category == b.conj.category
@@ -427,6 +437,21 @@ def _allowed(config: ParserConfig, rule: str) -> bool:
     return config.enabled is None or rule in config.enabled
 
 
+@lru_cache(maxsize=4096)
+def _category_matches(
+    lcat: Category, rcat: Category, max_order: int
+) -> tuple[tuple[str, int, tuple[Category, bool]], ...]:
+    """(direction, order, match) for every composition of order 0 (application)
+    to ``max_order`` whose categories match, forward before backward."""
+    out = []
+    for order in range(max_order + 1):
+        for direction, fcat, acat in (("forward", lcat, rcat), ("backward", rcat, lcat)):
+            match = match_categories(direction, order, fcat, acat)
+            if match is not None:
+                out.append((direction, order, match))
+    return tuple(out)
+
+
 def _binary_candidates(
     left: Constituent, right: Constituent, config: ParserConfig
 ) -> list[Combined]:
@@ -434,19 +459,20 @@ def _binary_candidates(
     for rules whose categories match."""
     out: list[Combined] = []
     if not isinstance(left.semantics, ConjPartial) and not isinstance(right.semantics, ConjPartial):
-        for order in range(config.max_composition_order + 1):
-            for direction, f, a in (("forward", left, right), ("backward", right, left)):
-                match = match_categories(direction, order, f.category, a.category)
-                if match is not None:
-                    with suppress(CombinationError):
-                        out.append(combine_matched(direction, order, f, a, match))
+        for direction, order, match in _category_matches(
+            left.category, right.category, config.max_composition_order
+        ):
+            f, a = (left, right) if direction == "forward" else (right, left)
+            with suppress(CombinationError):
+                out.append(combine_matched(direction, order, f, a, match))
     if isinstance(left.category, Atom) and left.category.base == "Conj":
         with suppress(CombinationError):
             out.append(conj_attach(left, right))
-    if isinstance(right.semantics, ConjPartial):
+    if isinstance(right.semantics, ConjPartial) and not isinstance(left.semantics, ConjPartial):
         partial: ConjPartial = right.semantics
-        with suppress(CombinationError):
-            out.append(coordinate(partial.conj, left, partial.right, config.strict_conjunction))
+        if unify(left.category, partial.right.category) is not None:
+            with suppress(CombinationError):
+                out.append(coordinate(partial.conj, left, partial.right, config.strict_conjunction))
     return [o for o in out if _allowed(config, o.rule)]
 
 

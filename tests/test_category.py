@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgamr.category import (
+    MAX_DEPTH,
     Atom,
     CategoryError,
     Functor,
@@ -110,3 +111,15 @@ def test_parse_category_never_leaks_foreign_exceptions(text):
         parse_category(text)
     except CategoryError:
         pass
+
+
+def test_parse_accepts_nesting_at_the_depth_limit():
+    assert parse_category("(" * MAX_DEPTH + "S" + ")" * MAX_DEPTH) == Atom("S")
+    text = "S/(" * MAX_DEPTH + "S/NP" + ")" * MAX_DEPTH
+    assert format_category(parse_category(text)) == text
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1000])
+def test_parse_rejects_nesting_past_the_depth_limit(depth):
+    with pytest.raises(CategoryError, match=f"deeper than {MAX_DEPTH} levels at offset {MAX_DEPTH}$"):
+        parse_category("(" * depth + "S" + ")" * depth)

@@ -341,3 +341,34 @@ def test_compare_too_deep_graph_is_usage_error_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error:") and "nesting deeper than" in line
+
+
+def test_replay_too_deep_script_is_usage_error_without_traceback(tmp_path):
+    import subprocess, sys
+
+    path = tmp_path / "deep.ccg"
+    path.write_text("(>T[S] " * 1499 + "(leaf 0 john.1)" + ")" * 1499)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccgamr", "replay", "--lexicon", LEX, "--derivation", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and "nesting deeper than" in line
+
+
+def test_check_too_deep_category_is_validation_error_without_traceback(tmp_path):
+    import subprocess, sys
+
+    path = tmp_path / "deep.lex"
+    path.write_text("deep | " + "(" * 1000 + "S" + ")" * 1000 + " | ID\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccgamr", "check", "--lexicon", str(path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [
+        "deep.lex:1: nesting deeper than 500 levels at offset 500", "1 violation(s)"
+    ]

@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from ccgamr import derivation
-from ccgamr.category import Atom, unify
+from ccgamr import derivation, penman
+from ccgamr.category import Atom, format_category, unify
 from ccgamr.combinator import CombinationError, Constituent, conj_attach, is_graph, type_raise
 from ccgamr.derivation import (
     Binary,
@@ -29,7 +29,7 @@ from ccgamr.lexicon import Lexicon
 from ccgamr.penman import parse
 from ccgamr.fixtures import script as script_path
 
-from support import _exact_key, constituent, try_every_combinator
+from support import _exact_key, constituent, relabeled, try_every_combinator
 
 ALL_SCRIPTS = [
     "like_cat",
@@ -83,6 +83,32 @@ def test_scripts_round_trip_bit_compatibly(name):
 
 
 # --- replay -----------------------------------------------------------------
+
+def _raised_script(depth: int) -> str:
+    """A script nested ``depth`` levels deep: one word under depth - 1 raisings."""
+    return "(>T[S] " * (depth - 1) + "(leaf 0 john.1)" + ")" * (depth - 1)
+
+
+def test_parse_script_accepts_nesting_at_the_depth_limit(lexicon):
+    d = replay(parse_script(_raised_script(penman.MAX_DEPTH)), lexicon)
+    assert len(d.steps) == penman.MAX_DEPTH
+    assert d.steps[0].path == (0,) * (penman.MAX_DEPTH - 1)
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        (_raised_script(penman.MAX_DEPTH + 1), 7 * penman.MAX_DEPTH),
+        (_raised_script(1500), 7 * penman.MAX_DEPTH),
+        ("(> " * penman.MAX_DEPTH + "(leaf 0 a.1)" + " (leaf 1 b.1))" * penman.MAX_DEPTH,
+         3 * penman.MAX_DEPTH),
+    ],
+    ids=["raised-501", "raised-1500", "binary-501"],
+)
+def test_parse_script_rejects_nesting_past_the_depth_limit(text, offset):
+    with pytest.raises(ScriptError, match=f"deeper than {penman.MAX_DEPTH} levels at offset {offset}$"):
+        parse_script(text)
+
 
 def test_replay_single_leaf(lexicon):
     d = replay(Leaf(0, "cat.1"), lexicon)
@@ -295,6 +321,66 @@ def test_binary_candidates_agree_with_trying_every_combinator(lexicon, order):
             assert shown(_binary_candidates(left, right, config)) == want, (left, right)
             hits += len(want)
     assert hits > len(lefts)
+
+
+def _shown(outcomes):
+    return [
+        (o.rule, o.constituent.start, o.constituent.end, _exact_key(o.constituent), o.notes)
+        for o in outcomes
+    ]
+
+
+def _partials(lexicon, start: int) -> list[Constituent]:
+    """Every pending conjunction ``conj_attach`` builds at (start, start+2)."""
+    partials = []
+    for conj in _chart_items(lexicon, start):
+        if conj.category == Atom("Conj"):
+            for right in _chart_items(lexicon, start + 1):
+                with suppress(CombinationError):
+                    partials.append(conj_attach(conj, right).constituent)
+    return partials
+
+
+def test_binary_candidates_agree_with_trying_every_combinator_on_pending_conjunctions(lexicon):
+    config = ParserConfig()
+    lefts, rights = _partials(lexicon, 0), _partials(lexicon, 2)
+    assert lefts and rights
+    for left in lefts:
+        for right in rights + _chart_items(lexicon, 2):
+            want = _shown(try_every_combinator(left, right, config))
+            assert _shown(_binary_candidates(left, right, config)) == want, (left, right)
+
+
+def test_category_matches_are_the_same_after_cache_clear(lexicon):
+    cats = sorted({e.category for e in lexicon.entries}, key=format_category)
+    keys = [(lcat, rcat, order) for lcat in cats for rcat in cats for order in (1, 2)]
+    first = [derivation._category_matches(*key) for key in keys]
+    derivation._category_matches.cache_clear()
+    assert [derivation._category_matches(*key) for key in keys] == first
+    assert first == [derivation._category_matches.__wrapped__(*key) for key in keys]
+    assert sum(map(len, first)) > len(cats)
+
+
+def test_same_semantics_skips_the_iso_search_for_equal_graphs(monkeypatch):
+    calls = []
+    original = derivation.iso_equal
+    monkeypatch.setattr(derivation, "iso_equal", lambda a, b: calls.append(1) or original(a, b))
+    text = "(l / like-01 :ARG0 (p / person) :ARG1 (c / cat) :time ?1)"
+    a, b = parse(text), parse(text)
+    assert a == b and a is not b
+    assert derivation._same_semantics(a, b) and calls == []
+    copy = relabeled(a, seed=1)
+    assert copy != a
+    assert derivation._same_semantics(a, copy) and calls == [1]
+
+
+def test_adjunct_chain_merges_without_an_iso_search(lexicon, monkeypatch):
+    calls = []
+    original = derivation.iso_equal
+    monkeypatch.setattr(derivation, "iso_equal", lambda a, b: calls.append(1) or original(a, b))
+    results = cky_parse("John likes the cat".split() + ["yesterday"] * 5, lexicon, ParserConfig())
+    assert calls == []
+    assert [d.forest_count for d in results] == [2 * 42, 2 * 42]  # h * Catalan(5), h = 2
 
 
 def coordination_chain(k: int) -> list[str]:

@@ -45,6 +45,14 @@ def test_parse_error_reports_line_number():
         loads("ok | NP | (c/cat)\nbroken | NP | (c/cat")
 
 
+def test_too_deep_category_is_reported_with_its_line():
+    deep = "(" * 1000 + "S" + ")" * 1000
+    with pytest.raises(LexiconError) as err:
+        loads(f"ok | NP | (c/cat)\ndeep | {deep} | ID")
+    [problem] = err.value.problems
+    assert problem.startswith("<string>:2: nesting deeper than")
+
+
 def test_lookup_unknown_token_is_empty(lexicon):
     assert lexicon.lookup("unknownword") == []
 
