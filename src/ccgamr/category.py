@@ -8,7 +8,7 @@ a featured atom of the same base; two distinct features never unify.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .graph import AmrSubgraph
@@ -34,6 +34,18 @@ class Functor:
     result: "Category"
     slash: str
     argument: "Category"
+    # Hashed once from the children's stored hashes, so hashing never recurses.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.result, self.slash, self.argument)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild on unpickling: string hashes differ between processes
+        return Functor, (self.result, self.slash, self.argument)
 
 
 Category = Union[Atom, Functor]
@@ -105,13 +117,20 @@ def parse_category(text: str) -> Category:
 
 
 def format_category(cat: Category) -> str:
-    if isinstance(cat, Atom):
-        return cat.base if cat.feature is None else f"{cat.base}[{cat.feature}]"
-    left = format_category(cat.result)
-    right = format_category(cat.argument)
-    if isinstance(cat.argument, Functor):
-        right = f"({right})"
-    return f"{left}{cat.slash}{right}"
+    parts: list[str] = []
+    # categories still to print and literal text, innermost-leftmost on top
+    stack: list[Category | str] = [cat]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Atom):
+            parts.append(item.base if item.feature is None else f"{item.base}[{item.feature}]")
+        elif isinstance(item.argument, Functor):
+            stack += (")", item.argument, item.slash + "(", item.result)
+        else:
+            stack += (item.argument, item.slash, item.result)
+    return "".join(parts)
 
 
 def arity(cat: Category) -> int:

@@ -11,7 +11,8 @@ Two primitive operations underlie every combinator: :func:`substitute`
 (identify a free variable with the root of another subgraph) and
 :func:`merge_nodes` (identify two nodes of one graph).  Both are implemented
 on top of :class:`Workspace`, a mutable scratch structure with union-find
-over merged nodes.
+over merged nodes.  A result shares the immutable :class:`Node` and
+:class:`Edge` objects of its inputs wherever their values did not change.
 
 Isomorphism classes are keyed on :func:`invariant`: the node count, the
 free-variable count, the root's concept and a hash of the sorted
@@ -92,36 +93,49 @@ class AmrSubgraph:
 class Workspace:
     """Mutable scratch for unioning graphs and merging their nodes.
 
-    Node ids are workspace-local.  Merges are recorded in a union-find whose
-    representative is the smaller id, which keeps results deterministic.
-    ``freeze`` resolves all merges, collapses duplicate edge triples (first
-    occurrence wins), renumbers nodes compactly and builds the immutable
-    result.
+    Node ids are workspace-local: positions in flat lists of concepts and
+    union-find parents.  A merge keeps the smaller id as representative, so a
+    representative is never larger than its members and results are
+    deterministic.  ``freeze`` resolves all merges, collapses duplicate edge
+    triples (first occurrence wins), renumbers nodes compactly and builds the
+    immutable result.
+
+    Results reuse the objects they were copied from: ``add_graph`` records
+    the source ``Node`` and ``Edge`` of every node and edge it copies in, and
+    ``freeze`` puts that same object in the result when its value did not
+    change (same final id and concept for a node, same final endpoints for an
+    edge).  ``add_node``, ``add_edge`` and ``set_edge_label`` record no
+    source, so fresh nodes and relabelled edges are always built anew.
     """
 
     def __init__(self) -> None:
-        self._concepts: dict[int, str | None] = {}
-        self._parent: dict[int, int] = {}
+        self._concepts: list[str | None] = []
+        self._parent: list[int] = []
+        self._node_sources: list[Node | None] = []
         self._edges: list[tuple[int, str, int]] = []
-        self._next = 0
+        self._edge_sources: list[Edge | None] = []
 
     def add_node(self, concept: str | None) -> int:
-        i = self._next
-        self._next += 1
-        self._concepts[i] = concept
-        self._parent[i] = i
+        i = len(self._concepts)
+        self._concepts.append(concept)
+        self._parent.append(i)
+        self._node_sources.append(None)
         return i
 
     def add_edge(self, source: int, label: str, target: int) -> int:
         self._edges.append((source, label, target))
+        self._edge_sources.append(None)
         return len(self._edges) - 1
 
     def add_graph(self, g: AmrSubgraph) -> tuple[dict[int, int], int]:
         """Copy a graph in; returns (old-id -> new-id map, edge offset)."""
-        offset = len(self._edges)
-        mapping = {n.id: self.add_node(n.concept) for n in g.nodes}
-        for e in g.edges:
-            self.add_edge(mapping[e.source], e.label, mapping[e.target])
+        base, offset = len(self._concepts), len(self._edges)
+        mapping = {n.id: base + i for i, n in enumerate(g.nodes)}
+        self._concepts.extend([n.concept for n in g.nodes])
+        self._parent.extend(range(base, base + len(g.nodes)))
+        self._node_sources.extend(g.nodes)
+        self._edges.extend([(mapping[e.source], e.label, mapping[e.target]) for e in g.edges])
+        self._edge_sources.extend(g.edges)
         return mapping, offset
 
     def find(self, i: int) -> int:
@@ -153,36 +167,46 @@ class Workspace:
     def set_edge_label(self, edge_index: int, label: str) -> None:
         s, _, t = self._edges[edge_index]
         self._edges[edge_index] = (s, label, t)
+        self._edge_sources[edge_index] = None
 
-    def freeze(self, root: int, fv_candidates: list[int]) -> tuple[AmrSubgraph, dict[int, int]]:
+    def freeze(self, root: int, fv_candidates: list[int]) -> tuple[AmrSubgraph, list[int]]:
         """Build the result graph.
 
         ``fv_candidates`` is an ordered slot sequence of workspace ids;
         entries that resolved to constants are dropped and a merged variable
-        keeps only its first slot.  Returns the graph and the map from
-        union-find representatives to final node ids.
+        keeps only its first slot.  Returns the graph and the final node id
+        of every workspace id, indexed by workspace id.
         """
-        relabel: dict[int, int] = {}
+        final: list[int] = []
         nodes: list[Node] = []
-        for i in range(self._next):
-            r = self.find(i)
-            if r not in relabel:
-                relabel[r] = len(nodes)
-                nodes.append(Node(relabel[r], self._concepts[r]))
+        for i, (parent, concept, node) in enumerate(
+            zip(self._parent, self._concepts, self._node_sources)
+        ):
+            if parent != i:  # a member: its parent is smaller, so already numbered
+                final.append(final[parent])
+                continue
+            new_id = len(nodes)
+            final.append(new_id)
+            if node is None or node.id != new_id or node.concept != concept:
+                node = Node(new_id, concept)
+            nodes.append(node)
         edges: list[Edge] = []
         seen: set[tuple[int, str, int]] = set()
-        for s, label, t in self._edges:
-            triple = (relabel[self.find(s)], label, relabel[self.find(t)])
+        for (s, label, t), edge in zip(self._edges, self._edge_sources):
+            s, t = final[s], final[t]
+            triple = (s, label, t)
             if triple not in seen:
                 seen.add(triple)
-                edges.append(Edge(*triple))
+                if edge is None or edge.source != s or edge.target != t:
+                    edge = Edge(s, label, t)
+                edges.append(edge)
         fv: list[int] = []
         for x in fv_candidates:
-            r = self.find(x)
-            if self._concepts[r] is None and relabel[r] not in fv:
-                fv.append(relabel[r])
-        graph = AmrSubgraph(tuple(nodes), tuple(edges), relabel[self.find(root)], tuple(fv))
-        return graph, relabel
+            i = final[x]
+            if nodes[i].concept is None and i not in fv:
+                fv.append(i)
+        graph = AmrSubgraph(tuple(nodes), tuple(edges), final[root], tuple(fv))
+        return graph, final
 
 
 @dataclass(frozen=True)
@@ -211,11 +235,9 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
     ws.merge(gmap[g.fv[pos - 1]], hmap[h.root])
     g_rem = [gmap[x] for i, x in enumerate(g.fv) if i != pos - 1]
     h_rem = [hmap[x] for x in h.fv]
-    graph, relabel = ws.freeze(gmap[g.root], g_rem + h_rem)
-    final = lambda ids: tuple(
-        relabel[ws.find(x)] for x in ids if ws.concept_of(x) is None
-    )
-    return Substitution(graph, final(g_rem), final(h_rem))
+    graph, final = ws.freeze(gmap[g.root], g_rem + h_rem)
+    free = lambda ids: tuple(final[x] for x in ids if graph.nodes[final[x]].concept is None)
+    return Substitution(graph, free(g_rem), free(h_rem))
 
 
 def merge_nodes(g: AmrSubgraph, n1: int, n2: int) -> AmrSubgraph:

@@ -28,7 +28,7 @@ from ccgamr.combinator import (
     type_raise,
 )
 from ccgamr.derivation import ParserConfig, finalize_check
-from ccgamr.graph import AmrSubgraph, Edge, Node, iso_equal
+from ccgamr.graph import AmrSubgraph, Edge, Node, UnificationError, iso_equal
 
 CONCEPTS = ["eat-01", "person", "cat", "give-01", "and", "math", "idea"]
 LABELS = [":ARG0", ":ARG1", ":ARG2", ":mod", ":time", ":op1"]
@@ -90,6 +90,105 @@ def relabeled(g: AmrSubgraph, seed: int) -> AmrSubgraph:
 def nested(depth: int) -> str:
     """PENMAN text of a :mod chain written as ``depth`` nested parenthesised nodes."""
     return "".join(f"(a{i} / x :mod " for i in range(depth - 1)) + "(z / x" + ")" * depth
+
+
+class DictWorkspace:
+    """Reference for ``graph.Workspace``: the dict-based version it replaced,
+    which builds every node and edge of a result anew.
+
+    Mutable scratch for unioning graphs and merging their nodes.
+
+    Node ids are workspace-local.  Merges are recorded in a union-find whose
+    representative is the smaller id, which keeps results deterministic.
+    ``freeze`` resolves all merges, collapses duplicate edge triples (first
+    occurrence wins), renumbers nodes compactly and builds the immutable
+    result.
+    """
+
+    def __init__(self) -> None:
+        self._concepts: dict[int, str | None] = {}
+        self._parent: dict[int, int] = {}
+        self._edges: list[tuple[int, str, int]] = []
+        self._next = 0
+
+    def add_node(self, concept: str | None) -> int:
+        i = self._next
+        self._next += 1
+        self._concepts[i] = concept
+        self._parent[i] = i
+        return i
+
+    def add_edge(self, source: int, label: str, target: int) -> int:
+        self._edges.append((source, label, target))
+        return len(self._edges) - 1
+
+    def add_graph(self, g: AmrSubgraph) -> tuple[dict[int, int], int]:
+        """Copy a graph in; returns (old-id -> new-id map, edge offset)."""
+        offset = len(self._edges)
+        mapping = {n.id: self.add_node(n.concept) for n in g.nodes}
+        for e in g.edges:
+            self.add_edge(mapping[e.source], e.label, mapping[e.target])
+        return mapping, offset
+
+    def find(self, i: int) -> int:
+        while self._parent[i] != i:
+            self._parent[i] = self._parent[self._parent[i]]
+            i = self._parent[i]
+        return i
+
+    def concept_of(self, i: int) -> str | None:
+        return self._concepts[self.find(i)]
+
+    def merge(self, a: int, b: int) -> int:
+        """Identify two nodes; constant beats free variable.
+
+        Raises :class:`UnificationError` if both are constants with
+        different concepts.
+        """
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        ca, cb = self._concepts[ra], self._concepts[rb]
+        if ca is not None and cb is not None and ca != cb:
+            raise UnificationError(f"cannot merge constants {ca!r} and {cb!r}")
+        keep, drop = (ra, rb) if ra < rb else (rb, ra)
+        self._parent[drop] = keep
+        self._concepts[keep] = ca if ca is not None else cb
+        return keep
+
+    def set_edge_label(self, edge_index: int, label: str) -> None:
+        s, _, t = self._edges[edge_index]
+        self._edges[edge_index] = (s, label, t)
+
+    def freeze(self, root: int, fv_candidates: list[int]) -> tuple[AmrSubgraph, dict[int, int]]:
+        """Build the result graph.
+
+        ``fv_candidates`` is an ordered slot sequence of workspace ids;
+        entries that resolved to constants are dropped and a merged variable
+        keeps only its first slot.  Returns the graph and the map from
+        union-find representatives to final node ids.
+        """
+        relabel: dict[int, int] = {}
+        nodes: list[Node] = []
+        for i in range(self._next):
+            r = self.find(i)
+            if r not in relabel:
+                relabel[r] = len(nodes)
+                nodes.append(Node(relabel[r], self._concepts[r]))
+        edges: list[Edge] = []
+        seen: set[tuple[int, str, int]] = set()
+        for s, label, t in self._edges:
+            triple = (relabel[self.find(s)], label, relabel[self.find(t)])
+            if triple not in seen:
+                seen.add(triple)
+                edges.append(Edge(*triple))
+        fv: list[int] = []
+        for x in fv_candidates:
+            r = self.find(x)
+            if self._concepts[r] is None and relabel[r] not in fv:
+                fv.append(relabel[r])
+        graph = AmrSubgraph(tuple(nodes), tuple(edges), relabel[self.find(root)], tuple(fv))
+        return graph, relabel
 
 
 def iso_oracle(g1: AmrSubgraph, g2: AmrSubgraph) -> bool:

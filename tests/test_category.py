@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,3 +128,75 @@ def test_parse_accepts_nesting_at_the_depth_limit():
 def test_parse_rejects_nesting_past_the_depth_limit(depth):
     with pytest.raises(CategoryError, match=f"deeper than {MAX_DEPTH} levels at offset {MAX_DEPTH}$"):
         parse_category("(" * depth + "S" + ")" * depth)
+
+
+def _format_recursively(cat) -> str:
+    """The recursive printer ``format_category`` replaced, kept as its reference."""
+    if isinstance(cat, Atom):
+        return cat.base if cat.feature is None else f"{cat.base}[{cat.feature}]"
+    right = _format_recursively(cat.argument)
+    if isinstance(cat.argument, Functor):
+        right = f"({right})"
+    return f"{_format_recursively(cat.result)}{cat.slash}{right}"
+
+
+@given(cat=categories(max_depth=5))
+@settings(max_examples=150, deadline=None)
+def test_format_category_agrees_with_the_recursive_printer(cat):
+    text = format_category(cat)
+    assert text == _format_recursively(cat)
+    again = parse_category(text)
+    assert again == cat and hash(again) == hash(cat) and repr(again) == repr(cat)
+
+
+def _slashes(n: int):
+    return parse_category("S" + "/NP" * n)
+
+
+def _nested(depth: int):
+    cat = Atom("NP")
+    for _ in range(depth):
+        cat = Functor(Atom("S"), "/", cat)
+    return cat
+
+
+def _copy(cat):
+    # rebuilt bottom-up along the result spine, without recursion
+    spine = []
+    while isinstance(cat, Functor):
+        spine.append(cat)
+        cat = cat.result
+    for f in reversed(spine):
+        cat = Functor(cat, f.slash, f.argument)
+    return cat
+
+
+def test_format_and_hash_of_deep_categories_do_not_recurse():
+    assert format_category(_slashes(1000)) == "S" + "/NP" * 1000
+    assert format_category(_nested(500)) == "S/(" * 499 + "S/NP" + ")" * 499
+    for cat in (_slashes(1000), _nested(500)):
+        assert hash(cat) == hash(_copy(cat))
+
+
+def test_functor_hash_is_stored_and_left_out_of_eq_and_repr():
+    a = parse_category("(S\\NP)/NP")
+    b = Functor(Functor(Atom("S"), "\\", Atom("NP")), "/", Atom("NP"))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert "_hash" not in repr(a) and repr(a) == repr(b)
+    object.__setattr__(b, "_hash", hash(a) + 1)
+    assert a == b
+    assert {a: 1}[parse_category("(S\\NP)/NP")] == 1
+
+
+def test_pickled_functor_rehashes_in_another_process():
+    # string hashes are seeded per process, so a stored hash must not travel
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = "import pickle, sys; from ccgamr.category import parse_category; " \
+        "sys.stdout.buffer.write(pickle.dumps(parse_category('S[b]\\\\NP/NP')))"
+    data = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, check=True,
+        env={**os.environ, "PYTHONHASHSEED": seed},
+    ).stdout
+    cat = pickle.loads(data)
+    assert cat == parse_category("S[b]\\NP/NP")
+    assert hash(cat) == hash(parse_category("S[b]\\NP/NP"))

@@ -358,6 +358,22 @@ def test_replay_too_deep_script_is_usage_error_without_traceback(tmp_path):
     assert line.startswith("error:") and "nesting deeper than" in line
 
 
+def test_replay_trace_prints_deeply_raised_categories(tmp_path):
+    import subprocess, sys
+
+    path = tmp_path / "deep.ccg"
+    path.write_text("(>T[S] " * 498 + "(leaf 0 john.1)" + ")" * 498)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccgamr", "replay", "--lexicon", LEX, "--derivation", str(path), "--trace"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith(">T[S]") for line in lines) == 498
+    assert lines[2].split()[2] == "S/(S\\(S/(S\\NP)))"
+
+
 def test_check_too_deep_category_is_validation_error_without_traceback(tmp_path):
     import subprocess, sys
 

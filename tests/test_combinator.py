@@ -7,6 +7,7 @@ from ccgamr.combinator import (
     combine_composition,
     conj_attach,
     coordinate,
+    relation_wise_combine,
     relation_wise_match,
     type_raise,
 )
@@ -158,6 +159,19 @@ def test_match_resolves_underspecified_function_edge():
     likes = parse("(l/like-01 :ARG0 ?2 :ARG1 ?1)")
     match = relation_wise_match(raised, likes, k=2)
     assert match is not None and match.label == ":ARG0"
+
+
+def test_relation_wise_combine_builds_the_resolved_edge_anew():
+    raised = parse('(?1 :? (p/person :name (n/name :op1 "John")))')
+    likes = parse("(l/like-01 :ARG0 ?2 :ARG1 ?1)")
+    match = relation_wise_match(raised, likes, k=2)
+    graph, _ = relation_wise_combine(raised, likes, match, order=1)
+    [resolved] = [e for e in graph.edges if e.label == ":ARG0"]
+    assert not any(resolved is e for e in raised.edges + likes.edges)
+    assert UNDERSPECIFIED not in {e.label for e in graph.edges}
+    # the raised graph's other edges keep their objects
+    name_edge = next(e for e in raised.edges if e.label == ":name")
+    assert any(e is name_edge for e in graph.edges)
 
 
 def test_match_requires_concrete_argument_edge():

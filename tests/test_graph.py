@@ -7,6 +7,7 @@ from ccgamr.graph import (
     Edge,
     Node,
     UnificationError,
+    Workspace,
     invariant,
     iso_equal,
     merge_nodes,
@@ -16,7 +17,7 @@ from ccgamr.graph import (
 )
 from ccgamr.penman import parse
 
-from support import graphs, iso_oracle, relabeled
+from support import CONCEPTS, LABELS, DictWorkspace, graphs, iso_oracle, relabeled
 
 
 def test_substitute_fills_first_variable():
@@ -214,3 +215,73 @@ def test_validate_long_chain_and_three_cycle():
         (),
     )
     assert "graph has a directed cycle" in validate(cycle)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_workspace_agrees_with_the_dict_reference(data):
+    """The same random operations give equal graphs and equal final ids."""
+    ws, ref = Workspace(), DictWorkspace()
+    nodes = edges = 0
+    ids = lambda: st.integers(0, nodes - 1)
+
+    def freeze_both():
+        root = data.draw(ids())
+        candidates = data.draw(st.lists(ids(), max_size=4))
+        graph, final = ws.freeze(root, candidates)
+        ref_graph, relabel = ref.freeze(root, candidates)
+        assert graph == ref_graph
+        assert final == [relabel[ref.find(i)] for i in range(nodes)]
+        assert [ws.concept_of(i) for i in range(nodes)] == [ref.concept_of(i) for i in range(nodes)]
+
+    steps = data.draw(st.lists(st.sampled_from(["graph", "node", "edge", "merge", "label", "freeze"]),
+                               min_size=1, max_size=10))
+    for step in ["graph"] + steps:
+        if step == "graph":
+            g = data.draw(graphs(max_nodes=5, max_fv=2))
+            if data.draw(st.booleans()):  # ids not 0..n-1 in order: nothing is reused
+                g = relabeled(g, data.draw(st.integers(0, 99)))
+            assert ws.add_graph(g) == ref.add_graph(g)
+            nodes += len(g.nodes)
+            edges += len(g.edges)
+        elif step == "node":
+            concept = data.draw(st.sampled_from([None, *CONCEPTS]))
+            assert ws.add_node(concept) == ref.add_node(concept) == nodes
+            nodes += 1
+        elif step == "edge":
+            triple = (data.draw(ids()), data.draw(st.sampled_from(LABELS)), data.draw(ids()))
+            assert ws.add_edge(*triple) == ref.add_edge(*triple) == edges
+            edges += 1
+        elif step == "merge":
+            a, b = data.draw(ids()), data.draw(ids())
+            try:
+                expected = ref.merge(a, b)
+            except UnificationError:
+                with pytest.raises(UnificationError):
+                    ws.merge(a, b)
+            else:
+                assert ws.merge(a, b) == expected
+        elif step == "label" and edges:
+            i, label = data.draw(st.integers(0, edges - 1)), data.draw(st.sampled_from(LABELS))
+            ws.set_edge_label(i, label)
+            ref.set_edge_label(i, label)
+        elif step == "freeze":
+            freeze_both()
+    freeze_both()
+
+
+def test_substitute_reuses_the_untouched_nodes_and_edges_of_g():
+    g = parse("(l/like-01 :ARG0 (j/john :mod (o/old)) :ARG1 ?1)")
+    h = parse("(c/cat :mod (b/big))")
+    result = substitute(g, 1, h).graph
+    assert iso_equal(result, parse("(l/like-01 :ARG0 (j/john :mod (o/old)) :ARG1 (c/cat :mod (b/big)))"))
+    slot = g.fv[0]
+    for node in g.nodes:
+        if node.id != slot:
+            assert result.node(node.id) is node
+    # the variable that absorbed h's constant root is a new node
+    assert result.node(slot) is not g.node(slot) and result.node(slot).concept == "cat"
+    for edge in g.edges:
+        assert any(e is edge for e in result.edges)
+    # h's ids moved, so its objects were built anew
+    assert not any(e is h_edge for e in result.edges for h_edge in h.edges)

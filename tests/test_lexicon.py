@@ -45,6 +45,12 @@ def test_parse_error_reports_line_number():
         loads("ok | NP | (c/cat)\nbroken | NP | (c/cat")
 
 
+def test_cyclic_graph_is_reported_once_with_its_line():
+    with pytest.raises(LexiconError) as err:
+        loads("w | NP | (a/x :ARG0 (b/y :ARG1 a))", source="t.lex")
+    assert err.value.problems == ["t.lex:1: invalid graph: graph has a directed cycle"]
+
+
 def test_too_deep_category_is_reported_with_its_line():
     deep = "(" * 1000 + "S" + ")" * 1000
     with pytest.raises(LexiconError) as err:
