@@ -1,6 +1,6 @@
 """CCG derivation engine whose lexical semantics are AMR subgraphs."""
 
-from .graph import AmrSubgraph, Edge, Node, UNDERSPECIFIED, iso_equal, merge_nodes, substitute, validate
+from .graph import AmrSubgraph, Edge, Node, UNDERSPECIFIED, iso_equal, substitute, validate
 from .penman import parse as parse_graph, serialize
 from .category import Atom, Functor, arity, format_category, parse_category, unify
 from .combinator import (

@@ -42,7 +42,7 @@ MAX_CELL_ENV = "CCGAMR_MAX_CELL"
 def _read(path: str) -> str | None:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return None
 
@@ -50,7 +50,7 @@ def _read(path: str) -> str | None:
 def _load_lexicon(path: str) -> Lexicon | int:
     try:
         return load_lexicon(path)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read lexicon {path}: {err}", file=sys.stderr)
         return USAGE
     except LexiconError as err:
@@ -177,7 +177,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         lex = load_lexicon(args.lexicon)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read lexicon {args.lexicon}: {err}", file=sys.stderr)
         return USAGE
     except LexiconError as err:

@@ -7,11 +7,11 @@ Free-variable order is meaningful (position 1 is consumed next), and so is
 edge insertion order (it drives deterministic serialization and tie-breaking
 when several shared-edge candidates exist).
 
-Two primitive operations underlie every combinator: :func:`substitute`
-(identify a free variable with the root of another subgraph) and
-:func:`merge_nodes` (identify two nodes of one graph).  Both are implemented
-on top of :class:`Workspace`, a mutable scratch structure with union-find
-over merged nodes.  A result shares the immutable :class:`Node` and
+Every combinator builds its result in a :class:`Workspace`, a mutable
+scratch structure with union-find over merged nodes: it copies its input
+graphs in, identifies nodes, and freezes the result.  :func:`substitute`
+(identify a free variable with the root of another subgraph) is the step of
+the regular variants.  A result shares the immutable :class:`Node` and
 :class:`Edge` objects of its inputs wherever their values did not change.
 
 Isomorphism classes are keyed on :func:`invariant`: the node count, the
@@ -73,21 +73,12 @@ class AmrSubgraph:
     def concept(self, node_id: int) -> str | None:
         return self._by_id[node_id].concept
 
-    def incident(self, node_id: int) -> list[Edge]:
-        return [e for e in self.edges if node_id in (e.source, e.target)]
-
-    def outgoing(self, node_id: int) -> list[Edge]:
-        return [e for e in self.edges if e.source == node_id]
-
     def incoming(self, node_id: int) -> list[Edge]:
         return [e for e in self.edges if e.target == node_id]
 
     def fv_index(self, node_id: int) -> int:
         """1-based position of a free variable in the fv list."""
         return self.fv.index(node_id) + 1
-
-    def constant_count(self) -> int:
-        return sum(1 for n in self.nodes if not n.is_free)
 
 
 class Workspace:
@@ -143,9 +134,6 @@ class Workspace:
             self._parent[i] = self._parent[self._parent[i]]
             i = self._parent[i]
         return i
-
-    def concept_of(self, i: int) -> str | None:
-        return self._concepts[self.find(i)]
 
     def merge(self, a: int, b: int) -> int:
         """Identify two nodes; constant beats free variable.
@@ -238,18 +226,6 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
     graph, final = ws.freeze(gmap[g.root], g_rem + h_rem)
     free = lambda ids: tuple(final[x] for x in ids if graph.nodes[final[x]].concept is None)
     return Substitution(graph, free(g_rem), free(h_rem))
-
-
-def merge_nodes(g: AmrSubgraph, n1: int, n2: int) -> AmrSubgraph:
-    """Identify two nodes of one graph; n1's fv position survives."""
-    if n1 == n2:
-        raise ValueError("merge_nodes needs two distinct nodes")
-    ws = Workspace()
-    mapping, _ = ws.add_graph(g)
-    ws.merge(mapping[n1], mapping[n2])
-    candidates = [mapping[x] for x in g.fv if x != n2]
-    graph, _ = ws.freeze(mapping[g.root], candidates)
-    return graph
 
 
 def with_fv_order(g: AmrSubgraph, fv: tuple[int, ...]) -> AmrSubgraph:

@@ -7,7 +7,8 @@ One entry per line::
 ``#`` starts a comment, except inside a double-quoted literal such as
 ``:op1 "#ccg"``.  The semantics field is either ``ID`` (identity) or a
 PENMAN-FV graph.  Entry ids default to ``token.N`` with N counting entries
-for the same token in file order.  Every entry must satisfy the
+for the same token in file order; an id must be one derivation-script
+token (no whitespace or parentheses).  Every entry must satisfy the
 functional-isomorphism principle and its graph must validate; violations are
 collected and reported together.
 """
@@ -26,6 +27,7 @@ from .graph import AmrSubgraph, validate  # noqa: F401
 
 
 _CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')  # a line up to its first '#' outside quotes
+_ID_RE = re.compile(r"[^\s()]+")  # one derivation-script token
 
 
 class LexiconError(Exception):
@@ -84,6 +86,9 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
         token, cat_text, sem_text = parts[0], parts[1], parts[2]
         counts[token] = counts.get(token, 0) + 1
         entry_id = parts[3] if len(parts) == 4 else f"{token}.{counts[token]}"
+        if not _ID_RE.fullmatch(entry_id):
+            problems.append(f"{source}:{lineno}: entry id {entry_id!r} is not one script token")
+            continue
         if entry_id in ids:
             problems.append(f"{source}:{lineno}: duplicate entry id {entry_id!r}")
             continue

@@ -105,7 +105,7 @@ class _Parser:
     def parse_node(self, depth: int = 1) -> int:
         kind, value, pos = self._peek()
         if kind != "lparen":
-            return self._bare()
+            return self._head()
         if depth > MAX_DEPTH:
             raise PenmanSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", pos)
         self._next()
@@ -156,20 +156,6 @@ class _Parser:
         node = self._new_node(concept)
         self.vars[var] = node
         return node
-
-    def _bare(self) -> int:
-        kind, value, pos = self._next()
-        if kind == "fvar":
-            return self._fv_node(value)
-        if kind == "string":
-            return self._new_node(value)
-        if kind == "atom":
-            if self._peek()[0] == "slash":
-                return self._define_var(value, pos)
-            if value in self.vars:
-                return self.vars[value]
-            return self._new_node(value)
-        raise PenmanSyntaxError(f"expected a node, found {value!r}", pos)
 
     def finish(self) -> AmrSubgraph:
         root = self.parse_node()

@@ -136,9 +136,6 @@ class DictWorkspace:
             i = self._parent[i]
         return i
 
-    def concept_of(self, i: int) -> str | None:
-        return self._concepts[self.find(i)]
-
     def merge(self, a: int, b: int) -> int:
         """Identify two nodes; constant beats free variable.
 

@@ -388,3 +388,26 @@ def test_check_too_deep_category_is_validation_error_without_traceback(tmp_path)
     assert proc.stdout.splitlines() == [
         "deep.lex:1: nesting deeper than 500 levels at offset 500", "1 violation(s)"
     ]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compare", "{bad}", "{bad}"],
+        ["check", "--lexicon", "{bad}"],
+        ["render", "--input", "{bad}"],
+        ["parse", "--lexicon", "{bad}", "--sentence", "John likes the cat"],
+        ["replay", "--lexicon", LEX, "--derivation", "{bad}"],
+    ],
+)
+def test_non_utf8_file_is_usage_error_without_traceback(tmp_path, command):
+    import subprocess, sys
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    argv = [arg.format(bad=bad) for arg in command]
+    proc = subprocess.run([sys.executable, "-m", "ccgamr", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: cannot read") and "bad.bin" in line

@@ -81,7 +81,7 @@ def test_forward_composition_modal():
     assert iso_equal(sem, parse("(p/possible-01 :ARG1 (e/eat-01 :ARG0 ?2 :ARG1 ?1))"))
     # composition puts the argument's variables first
     eat_node = next(n.id for n in sem.nodes if n.concept == "eat-01")
-    arg1 = next(e.target for e in sem.outgoing(eat_node) if e.label == ":ARG1")
+    arg1 = next(e.target for e in sem.edges if e.source == eat_node and e.label == ":ARG1")
     assert sem.fv_index(arg1) == 1
 
 

@@ -34,6 +34,16 @@ def test_duplicate_ids_rejected():
         loads(text)
 
 
+@pytest.mark.parametrize(
+    "line, entry_id",
+    [("w | NP | (x/xx) |", ""), ("w | NP | (x/xx) | my id", "my id"), ("a(b | NP | (x/xx)", "a(b.1")],
+)
+def test_entry_id_must_be_one_script_token(line, entry_id):
+    with pytest.raises(LexiconError) as err:
+        loads(line, source="t.lex")
+    assert err.value.problems == [f"t.lex:1: entry id {entry_id!r} is not one script token"]
+
+
 def test_auto_ids_count_per_token():
     lex = loads("to | (S[to]\\NP)/(S[b]\\NP) | ID\nto | S/S | (?1 :mod (t/t2))")
     ids = [e.entry_id for e in lex.lookup("to")]

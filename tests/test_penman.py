@@ -43,7 +43,7 @@ def test_parse_reopened_variable():
     g = parse("(a/and :op1 (r/recommend-01 :ARG1 (e/eat-01 :ARG0 i/i)) :op2 (p/permit-01 :ARG1 (e :ARG0 y/you)))")
     eat = [n for n in g.nodes if n.concept == "eat-01"]
     assert len(eat) == 1
-    assert len(g.outgoing(eat[0].id)) == 2  # :ARG0 i and :ARG0 you
+    assert sum(e.source == eat[0].id for e in g.edges) == 2  # :ARG0 i and :ARG0 you
 
 
 def test_parse_underspecified_role():
@@ -77,6 +77,19 @@ def test_parse_syntax_error_carries_position():
     with pytest.raises(PenmanSyntaxError) as err:
         parse("(p/person :name )")
     assert err.value.position == 16
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("( :mod a)", "expected a node, found ':mod' (at offset 2)"),  # after '('
+        ("(a/alpha :mod )", "expected a node, found ')' (at offset 14)"),  # after a role
+    ],
+)
+def test_parse_expects_a_node_after_a_paren_and_after_a_role(text, message):
+    with pytest.raises(PenmanSyntaxError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_parse_rejects_fv_gap():
@@ -145,7 +158,7 @@ def test_serialize_gives_reentrant_literal_a_variable():
 
 def test_parallel_same_label_edges_serialize_as_repeated_relations():
     g = parse("(e/eat-01 :ARG0 (i/i) :ARG0 (y/you))")
-    assert len(g.outgoing(g.root)) == 2
+    assert sum(e.source == g.root for e in g.edges) == 2
     text = serialize(g)
     assert text.count(":ARG0") == 2
     assert iso_equal(parse(text), g)
