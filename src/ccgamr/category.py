@@ -43,6 +43,31 @@ class Functor:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        # Walks down the result spine and keeps the argument pairs still to
+        # compare on a list, so deep trees never recurse.
+        if other.__class__ is not Functor:
+            return NotImplemented
+        pending = []
+        a, b = self, other
+        while True:
+            if a is not b:
+                cls = a.__class__
+                if cls is not b.__class__:
+                    return False
+                if cls is Functor:
+                    if a.slash != b.slash:
+                        return False
+                    if a.argument is not b.argument:
+                        pending.append((a.argument, b.argument))
+                    a, b = a.result, b.result
+                    continue
+                if a.base != b.base or a.feature != b.feature:
+                    return False
+            if not pending:
+                return True
+            a, b = pending.pop()
+
     def __reduce__(self):
         # rebuild on unpickling: string hashes differ between processes
         return Functor, (self.result, self.slash, self.argument)
@@ -144,23 +169,36 @@ def arity(cat: Category) -> int:
 
 def unify(x: Category, y: Category) -> Category | None:
     """Most-specific common instance, or None on mismatch."""
-    if isinstance(x, Atom) and isinstance(y, Atom):
-        if x.base != y.base:
+    # An explicit stack, so deep categories never recurse.  A functor pair is
+    # pushed to rebuild (flag True) under its two child pairs; each finished
+    # pair leaves its unifier on ``done``.
+    done: list[Category] = []
+    todo: list[tuple[Category, Category, bool]] = [(x, y, False)]
+    while todo:
+        a, b, rebuild = todo.pop()
+        if rebuild:
+            arg = done.pop()
+            res = done.pop()
+            same = res is a.result and arg is a.argument
+            done.append(a if same else Functor(res, a.slash, arg))
+        elif a is b:
+            done.append(a)
+        elif a.__class__ is not b.__class__:
             return None
-        if x.feature is None:
-            return y
-        if y.feature is None or x.feature == y.feature:
-            return x
-        return None
-    if isinstance(x, Functor) and isinstance(y, Functor):
-        if x.slash != y.slash:
+        elif a.__class__ is Atom:
+            if a.base != b.base:
+                return None
+            if a.feature is None:
+                done.append(b)
+            elif b.feature is None or a.feature == b.feature:
+                done.append(a)
+            else:
+                return None
+        elif a.slash != b.slash:
             return None
-        res = unify(x.result, y.result)
-        arg = unify(x.argument, y.argument)
-        if res is None or arg is None:
-            return None
-        return Functor(res, x.slash, arg)
-    return None
+        else:
+            todo += ((a, b, True), (a.argument, b.argument, False), (a.result, b.result, False))
+    return done[0]
 
 
 def check_iso_principle(cat: Category, semantics: object) -> list[str]:

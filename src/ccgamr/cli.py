@@ -39,41 +39,61 @@ INVALID = 4
 MAX_CELL_ENV = "CCGAMR_MAX_CELL"
 
 
-def _read(path: str) -> str | None:
+class _Exit(Exception):
+    """``_Exit(code, *lines)`` ends a command: ``main`` prints the lines to
+    stderr and returns the exit status ``code``."""
+
+
+def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        print(f"error: cannot read {path}: {err}", file=sys.stderr)
-        return None
+        raise _Exit(USAGE, f"error: cannot read {path}: {err}")
 
 
-def _load_lexicon(path: str) -> Lexicon | int:
+def _graph(text: str, prefix: str) -> AmrSubgraph:
+    try:
+        return penman.parse(text)
+    except penman.PenmanError as err:
+        raise _Exit(USAGE, f"{prefix}{err}")
+
+
+def _load_lexicon(path: str) -> Lexicon:
+    """The lexicon at ``path``; ``LexiconError`` is left to the caller."""
     try:
         return load_lexicon(path)
     except (OSError, UnicodeDecodeError) as err:
-        print(f"error: cannot read lexicon {path}: {err}", file=sys.stderr)
-        return USAGE
+        raise _Exit(USAGE, f"error: cannot read lexicon {path}: {err}")
+
+
+def _valid_lexicon(path: str) -> Lexicon:
+    try:
+        return _load_lexicon(path)
     except LexiconError as err:
-        print(f"lexicon {path} failed validation:", file=sys.stderr)
-        for problem in err.problems:
-            print(f"  {problem}", file=sys.stderr)
-        return INVALID
+        raise _Exit(INVALID, f"lexicon {path} failed validation:", *(f"  {p}" for p in err.problems))
 
 
-def _build_config(path: str | None) -> ParserConfig | int:
+def _build_config(path: str | None) -> ParserConfig:
     text = "" if path is None else _read(path)
-    if text is None:
-        return USAGE
     limit = os.environ.get(MAX_CELL_ENV)
     if limit and not limit.strip().lstrip("+-").isdigit():
-        print(f"error: {MAX_CELL_ENV} must be an integer", file=sys.stderr)
-        return USAGE
+        raise _Exit(USAGE, f"error: {MAX_CELL_ENV} must be an integer")
     try:
         config = ParserConfig.from_text(text, path or "<default>")
         return replace(config, max_cell_items=int(limit)) if limit else config
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE
+        raise _Exit(USAGE, f"error: {err}")
+
+
+def _gold_verdict(path: str, graphs, mismatch_text: str) -> int:
+    """Print whether any of ``graphs`` is isomorphic to the gold graph at
+    ``path``; return OK or MISMATCH."""
+    gold = _graph(_read(path), "error: bad gold graph: ")
+    if any(isinstance(g, AmrSubgraph) and iso_equal(g, gold) for g in graphs):
+        print("gold: match")
+        return OK
+    print(f"gold: {mismatch_text}")
+    return MISMATCH
 
 
 def _print_derivation(d: Derivation, show_script: bool) -> None:
@@ -85,45 +105,25 @@ def _print_derivation(d: Derivation, show_script: bool) -> None:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    lex = _load_lexicon(args.lexicon)
-    if isinstance(lex, int):
-        return lex
+    lex = _valid_lexicon(args.lexicon)
     config = _build_config(args.config)
-    if isinstance(config, int):
-        return config
     if args.goal:
         config = replace(config, goal=args.goal)
     tokens = args.sentence.split()
     if not tokens:
-        print("error: empty sentence", file=sys.stderr)
-        return USAGE
+        raise _Exit(USAGE, "error: empty sentence")
     try:
         results = cky_parse(tokens, lex, config)
     except UnknownTokenError as err:
-        print(f"no derivation: {err}", file=sys.stderr)
-        return NO_DERIVATION
+        raise _Exit(NO_DERIVATION, f"no derivation: {err}")
     except ChartOverflowError as err:
-        print(f"no derivation: {err} (raise {MAX_CELL_ENV} or max_cell_items)", file=sys.stderr)
-        return NO_DERIVATION
+        raise _Exit(NO_DERIVATION, f"no derivation: {err} (raise {MAX_CELL_ENV} or max_cell_items)")
     if not results:
-        print(f"no derivation over goal category {config.goal!r}", file=sys.stderr)
-        return NO_DERIVATION
+        raise _Exit(NO_DERIVATION, f"no derivation over goal category {config.goal!r}")
     for d in results:
         _print_derivation(d, args.all)
     if args.gold:
-        text = _read(args.gold)
-        if text is None:
-            return USAGE
-        try:
-            goldgraph = penman.parse(text)
-        except penman.PenmanError as err:
-            print(f"error: bad gold graph: {err}", file=sys.stderr)
-            return USAGE
-        if any(iso_equal(d.final.semantics, goldgraph) for d in results):
-            print("gold: match")
-            return OK
-        print("gold: no derivation matches")
-        return MISMATCH
+        return _gold_verdict(args.gold, (d.final.semantics for d in results), "no derivation matches")
     return OK
 
 
@@ -137,49 +137,27 @@ def _print_trace(d: Derivation) -> None:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    lex = _load_lexicon(args.lexicon)
-    if isinstance(lex, int):
-        return lex
+    lex = _valid_lexicon(args.lexicon)
     text = _read(args.derivation)
-    if text is None:
-        return USAGE
     try:
         script = parse_script(text)
     except ScriptError as err:
-        print(f"error: bad derivation script: {err}", file=sys.stderr)
-        return USAGE
+        raise _Exit(USAGE, f"error: bad derivation script: {err}")
     try:
         d = replay(script, lex)
     except ReplayError as err:
-        print(f"replay failed: {err}", file=sys.stderr)
-        return INVALID
+        raise _Exit(INVALID, f"replay failed: {err}")
     if args.trace:
         _print_trace(d)
     print(describe_semantics(d.final.semantics))
     if args.gold:
-        gold_text = _read(args.gold)
-        if gold_text is None:
-            return USAGE
-        try:
-            goldgraph = penman.parse(gold_text)
-        except penman.PenmanError as err:
-            print(f"error: bad gold graph: {err}", file=sys.stderr)
-            return USAGE
-        sem = d.final.semantics
-        if isinstance(sem, AmrSubgraph) and iso_equal(sem, goldgraph):
-            print("gold: match")
-            return OK
-        print("gold: mismatch")
-        return MISMATCH
+        return _gold_verdict(args.gold, [d.final.semantics], "mismatch")
     return OK
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        lex = load_lexicon(args.lexicon)
-    except (OSError, UnicodeDecodeError) as err:
-        print(f"error: cannot read lexicon {args.lexicon}: {err}", file=sys.stderr)
-        return USAGE
+        lex = _load_lexicon(args.lexicon)
     except LexiconError as err:
         for problem in err.problems:
             print(problem)
@@ -224,35 +202,19 @@ def _looks_like_script(text: str) -> bool:
 
 def cmd_render(args: argparse.Namespace) -> int:
     text = _read(args.input)
-    if text is None:
-        return USAGE
-    if _looks_like_script(text):
-        if not args.lexicon:
-            print("error: rendering a derivation needs --lexicon", file=sys.stderr)
-            return USAGE
-        lex = _load_lexicon(args.lexicon)
-        if isinstance(lex, int):
-            return lex
+    if not _looks_like_script(text):
+        graph = _graph(text, "error: ")
+    elif not args.lexicon:
+        raise _Exit(USAGE, "error: rendering a derivation needs --lexicon")
+    else:
+        lex = _valid_lexicon(args.lexicon)
         try:
-            d = replay(parse_script(text), lex)
+            graph = replay(parse_script(text), lex).final.semantics
         except (ScriptError, ReplayError) as err:
-            print(f"error: {err}", file=sys.stderr)
-            return USAGE
-        sem = d.final.semantics
-        if not isinstance(sem, AmrSubgraph):
-            print("error: derivation has no graph semantics to render", file=sys.stderr)
-            return USAGE
-        graph = sem
-    else:
-        try:
-            graph = penman.parse(text)
-        except penman.PenmanError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return USAGE
-    if args.format == "dot":
-        print(render_dot(graph))
-    else:
-        print(penman.serialize(graph, indent=2))
+            raise _Exit(USAGE, f"error: {err}")
+        if not isinstance(graph, AmrSubgraph):
+            raise _Exit(USAGE, "error: derivation has no graph semantics to render")
+    print(render_dot(graph) if args.format == "dot" else penman.serialize(graph, indent=2))
     return OK
 
 
@@ -297,17 +259,7 @@ def compare_witness(g1: AmrSubgraph, g2: AmrSubgraph) -> str:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    graphs = []
-    for path in (args.first, args.second):
-        text = _read(path)
-        if text is None:
-            return USAGE
-        try:
-            graphs.append(penman.parse(text))
-        except penman.PenmanError as err:
-            print(f"error: {path}: {err}", file=sys.stderr)
-            return USAGE
-    g1, g2 = graphs
+    g1, g2 = (_graph(_read(path), f"error: {path}: ") for path in (args.first, args.second))
     if iso_equal(g1, g2):
         print("isomorphic")
         return OK
@@ -362,7 +314,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return USAGE if err.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Exit as stop:
+        code, *lines = stop.args
+        for line in lines:
+            print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

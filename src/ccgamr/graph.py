@@ -64,9 +64,6 @@ class AmrSubgraph:
     def _by_id(self) -> dict[int, Node]:
         return {n.id: n for n in self.nodes}
 
-    def node(self, node_id: int) -> Node:
-        return self._by_id[node_id]
-
     def is_free(self, node_id: int) -> bool:
         return self._by_id[node_id].concept is None
 

@@ -327,3 +327,15 @@ def constituent(text_category: str, text_sem, start: int = 0, end: int = 1) -> C
 
     sem = IDENTITY if text_sem == "ID" else penman.parse(text_sem)
     return Constituent(start, end, parse_category(text_category), sem)
+
+
+def deep_lexicon_text(slashes: int = 1000) -> str:
+    """A lexicon whose ``big`` category is ``S/NP/.../NP`` with ``slashes``
+    slashes (no parentheses, so no nesting limit applies) and whose ``wide``
+    takes such a category as its argument."""
+    deep = "S" + "/NP" * slashes
+    return (
+        f"big | {deep} | (?1 :mod (b/big))\n"
+        "and | Conj | (a/and)\n"
+        f"wide | S/({deep}) | (w/wide :mod ?1)\n"
+    )

@@ -178,6 +178,49 @@ def test_format_and_hash_of_deep_categories_do_not_recurse():
         assert hash(cat) == hash(_copy(cat))
 
 
+def _unify_recursively(x, y):
+    """The recursive ``unify`` the iterative one replaced, kept as its reference."""
+    if isinstance(x, Atom) and isinstance(y, Atom):
+        if x.base != y.base:
+            return None
+        if x.feature is None:
+            return y
+        return x if y.feature is None or x.feature == y.feature else None
+    if isinstance(x, Functor) and isinstance(y, Functor) and x.slash == y.slash:
+        res, arg = _unify_recursively(x.result, y.result), _unify_recursively(x.argument, y.argument)
+        return None if res is None or arg is None else Functor(res, x.slash, arg)
+    return None
+
+
+def _bare(cat):
+    """``cat`` with every feature dropped: it unifies with ``cat``."""
+    if isinstance(cat, Atom):
+        return Atom(cat.base)
+    return Functor(_bare(cat.result), cat.slash, _bare(cat.argument))
+
+
+@given(x=categories(max_depth=4), y=categories(max_depth=4))
+@settings(max_examples=200, deadline=None)
+def test_unify_and_eq_agree_with_the_recursive_reference(x, y):
+    for a, b in ((x, y), (x, _bare(x)), (_bare(y), y), (x, x)):
+        got, want = unify(a, b), _unify_recursively(a, b)
+        assert got == want and repr(got) == repr(want)
+        assert (a == b) == (repr(a) == repr(b)) and (a != b) == (repr(a) != repr(b))
+
+
+def test_deepest_accepted_categories_compare_equal_and_unify():
+    nested = "S/(" * MAX_DEPTH + "S/NP" + ")" * MAX_DEPTH
+    for text in (nested, "S" + "/NP" * 1000):
+        a, b = parse_category(text), parse_category(text)
+        assert a is not b and a == b and not a != b
+        assert format_category(unify(a, b)) == text
+    featured = parse_category(nested.replace("S/NP", "S[b]/NP"))
+    assert featured != parse_category(nested)
+    assert unify(parse_category(nested), featured) == featured
+    assert unify(featured, parse_category(nested.replace("S/NP", "S[q]/NP"))) is None
+    assert unify(parse_category(nested), parse_category(nested.replace("S/NP", "S\\NP"))) is None
+
+
 def test_functor_hash_is_stored_and_left_out_of_eq_and_repr():
     a = parse_category("(S\\NP)/NP")
     b = Functor(Functor(Atom("S"), "\\", Atom("NP")), "/", Atom("NP"))

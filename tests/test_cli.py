@@ -3,7 +3,7 @@ import pytest
 from ccgamr.cli import main
 from ccgamr.fixtures import LEXICON_PATH, gold, script
 
-from support import nested
+from support import deep_lexicon_text, nested
 
 LEX = str(LEXICON_PATH)
 
@@ -411,3 +411,21 @@ def test_non_utf8_file_is_usage_error_without_traceback(tmp_path, command):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error: cannot read") and "bad.bin" in line
+
+
+@pytest.mark.parametrize(
+    "sentence, code, out",
+    [("big and big", 2, ""), ("wide big", 0, "(w/wide :mod b/big)\n")],
+)
+def test_parse_deep_categories_without_traceback(tmp_path, sentence, code, out):
+    import subprocess, sys
+
+    path = tmp_path / "deep.lex"
+    path.write_text(deep_lexicon_text())
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccgamr", "parse", "--lexicon", str(path), "--sentence", sentence],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == out

@@ -7,44 +7,54 @@ import ccgamr
 
 SRC = Path(ccgamr.__file__).parent
 _DEFS = (ast.FunctionDef, ast.ClassDef)
+_METHOD_USES = frozenset({"attribute", "export"})
 
 
-def _definitions_and_references(tree):
-    """Each definition, and each name it is referenced by paired with the
-    definitions enclosing that reference."""
+def _definitions_and_references(tree, exports: bool):
+    """Each definition paired with whether it is a method, and each
+    reference as (name, kind, the definitions enclosing it).  The kind is
+    ``name``, ``attribute``, or ``export`` for an import in ``__init__``
+    (``exports``) and ``import`` for one elsewhere."""
     definitions, references = [], []
 
-    def visit(node, enclosing):
+    def visit(node, enclosing, in_class):
         if isinstance(node, _DEFS):
-            definitions.append(node)
+            definitions.append((node, in_class))
             enclosing = enclosing | {id(node)}
         elif isinstance(node, ast.Name):
-            references.append((node.id, enclosing))
+            references.append((node.id, "name", enclosing))
         elif isinstance(node, ast.Attribute):
-            references.append((node.attr, enclosing))
+            references.append((node.attr, "attribute", enclosing))
         elif isinstance(node, ast.alias):
-            references.append((node.name, enclosing))
+            references.append((node.name, "export" if exports else "import", enclosing))
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            visit(child, enclosing, isinstance(node, ast.ClassDef))
 
-    visit(tree, frozenset())
+    visit(tree, frozenset(), False)
     return definitions, references
 
 
 def unused_definitions(src: Path) -> list[str]:
     """``module:name`` of each non-dunder definition that no code outside its
-    own body names, as a name, an attribute or an import.  A name imported
-    by the package's ``__init__`` counts as used, since that exports it."""
+    own body names.  A function or class counts as used when named as a
+    name, an attribute or an import; a method only through an attribute
+    (``x.name``), since a bare name is some local variable or function.  A
+    name imported by the package's ``__init__`` counts as used, since that
+    exports it."""
     definitions, references = [], []
     for path in sorted(src.glob("*.py")):
-        defs, refs = _definitions_and_references(ast.parse(path.read_text(encoding="utf-8")))
-        definitions += [(path.stem, d) for d in defs]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs, refs = _definitions_and_references(tree, exports=path.stem == "__init__")
+        definitions += [(path.stem, d, is_method) for d, is_method in defs]
         references += refs
     unused = []
-    for module, d in definitions:
+    for module, d, is_method in definitions:
         if d.name.startswith("__") and d.name.endswith("__"):
             continue
-        if not any(name == d.name and id(d) not in enclosing for name, enclosing in references):
+        if not any(
+            name == d.name and id(d) not in enclosing and (kind in _METHOD_USES or not is_method)
+            for name, kind, enclosing in references
+        ):
             unused.append(f"{module}:{d.name}")
     return unused
 
@@ -65,3 +75,18 @@ def test_the_audit_flags_a_method_only_its_own_body_names(tmp_path):
     )
     (tmp_path / "__init__.py").write_text("from .mod import exported\n")
     assert unused_definitions(tmp_path) == ["mod:recurse"]
+
+
+def test_a_local_variable_does_not_count_as_a_use_of_a_method(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Graph:\n"
+        "    def node(self):\n"
+        "        return 1\n"
+        "    def edge(self):\n"
+        "        return 2\n"
+        "def walk(graph):\n"
+        "    node = graph.edge()\n"
+        "    return node\n"
+    )
+    (tmp_path / "__init__.py").write_text("from .mod import Graph, walk\n")
+    assert unused_definitions(tmp_path) == ["mod:node"]

@@ -25,11 +25,11 @@ from ccgamr.derivation import (
     replay,
 )
 from ccgamr.graph import invariant, iso_equal
-from ccgamr.lexicon import Lexicon
+from ccgamr.lexicon import Lexicon, loads
 from ccgamr.penman import parse
 from ccgamr.fixtures import script as script_path
 
-from support import _exact_key, constituent, relabeled, try_every_combinator
+from support import _exact_key, constituent, deep_lexicon_text, relabeled, try_every_combinator
 
 ALL_SCRIPTS = [
     "like_cat",
@@ -568,3 +568,20 @@ def test_light_verb_trace_category_sequence(lexicon):
         (">", "S\\NP"),
         ("<", "S"),
     ]
+
+
+@pytest.mark.parametrize(
+    "sentence, graphs",
+    [
+        # the chart coordinates the two deep categories, but S/NP/.../NP is no goal
+        ("big and big", []),
+        ("wide big", ["(w/wide :mod (b/big))"]),
+        ("wide big and big", ["(w/wide :mod (b/big) :mod (b2/big) :op1-of (a/and) :op2-of a)"]),
+    ],
+)
+def test_cky_parse_unifies_categories_a_thousand_slashes_deep(sentence, graphs):
+    results = cky_parse(sentence.split(), loads(deep_lexicon_text()), ParserConfig())
+    assert len(results) == len(graphs)
+    for d, text in zip(results, graphs):
+        assert format_category(d.final.category) == "S"
+        assert iso_equal(d.final.semantics, parse(text))

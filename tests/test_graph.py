@@ -286,11 +286,14 @@ def test_substitute_reuses_the_untouched_nodes_and_edges_of_g():
     result = substitute(g, 1, h).graph
     assert iso_equal(result, parse("(l/like-01 :ARG0 (j/john :mod (o/old)) :ARG1 (c/cat :mod (b/big)))"))
     slot = g.fv[0]
+    # both graphs number their nodes 0..n-1 in order, so nodes[i] has id i
+    assert [n.id for n in g.nodes] == list(range(len(g.nodes)))
+    assert [n.id for n in result.nodes] == list(range(len(result.nodes)))
     for node in g.nodes:
         if node.id != slot:
-            assert result.node(node.id) is node
+            assert result.nodes[node.id] is node
     # the variable that absorbed h's constant root is a new node
-    assert result.node(slot) is not g.node(slot) and result.node(slot).concept == "cat"
+    assert result.nodes[slot] is not g.nodes[slot] and result.nodes[slot].concept == "cat"
     for edge in g.edges:
         assert any(e is edge for e in result.edges)
     # h's ids moved, so its objects were built anew
