@@ -68,9 +68,62 @@ class Functor:
                 return True
             a, b = pending.pop()
 
+    def __repr__(self) -> str:
+        # The dataclass's text, written from an explicit stack of literal
+        # text and functors still to expand, so deep trees never recurse.
+        parts: list[str] = []
+        stack: list[str | Functor] = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is not Functor:
+                parts.append(item)
+                continue
+            result, argument = item.result, item.argument
+            stack += (
+                ")",
+                argument if argument.__class__ is Functor else repr(argument),
+                f", slash={item.slash!r}, argument=",
+                result if result.__class__ is Functor else repr(result),
+                "Functor(result=",
+            )
+        return "".join(parts)
+
     def __reduce__(self):
-        # rebuild on unpickling: string hashes differ between processes
-        return Functor, (self.result, self.slash, self.argument)
+        # Rebuilt on unpickling, since string hashes differ between processes.
+        # The pickle holds a flat list of subterms, so it never recurses.
+        return _from_terms, (_terms(self),)
+
+
+def _terms(cat: "Category") -> list:
+    """The distinct subterms of ``cat`` in post-order, ``cat`` last: an atom
+    as itself, a functor as (result index, slash, argument index)."""
+    index: dict[int, int] = {}  # id of a subterm -> its position in terms
+    terms: list = []
+    stack = [cat]
+    while stack:
+        c = stack[-1]
+        if id(c) in index:
+            stack.pop()
+            continue
+        if c.__class__ is Functor:
+            todo = [x for x in (c.argument, c.result) if id(x) not in index]
+            if todo:
+                stack += todo
+                continue
+            term = (index[id(c.result)], c.slash, index[id(c.argument)])
+        else:
+            term = c
+        stack.pop()
+        index[id(c)] = len(terms)
+        terms.append(term)
+    return terms
+
+
+def _from_terms(terms: list) -> "Category":
+    built: list = []
+    for t in terms:
+        built.append(Functor(built[t[0]], t[1], built[t[2]]) if t.__class__ is tuple else t)
+    return built[-1]
 
 
 Category = Union[Atom, Functor]

@@ -168,7 +168,8 @@ def _regular_semantics(f: AmrSubgraph, a: AmrSubgraph, order: int) -> AmrSubgrap
     sub = substitute(f, 1, a)
     if order == 0:
         return sub.graph  # already f-remaining then a-remaining
-    return with_fv_order(sub.graph, sub.h_remaining + sub.g_remaining)
+    fv = sub.h_remaining + sub.g_remaining
+    return sub.graph if fv == sub.graph.fv else with_fv_order(sub.graph, fv)
 
 
 def _check_result(category: Category, semantics: object) -> None:

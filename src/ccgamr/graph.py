@@ -7,12 +7,15 @@ Free-variable order is meaningful (position 1 is consumed next), and so is
 edge insertion order (it drives deterministic serialization and tie-breaking
 when several shared-edge candidates exist).
 
-Every combinator builds its result in a :class:`Workspace`, a mutable
-scratch structure with union-find over merged nodes: it copies its input
-graphs in, identifies nodes, and freezes the result.  :func:`substitute`
-(identify a free variable with the root of another subgraph) is the step of
-the regular variants.  A result shares the immutable :class:`Node` and
-:class:`Edge` objects of its inputs wherever their values did not change.
+:func:`substitute` (identify a free variable with the root of another
+subgraph) is the step of the regular variants.  It merges exactly one pair
+of nodes, so it builds its result directly in one pass.  The combinators
+that merge more than one pair (relation-wise combination, type raising,
+coordination) build theirs in a :class:`Workspace`, a mutable scratch
+structure with union-find over merged nodes: it copies its input graphs in,
+identifies nodes, and freezes the result.  Either way a result shares the
+immutable :class:`Node` and :class:`Edge` objects of its inputs wherever
+their values did not change.
 
 Isomorphism classes are keyed on :func:`invariant`: the node count, the
 free-variable count, the root's concept and a hash of the sorted
@@ -25,9 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 #: Role label of an underspecified edge, resolved later by a shared-edge match.
 UNDERSPECIFIED = ":?"
+
+_ID = attrgetter("id")
+_TRIPLE = attrgetter("source", "label", "target")
 
 
 class UnificationError(Exception):
@@ -211,18 +218,66 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
     The two nodes are identified; the merged node is a constant iff h's root
     was one.  If h is rooted at a free variable the merged node stays free
     and keeps h's fv-list position.
+
+    The result is built in one pass: g's nodes keep their positions, h's root
+    folds into the filled variable and h's other nodes follow in order.
+    Edges are g's, then h's, with repeated triples collapsed (first
+    occurrence wins).  Nodes and edges whose values did not change are the
+    input objects themselves.
     """
     if not 1 <= pos <= len(g.fv):
         raise ValueError(f"fv position {pos} out of range 1..{len(g.fv)}")
-    ws = Workspace()
-    gmap, _ = ws.add_graph(g)
-    hmap, _ = ws.add_graph(h)
-    ws.merge(gmap[g.fv[pos - 1]], hmap[h.root])
-    g_rem = [gmap[x] for i, x in enumerate(g.fv) if i != pos - 1]
-    h_rem = [hmap[x] for x in h.fv]
-    graph, final = ws.freeze(gmap[g.root], g_rem + h_rem)
-    free = lambda ids: tuple(final[x] for x in ids if graph.nodes[final[x]].concept is None)
-    return Substitution(graph, free(g_rem), free(h_rem))
+    n, m = len(g.nodes), len(h.nodes)
+    # Old id -> new id maps.  A list indexed by id serves when the graph
+    # numbers its nodes 0..len-1 in order, as the graphs the engine builds do.
+    g_ids = list(map(_ID, g.nodes))
+    same = list(range(n))
+    gmap = same if g_ids == same else dict(zip(g_ids, same))
+    slot = gmap[g.fv[pos - 1]]
+    h_ids = list(map(_ID, h.nodes))
+    r = h_ids.index(h.root)
+    positions = [*range(n, n + r), slot, *range(n + r, n + m - 1)]
+    hmap = positions if h_ids == list(range(m)) else dict(zip(h_ids, positions))
+    ca, cb = g.nodes[slot].concept, h.nodes[r].concept
+    if ca is not None and cb is not None and ca != cb:
+        raise UnificationError(f"cannot merge constants {ca!r} and {cb!r}")
+    if gmap is same:
+        nodes, edges = list(g.nodes), list(g.edges)
+    else:
+        nodes = [node if node.id == i else Node(i, node.concept) for i, node in enumerate(g.nodes)]
+        edges = _moved(g.edges, gmap)
+    if ca is None and cb is not None:
+        nodes[slot] = Node(slot, cb)
+    nodes += [
+        node if node.id == i else Node(i, node.concept)
+        for i, node in zip(positions, h.nodes)
+        if i >= n  # h's root is already in place as the filled variable
+    ]
+    edges += _moved(h.edges, hmap)
+    # Only an input that repeats a triple, or loops on both merged nodes, can
+    # give a repeat here, so the common case pays for one set of triples.
+    if len(set(map(_TRIPLE, edges))) != len(edges):
+        unique: dict[tuple[int, str, int], Edge] = {}
+        for e in edges:
+            unique.setdefault(_TRIPLE(e), e)
+        edges = list(unique.values())
+    # Each side's remaining variables drop constants; the graph's fv list
+    # also keeps a merged variable only in its first slot.
+    g_rest = [gmap[x] for x in g.fv[: pos - 1] + g.fv[pos:]]
+    g_rem = tuple([i for i in g_rest if nodes[i].concept is None])
+    h_rem = tuple([i for i in [hmap[x] for x in h.fv] if nodes[i].concept is None])
+    fv = tuple(dict.fromkeys(g_rem + h_rem))
+    return Substitution(AmrSubgraph(tuple(nodes), tuple(edges), gmap[g.root], fv), g_rem, h_rem)
+
+
+def _moved(edges: tuple[Edge, ...], ids) -> list[Edge]:
+    """``edges`` with their endpoints renamed by ``ids``; an edge whose
+    endpoints keep their ids stays the same object."""
+    out = []
+    for e in edges:
+        s, t = ids[e.source], ids[e.target]
+        out.append(e if s == e.source and t == e.target else Edge(s, e.label, t))
+    return out
 
 
 def with_fv_order(g: AmrSubgraph, fv: tuple[int, ...]) -> AmrSubgraph:

@@ -28,7 +28,15 @@ from ccgamr.combinator import (
     type_raise,
 )
 from ccgamr.derivation import ParserConfig, finalize_check
-from ccgamr.graph import AmrSubgraph, Edge, Node, UnificationError, iso_equal
+from ccgamr.graph import (
+    AmrSubgraph,
+    Edge,
+    Node,
+    Substitution,
+    UnificationError,
+    Workspace,
+    iso_equal,
+)
 
 CONCEPTS = ["eat-01", "person", "cat", "give-01", "and", "math", "idea"]
 LABELS = [":ARG0", ":ARG1", ":ARG2", ":mod", ":time", ":op1"]
@@ -186,6 +194,23 @@ class DictWorkspace:
                 fv.append(relabel[r])
         graph = AmrSubgraph(tuple(nodes), tuple(edges), relabel[self.find(root)], tuple(fv))
         return graph, relabel
+
+
+def reference_substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
+    """Reference for ``graph.substitute``: the version it replaced, which
+    copies both graphs into a ``Workspace``, merges g's free variable at
+    ``pos`` with h's root and freezes the result."""
+    if not 1 <= pos <= len(g.fv):
+        raise ValueError(f"fv position {pos} out of range 1..{len(g.fv)}")
+    ws = Workspace()
+    gmap, _ = ws.add_graph(g)
+    hmap, _ = ws.add_graph(h)
+    ws.merge(gmap[g.fv[pos - 1]], hmap[h.root])
+    g_rem = [gmap[x] for i, x in enumerate(g.fv) if i != pos - 1]
+    h_rem = [hmap[x] for x in h.fv]
+    graph, final = ws.freeze(gmap[g.root], g_rem + h_rem)
+    free = lambda ids: tuple(final[x] for x in ids if graph.nodes[final[x]].concept is None)
+    return Substitution(graph, free(g_rem), free(h_rem))
 
 
 def iso_oracle(g1: AmrSubgraph, g2: AmrSubgraph) -> bool:

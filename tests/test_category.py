@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -243,3 +244,35 @@ def test_pickled_functor_rehashes_in_another_process():
     cat = pickle.loads(data)
     assert cat == parse_category("S[b]\\NP/NP")
     assert hash(cat) == hash(parse_category("S[b]\\NP/NP"))
+
+
+def _dataclass_repr(cat) -> str:
+    """The text of a dataclass-generated ``__repr__``: the fields shown by
+    repr, in order, with nested dataclasses printed the same way."""
+    shown = lambda v: _dataclass_repr(v) if dataclasses.is_dataclass(v) else repr(v)
+    fields = [f"{f.name}={shown(getattr(cat, f.name))}" for f in dataclasses.fields(cat) if f.repr]
+    return f"{type(cat).__qualname__}({', '.join(fields)})"
+
+
+@given(cat=categories(max_depth=4))
+@settings(max_examples=150, deadline=None)
+def test_functor_repr_is_the_dataclass_text(cat):
+    assert repr(cat) == str(cat) == _dataclass_repr(cat)
+
+
+@pytest.mark.parametrize("cat", [_slashes(1000), _nested(1000)], ids=["1000-slashes", "1000-arguments"])
+def test_repr_and_pickle_of_deep_categories_do_not_recurse(cat):
+    text = repr(cat)
+    assert str(cat) == text and text.count("Functor(") == 1000
+    again = pickle.loads(pickle.dumps(cat))
+    assert again is not cat and again == cat and hash(again) == hash(cat) and repr(again) == text
+
+
+def test_pickle_keeps_shared_subterms_shared():
+    cat = Atom("S")
+    for _ in range(16):  # 2**16 leaves as a tree, 17 distinct subterms
+        cat = Functor(cat, "/", cat)
+    data = pickle.dumps(cat)
+    again = pickle.loads(data)
+    assert len(data) < 1000
+    assert again == cat and hash(again) == hash(cat) and again.result is again.argument

@@ -1,3 +1,4 @@
+import hashlib
 from contextlib import suppress
 from itertools import combinations
 
@@ -387,6 +388,41 @@ def coordination_chain(k: int) -> list[str]:
     """k clauses joined by "and", alternating John and Mary."""
     clauses = ["John likes cats", "Mary hates cats"]
     return " and ".join(clauses[i % 2] for i in range(k)).split()
+
+
+def _pinned_parses():
+    """(tokens, config) of every parse whose output ``CKY_DIGEST`` pins."""
+    for order in (1, 2):
+        for sentence, goal, raising in FIXTURE_PARSES:
+            yield sentence.split(), ParserConfig(
+                goal=goal, type_raising=raising, max_composition_order=order
+            )
+    for k in range(1, 7):
+        yield "John likes the cat".split() + ["yesterday"] * k, ParserConfig()
+    for k in range(2, 5):
+        for raising in ((), NP_TO_S):
+            yield coordination_chain(k), ParserConfig(type_raising=raising)
+
+
+def cky_digest(lexicon) -> str:
+    """sha256 over every pinned parse's derivations: script, forest count,
+    final constituent and every step's path, rule, constituent and notes."""
+    digest = hashlib.sha256()
+    for tokens, config in _pinned_parses():
+        for d in cky_parse(tokens, lexicon, config):
+            steps = [(s.path, s.rule, repr(s.constituent), s.notes) for s in d.steps]
+            record = (d.to_script(), d.forest_count, repr(d.final), steps)
+            digest.update(repr(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
+#: Changing how the engine computes must leave this unchanged; only a change
+#: to what it computes (rules, lexicon, tie-breaks, printed forms) may move it.
+CKY_DIGEST = "b00854fd3b68144ece926d25b30e2645cf6836ea80ada7e65f1e8fbba8932fb8"
+
+
+def test_cky_output_matches_the_pinned_digest(lexicon):
+    assert cky_digest(lexicon) == CKY_DIGEST
 
 
 @pytest.mark.parametrize("raising", [(), NP_TO_S])

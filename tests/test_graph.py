@@ -16,7 +16,15 @@ from ccgamr.graph import (
 )
 from ccgamr.penman import parse
 
-from support import CONCEPTS, LABELS, DictWorkspace, graphs, iso_oracle, relabeled
+from support import (
+    CONCEPTS,
+    LABELS,
+    DictWorkspace,
+    graphs,
+    iso_oracle,
+    reference_substitute,
+    relabeled,
+)
 
 
 def test_substitute_fills_first_variable():
@@ -298,3 +306,83 @@ def test_substitute_reuses_the_untouched_nodes_and_edges_of_g():
         assert any(e is edge for e in result.edges)
     # h's ids moved, so its objects were built anew
     assert not any(e is h_edge for e in result.edges for h_edge in h.edges)
+
+
+def _origins(objects, inputs) -> list[int | None]:
+    """For each object, the index of the input it is (``is``), or None."""
+    return [next((k for k, x in enumerate(inputs) if x is obj), None) for obj in objects]
+
+
+def _substitution_or_error(g, pos, h):
+    try:
+        return substitute(g, pos, h)
+    except UnificationError as err:
+        return str(err)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_substitute_agrees_with_the_workspace_reference(data):
+    """Same graph, remaining lists and errors as the Workspace version, with
+    the same input Node and Edge objects at the same positions."""
+    g = data.draw(graphs(max_nodes=6, max_fv=3, min_fv=1))
+    h = data.draw(graphs(max_nodes=6, max_fv=2))
+    pos = data.draw(st.integers(1, len(g.fv)))
+    if data.draw(st.booleans()):  # h rooted at a free variable listed in its fv
+        nodes = (Node(h.root, None),) + h.nodes[1:]
+        fv = (h.root,) + tuple(x for x in h.fv if x != h.root)
+        h = AmrSubgraph(nodes, h.edges, h.root, fv[: len(h.fv) + 1])
+    if data.draw(st.booleans()):  # a constant in g's slot: it may clash with h's root
+        constants = [n.id for n in g.nodes if n.concept is not None]
+        if constants:
+            fv = list(g.fv)
+            fv[pos - 1] = data.draw(st.sampled_from(constants))
+            g = AmrSubgraph(g.nodes, g.edges, g.root, tuple(fv))
+    if data.draw(st.booleans()):  # fv lists that repeat g's slot and h's first variable
+        g = AmrSubgraph(g.nodes, g.edges, g.root, g.fv + (g.fv[pos - 1],))
+        h = AmrSubgraph(h.nodes, h.edges, h.root, h.fv + h.fv[:1])
+    if g.edges and data.draw(st.booleans()):  # g repeats one of its triples
+        e = data.draw(st.sampled_from(g.edges))
+        g = AmrSubgraph(g.nodes, g.edges + (Edge(e.source, e.label, e.target),), g.root, g.fv)
+    if h.edges and data.draw(st.booleans()):  # h repeats an edge object
+        h = AmrSubgraph(h.nodes, h.edges + (data.draw(st.sampled_from(h.edges)),), h.root, h.fv)
+    if data.draw(st.booleans()):  # self-loops on h's root and on g's slot
+        label = data.draw(st.sampled_from(LABELS))
+        h = AmrSubgraph(h.nodes, (Edge(h.root, label, h.root),) + h.edges, h.root, h.fv)
+        slot = g.fv[pos - 1]
+        g = AmrSubgraph(g.nodes, g.edges + (Edge(slot, label, slot),), g.root, g.fv)
+    if data.draw(st.booleans()):
+        g = relabeled(g, data.draw(st.integers(0, 99)))
+    if data.draw(st.booleans()):
+        h = relabeled(h, data.draw(st.integers(0, 99)))
+    try:
+        want = reference_substitute(g, pos, h)
+    except UnificationError as err:
+        assert _substitution_or_error(g, pos, h) == str(err)
+        return
+    got = substitute(g, pos, h)
+    assert got == want
+    for field in ("nodes", "edges"):
+        inputs = getattr(g, field) + getattr(h, field)
+        got_objects, want_objects = getattr(got.graph, field), getattr(want.graph, field)
+        assert _origins(got_objects, inputs) == _origins(want_objects, inputs)
+
+
+def test_substitute_of_a_constant_slot_raises_the_reference_message():
+    g = AmrSubgraph((Node(0, "go-01"), Node(1, "cat")), (Edge(0, ":ARG0", 1),), 0, (1,))
+    h = parse("(d/dog)")
+    with pytest.raises(UnificationError) as want:
+        reference_substitute(g, 1, h)
+    with pytest.raises(UnificationError, match="^cannot merge constants 'cat' and 'dog'$") as got:
+        substitute(g, 1, h)
+    assert str(got.value) == str(want.value)
+
+
+def test_substitute_collapses_a_repeated_triple_to_its_first_occurrence():
+    slot_loop = Edge(1, ":mod", 1)
+    g = AmrSubgraph((Node(0, "go-01"), Node(1, None)), (Edge(0, ":ARG0", 1), slot_loop), 0, (1,))
+    h = AmrSubgraph((Node(0, "cat"),), (Edge(0, ":mod", 0),), 0, ())
+    result = substitute(g, 1, h)
+    assert result == reference_substitute(g, 1, h)
+    assert result.graph.edges == (Edge(0, ":ARG0", 1), Edge(1, ":mod", 1))
+    assert result.graph.edges[1] is slot_loop
