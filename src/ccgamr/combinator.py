@@ -38,6 +38,8 @@ from .graph import (
     AmrSubgraph,
     UnificationError,
     Workspace,
+    conjoined,
+    raised,
     substitute,
     with_fv_order,
 )
@@ -332,14 +334,8 @@ def type_raise(c: Constituent, target: Category, direction: str) -> Combined:
     else:
         cat = Functor(target, BACKWARD, Functor(target, FORWARD, c.category))
         marker = "<"
-    old: AmrSubgraph = c.semantics
-    ws = Workspace()
-    mapping, _ = ws.add_graph(old)
-    fresh = ws.add_node(None)
-    ws.add_edge(fresh, UNDERSPECIFIED, mapping[old.root])
-    graph, _ = ws.freeze(fresh, [fresh] + [mapping[x] for x in old.fv])
     rule = f"{marker}T[{format_category(target)}]"
-    return Combined(Constituent(c.start, c.end, cat, graph), rule)
+    return Combined(Constituent(c.start, c.end, cat, raised(c.semantics)), rule)
 
 
 def _conj_concept_graph(conj: Constituent) -> AmrSubgraph:
@@ -396,16 +392,6 @@ def coordinate(
         )
     if strict and len(lsem.fv) > 1:
         raise CombinationError("strict conjunction allows at most one free variable per conjunct")
-    ws = Workspace()
-    cmap, _ = ws.add_graph(concept)
-    lmap, _ = ws.add_graph(lsem)
-    rmap, _ = ws.add_graph(rsem)
-    root = cmap[concept.root]
-    ws.add_edge(root, ":op1", lmap[lsem.root])
-    ws.add_edge(root, ":op2", rmap[rsem.root])
-    for lx, rx in zip(lsem.fv, rsem.fv):
-        ws.merge(lmap[lx], rmap[rx])
-    slots = [lmap[x] for x in lsem.fv] + [rmap[x] for x in rsem.fv]
-    graph, _ = ws.freeze(root, slots)
+    graph = conjoined(concept, lsem, rsem)
     _check_result(cat, graph)
     return Combined(Constituent(left.start, right.end, cat, graph), "&")

@@ -8,20 +8,24 @@ edge insertion order (it drives deterministic serialization and tie-breaking
 when several shared-edge candidates exist).
 
 :func:`substitute` (identify a free variable with the root of another
-subgraph) is the step of the regular variants.  It merges exactly one pair
-of nodes, so it builds its result directly in one pass.  The combinators
-that merge more than one pair (relation-wise combination, type raising,
-coordination) build theirs in a :class:`Workspace`, a mutable scratch
-structure with union-find over merged nodes: it copies its input graphs in,
-identifies nodes, and freezes the result.  Either way a result shares the
-immutable :class:`Node` and :class:`Edge` objects of its inputs wherever
-their values did not change.
+subgraph) is the step of the regular variants.  It, :func:`raised` (type
+raising: a fresh root variable over the old root) and :func:`conjoined`
+(coordination: a conjunction root over two conjuncts whose free variables
+merge pairwise) build their results directly in one pass: the input graphs
+are concatenated, each node that merges into an earlier one folds into it,
+and the rest close up.  Relation-wise combination, which merges two node
+pairs and relabels an edge, builds its result in a :class:`Workspace`, a
+mutable scratch structure with union-find over merged nodes: it copies its
+input graphs in, identifies nodes, and freezes the result.  Either way a
+result shares the immutable :class:`Node` and :class:`Edge` objects of its
+inputs wherever their values did not change.
 
 Isomorphism classes are keyed on :func:`invariant`: the node count, the
 free-variable count, the root's concept and a hash of the sorted
 (source concept, label, target concept) edge triples.  Isomorphic graphs
-always share it, so :func:`iso_map` searches for a bijection only between
-graphs whose invariants are equal.
+always share it, so a caller that holds many graphs (the chart) buckets
+them by it and runs :func:`iso_map` only within a bucket; :func:`iso_map`
+itself checks only the node and free-variable counts before its search.
 """
 
 from __future__ import annotations
@@ -99,28 +103,16 @@ class Workspace:
     the source ``Node`` and ``Edge`` of every node and edge it copies in, and
     ``freeze`` puts that same object in the result when its value did not
     change (same final id and concept for a node, same final endpoints for an
-    edge).  ``add_node``, ``add_edge`` and ``set_edge_label`` record no
-    source, so fresh nodes and relabelled edges are always built anew.
+    edge).  ``set_edge_label`` drops an edge's source, so a relabelled edge
+    is always built anew.
     """
 
     def __init__(self) -> None:
         self._concepts: list[str | None] = []
         self._parent: list[int] = []
-        self._node_sources: list[Node | None] = []
+        self._node_sources: list[Node] = []
         self._edges: list[tuple[int, str, int]] = []
         self._edge_sources: list[Edge | None] = []
-
-    def add_node(self, concept: str | None) -> int:
-        i = len(self._concepts)
-        self._concepts.append(concept)
-        self._parent.append(i)
-        self._node_sources.append(None)
-        return i
-
-    def add_edge(self, source: int, label: str, target: int) -> int:
-        self._edges.append((source, label, target))
-        self._edge_sources.append(None)
-        return len(self._edges) - 1
 
     def add_graph(self, g: AmrSubgraph) -> tuple[dict[int, int], int]:
         """Copy a graph in; returns (old-id -> new-id map, edge offset)."""
@@ -179,7 +171,7 @@ class Workspace:
                 continue
             new_id = len(nodes)
             final.append(new_id)
-            if node is None or node.id != new_id or node.concept != concept:
+            if node.id != new_id or node.concept != concept:
                 node = Node(new_id, concept)
             nodes.append(node)
         edges: list[Edge] = []
@@ -228,16 +220,13 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
     if not 1 <= pos <= len(g.fv):
         raise ValueError(f"fv position {pos} out of range 1..{len(g.fv)}")
     n, m = len(g.nodes), len(h.nodes)
-    # Old id -> new id maps.  A list indexed by id serves when the graph
-    # numbers its nodes 0..len-1 in order, as the graphs the engine builds do.
-    g_ids = list(map(_ID, g.nodes))
     same = list(range(n))
-    gmap = same if g_ids == same else dict(zip(g_ids, same))
+    gmap = _id_map(list(map(_ID, g.nodes)), same)
     slot = gmap[g.fv[pos - 1]]
     h_ids = list(map(_ID, h.nodes))
     r = h_ids.index(h.root)
     positions = [*range(n, n + r), slot, *range(n + r, n + m - 1)]
-    hmap = positions if h_ids == list(range(m)) else dict(zip(h_ids, positions))
+    hmap = _id_map(h_ids, positions)
     ca, cb = g.nodes[slot].concept, h.nodes[r].concept
     if ca is not None and cb is not None and ca != cb:
         raise UnificationError(f"cannot merge constants {ca!r} and {cb!r}")
@@ -254,20 +243,104 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
         if i >= n  # h's root is already in place as the filled variable
     ]
     edges += _moved(h.edges, hmap)
-    # Only an input that repeats a triple, or loops on both merged nodes, can
-    # give a repeat here, so the common case pays for one set of triples.
-    if len(set(map(_TRIPLE, edges))) != len(edges):
-        unique: dict[tuple[int, str, int], Edge] = {}
-        for e in edges:
-            unique.setdefault(_TRIPLE(e), e)
-        edges = list(unique.values())
     # Each side's remaining variables drop constants; the graph's fv list
     # also keeps a merged variable only in its first slot.
     g_rest = [gmap[x] for x in g.fv[: pos - 1] + g.fv[pos:]]
     g_rem = tuple([i for i in g_rest if nodes[i].concept is None])
     h_rem = tuple([i for i in [hmap[x] for x in h.fv] if nodes[i].concept is None])
     fv = tuple(dict.fromkeys(g_rem + h_rem))
-    return Substitution(AmrSubgraph(tuple(nodes), tuple(edges), gmap[g.root], fv), g_rem, h_rem)
+    return Substitution(AmrSubgraph(tuple(nodes), _unique(edges), gmap[g.root], fv), g_rem, h_rem)
+
+
+def raised(g: AmrSubgraph) -> AmrSubgraph:
+    """g under a fresh free variable: the variable is the new root and the
+    first free variable, with an underspecified edge to g's root.
+
+    g's nodes keep their positions and the variable comes last.  Nodes and
+    edges whose values did not change are the input objects themselves.
+    """
+    nodes: list[Node] = []
+    edges: list[Edge] = []
+    gmap = _join(nodes, edges, g)
+    fresh = len(nodes)
+    nodes.append(Node(fresh, None))
+    edges.append(Edge(fresh, UNDERSPECIFIED, gmap[g.root]))
+    fv = _free(nodes, [fresh, *[gmap[x] for x in g.fv]])
+    return AmrSubgraph(tuple(nodes), _unique(edges), fresh, fv)
+
+
+def conjoined(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSubgraph:
+    """``left`` and ``right`` as the ``:op1`` and ``:op2`` of ``conj``'s root,
+    with their free variables identified pairwise by position.
+
+    Nodes are numbered ``conj``'s, then ``left``'s, then ``right``'s, where a
+    free variable of ``right`` folds into its partner in ``left`` (a constant
+    beats a free variable; two different constants raise
+    :class:`UnificationError`) and the rest close up.  Edges are the three
+    graphs' in that order, then the two ``:op`` edges, with repeated triples
+    collapsed (first occurrence wins).  Nodes and edges whose values did not
+    change are the input objects themselves.  ``right`` must list each free
+    variable once, as :func:`validate` requires.
+    """
+    nodes: list[Node] = []
+    edges: list[Edge] = []
+    cmap = _join(nodes, edges, conj)
+    lmap = _join(nodes, edges, left)
+    rmap = _join(nodes, edges, right, {rx: lmap[lx] for lx, rx in zip(left.fv, right.fv)})
+    root = cmap[conj.root]
+    edges += [Edge(root, ":op1", lmap[left.root]), Edge(root, ":op2", rmap[right.root])]
+    fv = _free(nodes, [*[lmap[x] for x in left.fv], *[rmap[x] for x in right.fv]])
+    return AmrSubgraph(tuple(nodes), _unique(edges), root, fv)
+
+
+def _join(
+    nodes: list[Node], edges: list[Edge], g: AmrSubgraph, folds: dict[int, int] | None = None
+) -> list[int] | dict[int, int]:
+    """Append g to the graph being built in ``nodes`` and ``edges``.
+
+    g's nodes take the next ids in order, except that a node whose old id is
+    a key of ``folds`` is identified with the already-built node whose id it
+    maps to (constant beats free variable) and the rest close up.  Returns
+    g's old-id -> new-id map: a list indexed by id when g numbers its nodes
+    0..len-1 in order, as the graphs the engine builds do.  Nodes and edges
+    whose values did not change are the input objects themselves.
+    """
+    base = len(nodes)
+    ids = list(map(_ID, g.nodes))
+    positions = list(range(base, base + len(ids) - len(folds or ())))
+    if folds:
+        at: list[tuple[int, int]] = []  # (position in g.nodes, id it folds into)
+        for x, i in folds.items():
+            k = ids.index(x)
+            concept, kept = g.nodes[k].concept, nodes[i].concept
+            if concept is not None and concept != kept:
+                if kept is not None:
+                    raise UnificationError(f"cannot merge constants {kept!r} and {concept!r}")
+                nodes[i] = Node(i, concept)
+            at.append((k, i))
+        for k, i in sorted(at):
+            positions.insert(k, i)
+    ids_map = _id_map(ids, positions)
+    if ids_map is positions and not base and not folds:  # g keeps every id
+        nodes += g.nodes
+        edges += g.edges
+    else:
+        nodes += [
+            node if node.id == i else Node(i, node.concept)
+            for i, node in zip(positions, g.nodes)
+            if i >= base  # a folded node is already in place as its partner
+        ]
+        edges += _moved(g.edges, ids_map)
+    return ids_map
+
+
+def _id_map(ids: list[int], positions: list[int]) -> list[int] | dict[int, int]:
+    """Old id -> new id, from each node's old id and new id in node order.
+
+    A list indexed by id serves when the old ids are 0..len-1 in order, as
+    in the graphs the engine builds; ``positions`` itself is returned then.
+    """
+    return positions if ids == list(range(len(ids))) else dict(zip(ids, positions))
 
 
 def _moved(edges: tuple[Edge, ...], ids) -> list[Edge]:
@@ -278,6 +351,27 @@ def _moved(edges: tuple[Edge, ...], ids) -> list[Edge]:
         s, t = ids[e.source], ids[e.target]
         out.append(e if s == e.source and t == e.target else Edge(s, e.label, t))
     return out
+
+
+def _unique(edges: list[Edge]) -> tuple[Edge, ...]:
+    """``edges`` with repeated triples collapsed, first occurrence winning.
+
+    Only an input that repeats a triple, or an identification of two nodes
+    that both carry it, gives a repeat, so the common case pays for one set
+    of triples.
+    """
+    if len(set(map(_TRIPLE, edges))) == len(edges):
+        return tuple(edges)
+    unique: dict[tuple[int, str, int], Edge] = {}
+    for e in edges:
+        unique.setdefault(_TRIPLE(e), e)
+    return tuple(unique.values())
+
+
+def _free(nodes: list[Node], slots: list[int]) -> tuple[int, ...]:
+    """The fv list of ordered ``slots``: constants drop out and a variable
+    keeps only its first slot."""
+    return tuple(dict.fromkeys([i for i in slots if nodes[i].concept is None]))
 
 
 def with_fv_order(g: AmrSubgraph, fv: tuple[int, ...]) -> AmrSubgraph:
@@ -368,13 +462,14 @@ def iso_map(g1: AmrSubgraph, g2: AmrSubgraph) -> dict[int, int] | None:
 
     Concepts, edges, the root, and fv positions must all be preserved; free
     variables can only map to free variables at the same fv index.  Graphs
-    whose :func:`invariant` differs (node count, fv count, root concept, or
-    the hash of the concept-labelled edge triples) are rejected at once.
-    Otherwise the fv pairs and the roots are bound first, then the remaining
+    with different node or fv counts are rejected at once; the search below
+    is exact for any other pair, so it does not recompute :func:`invariant`
+    (callers that hold many graphs bucket them by it first, as the chart
+    does).  The fv pairs and the roots are bound first, then the remaining
     nodes of g1 are tried in node order against g2's nodes of the same
     concept, in node order, by a depth-first search with an explicit stack.
     """
-    if invariant(g1) != invariant(g2):
+    if len(g1.nodes) != len(g2.nodes) or len(g1.fv) != len(g2.fv):
         return None
     mapping: dict[int, int] = {}
     used: set[int] = set()

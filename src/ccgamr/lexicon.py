@@ -75,6 +75,10 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
     problems: list[str] = []
     counts: dict[str, int] = {}
     ids: set[str] = set()
+    # Equal category texts share one parsed Category, so rule-match cache
+    # hits on lexical categories compare by identity.  Failures are not kept:
+    # every bad line reports its own error.
+    parsed: dict[str, Category] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _CODE_RE.match(raw).group().strip()
         if not line:
@@ -92,11 +96,13 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
         if entry_id in ids:
             problems.append(f"{source}:{lineno}: duplicate entry id {entry_id!r}")
             continue
-        try:
-            category = parse_category(cat_text)
-        except CategoryError as err:
-            problems.append(f"{source}:{lineno}: {err}")
-            continue
+        category = parsed.get(cat_text)
+        if category is None:
+            try:
+                category = parsed[cat_text] = parse_category(cat_text)
+            except CategoryError as err:
+                problems.append(f"{source}:{lineno}: {err}")
+                continue
         semantics: AmrSubgraph | Identity
         if sem_text == "ID":
             semantics = IDENTITY

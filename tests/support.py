@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the production code paths they check:
 ``iso_oracle`` enumerates node bijections group by group, and
-``brute_force_classes`` enumerates every binary bracketing of a sentence
-without the chart's iso-class deduplication.
+``brute_force_forest`` enumerates every binary bracketing of a sentence
+without the chart's iso-class deduplication, counting derivations as it
+goes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ccgamr.combinator import (
 )
 from ccgamr.derivation import ParserConfig, finalize_check
 from ccgamr.graph import (
+    UNDERSPECIFIED,
     AmrSubgraph,
     Edge,
     Node,
@@ -213,6 +215,37 @@ def reference_substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substituti
     return Substitution(graph, free(g_rem), free(h_rem))
 
 
+def reference_type_raise(g: AmrSubgraph) -> AmrSubgraph:
+    """Reference for ``graph.raised``: the workspace steps type raising took
+    before it, on a ``DictWorkspace``.  g is copied in, a fresh variable is
+    added with an underspecified edge to g's root, and the result is rooted
+    at the variable, which also takes the first fv slot."""
+    ws = DictWorkspace()
+    mapping, _ = ws.add_graph(g)
+    fresh = ws.add_node(None)
+    ws.add_edge(fresh, UNDERSPECIFIED, mapping[g.root])
+    graph, _ = ws.freeze(fresh, [fresh] + [mapping[x] for x in g.fv])
+    return graph
+
+
+def reference_coordinate(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSubgraph:
+    """Reference for ``graph.conjoined``: the workspace steps coordination
+    took before it, on a ``DictWorkspace``.  The three graphs are copied in,
+    ``conj``'s root gets ``:op1``/``:op2`` edges to the conjunct roots, and
+    the conjuncts' free variables merge pairwise by position."""
+    ws = DictWorkspace()
+    cmap, _ = ws.add_graph(conj)
+    lmap, _ = ws.add_graph(left)
+    rmap, _ = ws.add_graph(right)
+    root = cmap[conj.root]
+    ws.add_edge(root, ":op1", lmap[left.root])
+    ws.add_edge(root, ":op2", rmap[right.root])
+    for lx, rx in zip(left.fv, right.fv):
+        ws.merge(lmap[lx], rmap[rx])
+    graph, _ = ws.freeze(root, [lmap[x] for x in left.fv] + [rmap[x] for x in right.fv])
+    return graph
+
+
 def iso_oracle(g1: AmrSubgraph, g2: AmrSubgraph) -> bool:
     """Brute-force bijection search: free variables are pinned by position,
     constants permute within same-concept groups."""
@@ -282,64 +315,99 @@ def try_every_combinator(left: Constituent, right: Constituent, config: ParserCo
     return out
 
 
-def brute_force_classes(tokens, lexicon, config: ParserConfig) -> list[AmrSubgraph]:
-    """Final semantic iso-classes found by enumerating all bracketings.
+def brute_force_forest(tokens, lexicon, config: ParserConfig) -> list[tuple[Constituent, int]]:
+    """Final (category, semantic iso-class) pairs found by enumerating all
+    bracketings, each with its number of derivations.
 
-    Recursion over spans with exact-text deduplication only; iso-classes are
-    formed at the very end, so this is independent of the chart's pruning.
+    Recursion over spans with exact-text deduplication only; a span's count
+    for an exact item is the number of ways to build it there, and raising
+    an item passes its count on to the raised item, once per rule.
+    Iso-classes are formed at the very end, so this is independent of the
+    chart's pruning and of its counting.
     """
     n = len(tokens)
-    memo: dict[tuple[int, int], list[Constituent]] = {}
+    memo: dict[tuple[int, int], list[tuple[Constituent, int]]] = {}
 
-    def closure(items: list[Constituent]) -> list[Constituent]:
-        out: list[Constituent] = []
-        keys: set[str] = set()
-        frontier = list(items)
-        while frontier:
-            c = frontier.pop(0)
+    def closure(items: list[tuple[Constituent, int]]) -> list[tuple[Constituent, int]]:
+        reps: dict[str, Constituent] = {}
+        base: dict[str, int] = {}
+        for c, count in items:
             k = _exact_key(c)
-            if k in keys:
-                continue
-            keys.add(k)
-            out.append(c)
+            reps.setdefault(k, c)
+            base[k] = base.get(k, 0) + count
+        sources: dict[str, list[str]] = {}  # raised key -> keys raised into it
+        frontier = list(reps)
+        while frontier:
+            k = frontier.pop(0)
+            c = reps[k]
             for rule in config.type_raising:
                 if unify(rule.source, c.category) is None:
                     continue
                 if not isinstance(c.semantics, AmrSubgraph):
                     continue
                 try:
-                    frontier.append(type_raise(c, rule.target, rule.direction).constituent)
+                    raised = type_raise(c, rule.target, rule.direction).constituent
                 except CombinationError:
-                    pass
-        return out
+                    continue
+                rk = _exact_key(raised)
+                sources.setdefault(rk, []).append(k)
+                if rk not in reps:
+                    reps[rk] = raised
+                    base[rk] = 0
+                    frontier.append(rk)
+        totals: dict[str, int] = {}
 
-    def span(i: int, j: int) -> list[Constituent]:
+        def total(k: str) -> int:  # raising grows the category, so this ends
+            if k not in totals:
+                totals[k] = base[k] + sum(total(src) for src in sources.get(k, ()))
+            return totals[k]
+
+        return [(c, total(k)) for k, c in reps.items()]
+
+    def span(i: int, j: int) -> list[tuple[Constituent, int]]:
         if (i, j) in memo:
             return memo[(i, j)]
         if j - i == 1:
             items = [
-                Constituent(i, j, e.category, e.semantics) for e in lexicon.lookup(tokens[i])
+                (Constituent(i, j, e.category, e.semantics), 1) for e in lexicon.lookup(tokens[i])
             ]
         else:
             items = []
             for split in range(i + 1, j):
-                for left in span(i, split):
-                    for right in span(split, j):
+                for left, lcount in span(i, split):
+                    for right, rcount in span(split, j):
                         items.extend(
-                            o.constituent for o in try_every_combinator(left, right, config)
+                            (o.constituent, lcount * rcount)
+                            for o in try_every_combinator(left, right, config)
                         )
         memo[(i, j)] = closure(items)
         return memo[(i, j)]
 
     finals = [
-        c
-        for c in span(0, n)
+        (c, count)
+        for c, count in span(0, n)
         if isinstance(c.category, Atom)
         and c.category.base == config.goal
         and not finalize_check(c)
     ]
+    reps: list[Constituent] = []
+    counts: list[int] = []
+    for c, count in finals:
+        for k, rep in enumerate(reps):
+            if rep.category == c.category and iso_equal(rep.semantics, c.semantics):
+                counts[k] += count
+                break
+        else:
+            reps.append(c)
+            counts.append(count)
+    return list(zip(reps, counts))
+
+
+def brute_force_classes(tokens, lexicon, config: ParserConfig) -> list[AmrSubgraph]:
+    """Final semantic iso-classes of :func:`brute_force_forest`, whatever
+    their category."""
     classes: list[AmrSubgraph] = []
-    for c in finals:
+    for c, _ in brute_force_forest(tokens, lexicon, config):
         if not any(iso_equal(c.semantics, rep) for rep in classes):
             classes.append(c.semantics)
     return classes

@@ -8,8 +8,10 @@ from ccgamr.graph import (
     Node,
     UnificationError,
     Workspace,
+    conjoined,
     invariant,
     iso_equal,
+    raised,
     substitute,
     validate,
     with_fv_order,
@@ -17,12 +19,13 @@ from ccgamr.graph import (
 from ccgamr.penman import parse
 
 from support import (
-    CONCEPTS,
     LABELS,
     DictWorkspace,
     graphs,
     iso_oracle,
+    reference_coordinate,
     reference_substitute,
+    reference_type_raise,
     relabeled,
 )
 
@@ -236,6 +239,25 @@ def test_validate_long_chain_and_three_cycle():
     assert "graph has a directed cycle" in validate(cycle)
 
 
+def _renumbered(g: AmrSubgraph, by: int, reverse: bool) -> AmrSubgraph:
+    """g with every node id raised by ``by`` and, if ``reverse``, its nodes
+    listed last to first: ids that are not 0..len-1 in order."""
+    nodes = tuple(Node(n.id + by, n.concept) for n in g.nodes)
+    edges = tuple(Edge(e.source + by, e.label, e.target + by) for e in g.edges)
+    return AmrSubgraph(nodes[::-1] if reverse else nodes, edges, g.root + by, tuple(x + by for x in g.fv))
+
+
+@st.composite
+def _renumbering(draw, g: AmrSubgraph) -> AmrSubgraph:
+    """g as it is, with shuffled ids, or renumbered by :func:`_renumbered`."""
+    how = draw(st.sampled_from(["as is", "shuffled", "renumbered"]))
+    if how == "shuffled":
+        return relabeled(g, draw(st.integers(0, 99)))
+    if how == "renumbered":
+        return _renumbered(g, draw(st.integers(0, 3)), draw(st.booleans()))
+    return g
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_workspace_agrees_with_the_dict_reference(data):
@@ -252,24 +274,15 @@ def test_workspace_agrees_with_the_dict_reference(data):
         assert graph == ref_graph
         assert final == [relabel[ref.find(i)] for i in range(nodes)]
 
-    steps = data.draw(st.lists(st.sampled_from(["graph", "node", "edge", "merge", "label", "freeze"]),
+    steps = data.draw(st.lists(st.sampled_from(["graph", "merge", "label", "freeze"]),
                                min_size=1, max_size=10))
     for step in ["graph"] + steps:
         if step == "graph":
             g = data.draw(graphs(max_nodes=5, max_fv=2))
-            if data.draw(st.booleans()):  # ids not 0..n-1 in order: nothing is reused
-                g = relabeled(g, data.draw(st.integers(0, 99)))
+            g = data.draw(_renumbering(g))
             assert ws.add_graph(g) == ref.add_graph(g)
             nodes += len(g.nodes)
             edges += len(g.edges)
-        elif step == "node":
-            concept = data.draw(st.sampled_from([None, *CONCEPTS]))
-            assert ws.add_node(concept) == ref.add_node(concept) == nodes
-            nodes += 1
-        elif step == "edge":
-            triple = (data.draw(ids()), data.draw(st.sampled_from(LABELS)), data.draw(ids()))
-            assert ws.add_edge(*triple) == ref.add_edge(*triple) == edges
-            edges += 1
         elif step == "merge":
             a, b = data.draw(ids()), data.draw(ids())
             try:
@@ -351,10 +364,7 @@ def test_substitute_agrees_with_the_workspace_reference(data):
         h = AmrSubgraph(h.nodes, (Edge(h.root, label, h.root),) + h.edges, h.root, h.fv)
         slot = g.fv[pos - 1]
         g = AmrSubgraph(g.nodes, g.edges + (Edge(slot, label, slot),), g.root, g.fv)
-    if data.draw(st.booleans()):
-        g = relabeled(g, data.draw(st.integers(0, 99)))
-    if data.draw(st.booleans()):
-        h = relabeled(h, data.draw(st.integers(0, 99)))
+    g, h = data.draw(_renumbering(g)), data.draw(_renumbering(h))
     try:
         want = reference_substitute(g, pos, h)
     except UnificationError as err:
@@ -386,3 +396,94 @@ def test_substitute_collapses_a_repeated_triple_to_its_first_occurrence():
     assert result == reference_substitute(g, 1, h)
     assert result.graph.edges == (Edge(0, ":ARG0", 1), Edge(1, ":mod", 1))
     assert result.graph.edges[1] is slot_loop
+
+
+def _assert_reuse(result: AmrSubgraph, placed, moved) -> None:
+    """Every input node that keeps its id and concept, and every input edge
+    that keeps its endpoints and is the first of its triple, is the result's
+    object itself.  ``placed`` pairs each input node not folded into another
+    with its new id; ``moved`` pairs each input edge, in build order, with
+    its new triple."""
+    for node, i in placed:
+        if node == result.nodes[i]:
+            assert result.nodes[i] is node
+    first: dict[tuple[int, str, int], Edge] = {}
+    for edge, triple in moved:
+        first.setdefault(triple, edge)
+    by_triple = {(e.source, e.label, e.target): e for e in result.edges}
+    for triple, edge in first.items():
+        if triple == (edge.source, edge.label, edge.target):
+            assert by_triple[triple] is edge
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_raised_agrees_with_the_workspace_reference(data):
+    """Same graph as the workspace steps type raising took before, with every
+    unchanged input Node and Edge reused."""
+    g = data.draw(graphs(max_nodes=6, max_fv=3))
+    if g.edges and data.draw(st.booleans()):  # g repeats one of its triples
+        e = data.draw(st.sampled_from(g.edges))
+        g = AmrSubgraph(g.nodes, g.edges + (Edge(e.source, e.label, e.target),), g.root, g.fv)
+    if data.draw(st.booleans()):  # the fv list repeats a variable or lists a constant
+        extra = data.draw(st.sampled_from([n.id for n in g.nodes]))
+        g = AmrSubgraph(g.nodes, g.edges, g.root, g.fv + (extra,))
+    g = data.draw(_renumbering(g))
+    got = raised(g)
+    assert got == reference_type_raise(g)
+    new = {n.id: k for k, n in enumerate(g.nodes)}
+    _assert_reuse(
+        got,
+        [(n, new[n.id]) for n in g.nodes],
+        [(e, (new[e.source], e.label, new[e.target])) for e in g.edges],
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_conjoined_agrees_with_the_workspace_reference(data):
+    """Same graph, or the same error, as the workspace steps coordination took
+    before, with every unchanged input Node and Edge reused."""
+    k = data.draw(st.integers(0, 2))
+    left = data.draw(graphs(max_nodes=6, max_fv=k, min_fv=k))
+    right = data.draw(graphs(max_nodes=6, max_fv=k, min_fv=k))
+    c = data.draw(st.integers(0, 2))
+    conj = AmrSubgraph((Node(c, "and"),), (), c, ())
+    if k and data.draw(st.booleans()):  # a constant in one conjunct's slot: it may clash
+        side = data.draw(st.sampled_from(["left", "right"]))
+        g = left if side == "left" else right
+        constants = [n.id for n in g.nodes if n.concept is not None]
+        if constants:
+            fv = list(g.fv)
+            fv[data.draw(st.integers(0, k - 1))] = data.draw(st.sampled_from(constants))
+            g = AmrSubgraph(g.nodes, g.edges, g.root, tuple(fv))
+            left, right = (g, right) if side == "left" else (left, g)
+    if k == 2 and data.draw(st.booleans()):  # left lists one variable in both slots
+        left = AmrSubgraph(left.nodes, left.edges, left.root, left.fv[:1] * 2)
+    if k and data.draw(st.booleans()):  # both conjuncts loop on their first variable
+        label = data.draw(st.sampled_from(LABELS))
+        left = AmrSubgraph(left.nodes, left.edges + (Edge(left.fv[0], label, left.fv[0]),), left.root, left.fv)
+        right = AmrSubgraph(right.nodes, (Edge(right.fv[0], label, right.fv[0]),) + right.edges, right.root, right.fv)
+    left, right = data.draw(_renumbering(left)), data.draw(_renumbering(right))
+    try:
+        want = reference_coordinate(conj, left, right)
+    except UnificationError as err:
+        with pytest.raises(UnificationError) as got_err:
+            conjoined(conj, left, right)
+        assert str(got_err.value) == str(err)
+        return
+    got = conjoined(conj, left, right)
+    assert got == want
+    lnew = {n.id: 1 + p for p, n in enumerate(left.nodes)}
+    folds = {rx: lnew[lx] for lx, rx in zip(left.fv, right.fv)}
+    placed = [(conj.nodes[0], 0)] + [(n, lnew[n.id]) for n in left.nodes]
+    rnew = {}
+    for n in right.nodes:
+        if n.id in folds:
+            rnew[n.id] = folds[n.id]
+        else:
+            rnew[n.id] = len(placed)  # ids so far: conj, left, then right's unfolded nodes
+            placed.append((n, rnew[n.id]))
+    moved = [(e, (lnew[e.source], e.label, lnew[e.target])) for e in left.edges]
+    moved += [(e, (rnew[e.source], e.label, rnew[e.target])) for e in right.edges]
+    _assert_reuse(got, placed, moved)

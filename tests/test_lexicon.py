@@ -107,3 +107,29 @@ def test_hash_inside_quotes_is_literal():
     lex = loads('q | NP | (h/hashtag :op1 "#ccg")  # a trailing comment\n# a whole-line comment')
     [entry] = lex.entries
     assert iso_equal(entry.semantics, parse('(h/hashtag :op1 "#ccg")'))
+
+
+def test_equal_category_texts_share_one_parsed_category(monkeypatch):
+    import ccgamr.lexicon as lexicon_module
+
+    texts = []
+    original = lexicon_module.parse_category
+
+    def counting(text):
+        texts.append(text)
+        return original(text)
+
+    monkeypatch.setattr(lexicon_module, "parse_category", counting)
+    lex = load(LEXICON_PATH)
+    assert len(texts) == len(set(texts)) == 27 < len(lex.entries) == 57
+    by_text = {}
+    for entry in lex.entries:
+        shown = format_category(entry.category)
+        assert by_text.setdefault(shown, entry.category) is entry.category
+
+
+def test_every_line_with_a_bad_category_reports_its_own_error():
+    text = "a | S/(NP | (x/xx)\nb | S/(NP | (y/yy)\nc | NP | (z/zz)\nd | S/(NP | (w/ww)"
+    with pytest.raises(LexiconError) as err:
+        loads(text)
+    assert [p.split(":")[1] for p in err.value.problems] == ["1", "2", "4"]
