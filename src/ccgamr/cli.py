@@ -74,14 +74,16 @@ def _valid_lexicon(path: str) -> Lexicon:
         raise _Exit(INVALID, f"lexicon {path} failed validation:", *(f"  {p}" for p in err.problems))
 
 
-def _build_config(path: str | None) -> ParserConfig:
+def _build_config(path: str | None, goal: str | None = None) -> ParserConfig:
     text = "" if path is None else _read(path)
     limit = os.environ.get(MAX_CELL_ENV)
     if limit and not limit.strip().lstrip("+-").isdigit():
         raise _Exit(USAGE, f"error: {MAX_CELL_ENV} must be an integer")
     try:
         config = ParserConfig.from_text(text, path or "<default>")
-        return replace(config, max_cell_items=int(limit)) if limit else config
+        if limit:
+            config = replace(config, max_cell_items=int(limit))
+        return config if goal is None else replace(config, goal=goal)
     except ValueError as err:
         raise _Exit(USAGE, f"error: {err}")
 
@@ -107,9 +109,7 @@ def _print_derivation(d: Derivation, show_script: bool) -> None:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     lex = _valid_lexicon(args.lexicon)
-    config = _build_config(args.config)
-    if args.goal:
-        config = replace(config, goal=args.goal)
+    config = _build_config(args.config, args.goal)
     tokens = args.sentence.split()
     if not tokens:
         raise _Exit(USAGE, "error: empty sentence")

@@ -36,6 +36,7 @@ from .category import (
 from .graph import (
     UNDERSPECIFIED,
     AmrSubgraph,
+    Edge,
     UnificationError,
     Workspace,
     conjoined,
@@ -134,30 +135,32 @@ def relation_wise_combine(
     match: SharedEdgeMatch,
     order: int,
 ) -> tuple[AmrSubgraph, tuple[str, ...]]:
-    """Union the graphs and identify the shared edge.
+    """Append the argument to the function and identify the shared edge.
 
-    Source unifies with source and target with target, so material hanging
-    off either copy of the edge is preserved.  The result keeps the
-    function's root unless the function is rooted at its own first free
-    variable and that variable lands somewhere other than the argument's
-    root, in which case the argument's root wins.
+    Source unifies with source and target with target (the argument's
+    endpoints fold into the function's), so material hanging off either
+    copy of the edge is preserved; the function's copy takes the resolved
+    label and the argument's, now a repeat, collapses into it.  The result
+    keeps the function's root unless the function is rooted at its own
+    first free variable and that variable lands somewhere other than the
+    argument's root, in which case the argument's root wins.
     """
-    ws = Workspace()
-    fmap, f_offset = ws.add_graph(f)
-    amap, _ = ws.add_graph(a)
     fe = f.edges[match.f_edge_pos]
     ae = a.edges[match.a_edge_pos]
+    ws = Workspace()
+    fmap = ws.add(f)
+    s, t = fmap[fe.source], fmap[fe.target]
+    amap = ws.add(a, {ae.source: s, ae.target: t})
+    if fe.label != match.label:  # an underspecified edge takes the resolved label
+        ws.edges[match.f_edge_pos] = Edge(s, match.label, t)
     partner = ae.source if match.f_side == "source" else ae.target
     root = fmap[f.root]
     if f.root == f.fv[0] and partner != a.root:
         root = amap[a.root]
-    ws.merge(fmap[fe.source], amap[ae.source])
-    ws.merge(fmap[fe.target], amap[ae.target])
-    ws.set_edge_label(f_offset + match.f_edge_pos, match.label)
     a_rest = [amap[x] for i, x in enumerate(a.fv) if i != order]
     f_all = [fmap[x] for x in f.fv]
     slots = a_rest + f_all if order else f_all + a_rest
-    graph, _ = ws.freeze(root, slots)
+    graph = ws.freeze(root, slots)
     notes = ()
     if match.ambiguous:
         notes = (f"several shared-edge candidates for {match.label}; picked first by insertion order",)

@@ -351,11 +351,14 @@ class ParserConfig:
                         m = value.replace(" ", "")
                         for direction, symbol in (("forward", ">"), ("backward", "<")):
                             if symbol in m:
-                                src, tgt = (parse_category(x) for x in m.split(symbol, 1))
-                                raising.append(TypeRaisingRule(src, tgt, direction))
+                                src, tgt = m.split(symbol, 1)
                                 break
                         else:
                             raise ValueError(f"bad type_raise rule {value!r}")
+                        if not (src and tgt):
+                            side = "target" if src else "source"
+                            raise ValueError(f"bad type_raise rule {value!r}: missing {side} category")
+                        raising.append(TypeRaisingRule(parse_category(src), parse_category(tgt), direction))
                 else:
                     raise ValueError(f"unknown config key {key!r}")
                 cls(**kwargs)  # the lines before passed, so a failure is this line's

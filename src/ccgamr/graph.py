@@ -8,17 +8,18 @@ edge insertion order (it drives deterministic serialization and tie-breaking
 when several shared-edge candidates exist).
 
 :func:`substitute` (identify a free variable with the root of another
-subgraph) is the step of the regular variants.  It, :func:`raised` (type
-raising: a fresh root variable over the old root) and :func:`conjoined`
-(coordination: a conjunction root over two conjuncts whose free variables
-merge pairwise) build their results directly in one pass: the input graphs
-are concatenated with the first keeping its node ids, each node that
-merges into an earlier one folds into it, and the rest close up.
-Relation-wise combination, which merges two node pairs and relabels an
-edge, builds its result in a :class:`Workspace`, a mutable scratch
-structure with union-find over merged nodes: it copies its input graphs
-in, identifies nodes, and freezes the result.  Either way a result shares
-the immutable :class:`Node` and :class:`Edge` objects of its inputs
+subgraph) is the step of the regular variants.  Every other combinator
+builds its result in a :class:`Workspace`: the input graphs are appended
+one after another with the first keeping its node ids, each node that
+merges into an earlier one folds into it and the rest close up, and the
+caller may add or relabel edges before it freezes the result.
+:func:`raised` (type raising: a fresh root variable over the old root) and
+:func:`conjoined` (coordination: a conjunction root over two conjuncts
+whose free variables merge pairwise) build this way, and so does
+relation-wise combination, which folds the two endpoint pairs of a shared
+edge together and relabels the edge.  :func:`substitute` does its single
+fold in its own one-pass code, which is faster.  Either way a result
+shares the immutable :class:`Node` and :class:`Edge` objects of its inputs
 wherever their values did not change.
 
 Isomorphism classes are keyed on :func:`invariant`: the node count, the
@@ -91,107 +92,63 @@ class AmrSubgraph:
 
 
 class Workspace:
-    """Mutable scratch for unioning graphs and merging their nodes.
+    """A graph under construction: input graphs appended one after another,
+    some of their nodes folded into nodes already built.
 
-    Node ids are workspace-local: positions in flat lists of concepts and
-    union-find parents.  A merge keeps the smaller id as representative, so a
-    representative is never larger than its members and results are
-    deterministic.  ``freeze`` resolves all merges, collapses duplicate edge
-    triples (first occurrence wins), renumbers nodes compactly and builds the
-    immutable result.
-
-    Results reuse the objects they were copied from: ``add_graph`` records
-    the source ``Node`` and ``Edge`` of every node and edge it copies in, and
-    ``freeze`` puts that same object in the result when its value did not
-    change (same final id and concept for a node, same final endpoints for an
-    edge).  ``set_edge_label`` drops an edge's source, so a relabelled edge
-    is always built anew.
+    ``nodes`` and ``edges`` are plain lists that a caller may also extend or
+    edit between :meth:`add` and :meth:`freeze`; a node's id is its position.
     """
 
     def __init__(self) -> None:
-        self._concepts: list[str | None] = []
-        self._parent: list[int] = []
-        self._node_sources: list[Node] = []
-        self._edges: list[tuple[int, str, int]] = []
-        self._edge_sources: list[Edge | None] = []
+        self.nodes: list[Node] = []
+        self.edges: list[Edge] = []
 
-    def add_graph(self, g: AmrSubgraph) -> tuple[dict[int, int], int]:
-        """Copy a graph in; returns (old-id -> new-id map, edge offset)."""
-        base, offset = len(self._concepts), len(self._edges)
-        mapping = {n.id: base + i for i, n in enumerate(g.nodes)}
-        self._concepts.extend([n.concept for n in g.nodes])
-        self._parent.extend(range(base, base + len(g.nodes)))
-        self._node_sources.extend(g.nodes)
-        self._edges.extend([(mapping[e.source], e.label, mapping[e.target]) for e in g.edges])
-        self._edge_sources.extend(g.edges)
-        return mapping, offset
+    def add(self, g: AmrSubgraph, folds: dict[int, int] | None = None) -> list[int] | dict[int, int]:
+        """Append g.
 
-    def find(self, i: int) -> int:
-        while self._parent[i] != i:
-            self._parent[i] = self._parent[self._parent[i]]
-            i = self._parent[i]
-        return i
-
-    def merge(self, a: int, b: int) -> int:
-        """Identify two nodes; constant beats free variable.
-
-        Raises :class:`UnificationError` if both are constants with
-        different concepts.
+        g's nodes take the next ids in order, except that a node whose old id
+        is a key of ``folds`` is identified with the already-built node whose
+        id it maps to (constant beats free variable; two different constants
+        raise :class:`UnificationError`) and the rest close up.  Returns g's
+        old-id -> new-id map: a list indexed by id when g numbers its nodes
+        0..len-1 in order, as the graphs the engine builds do.  Nodes and
+        edges whose values did not change are the input objects themselves.
         """
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        ca, cb = self._concepts[ra], self._concepts[rb]
-        if ca is not None and cb is not None and ca != cb:
-            raise UnificationError(f"cannot merge constants {ca!r} and {cb!r}")
-        keep, drop = (ra, rb) if ra < rb else (rb, ra)
-        self._parent[drop] = keep
-        self._concepts[keep] = ca if ca is not None else cb
-        return keep
+        nodes, base = self.nodes, len(self.nodes)
+        ids = list(map(_ID, g.nodes))
+        positions = list(range(base, base + len(ids) - len(folds or ())))
+        if folds:
+            at: list[tuple[int, int]] = []  # (position in g.nodes, id it folds into)
+            for x, i in folds.items():
+                k = ids.index(x)
+                concept, kept = g.nodes[k].concept, nodes[i].concept
+                if concept is not None and concept != kept:
+                    if kept is not None:
+                        raise UnificationError(f"cannot merge constants {kept!r} and {concept!r}")
+                    nodes[i] = Node(i, concept)
+                at.append((k, i))
+            for k, i in sorted(at):
+                positions.insert(k, i)
+        ids_map = _id_map(ids, positions)
+        if ids_map is positions and not base and not folds:  # g keeps every id
+            nodes += g.nodes
+            self.edges += g.edges
+        else:
+            nodes += [
+                node if node.id == i else Node(i, node.concept)
+                for i, node in zip(positions, g.nodes)
+                if i >= base  # a folded node is already in place as its partner
+            ]
+            self.edges += _moved(g.edges, ids_map)
+        return ids_map
 
-    def set_edge_label(self, edge_index: int, label: str) -> None:
-        s, _, t = self._edges[edge_index]
-        self._edges[edge_index] = (s, label, t)
-        self._edge_sources[edge_index] = None
-
-    def freeze(self, root: int, fv_candidates: list[int]) -> tuple[AmrSubgraph, list[int]]:
-        """Build the result graph.
-
-        ``fv_candidates`` is an ordered slot sequence of workspace ids;
-        entries that resolved to constants are dropped and a merged variable
-        keeps only its first slot.  Returns the graph and the final node id
-        of every workspace id, indexed by workspace id.
-        """
-        final: list[int] = []
-        nodes: list[Node] = []
-        for i, (parent, concept, node) in enumerate(
-            zip(self._parent, self._concepts, self._node_sources)
-        ):
-            if parent != i:  # a member: its parent is smaller, so already numbered
-                final.append(final[parent])
-                continue
-            new_id = len(nodes)
-            final.append(new_id)
-            if node.id != new_id or node.concept != concept:
-                node = Node(new_id, concept)
-            nodes.append(node)
-        edges: list[Edge] = []
-        seen: set[tuple[int, str, int]] = set()
-        for (s, label, t), edge in zip(self._edges, self._edge_sources):
-            s, t = final[s], final[t]
-            triple = (s, label, t)
-            if triple not in seen:
-                seen.add(triple)
-                if edge is None or edge.source != s or edge.target != t:
-                    edge = Edge(s, label, t)
-                edges.append(edge)
-        fv: list[int] = []
-        for x in fv_candidates:
-            i = final[x]
-            if nodes[i].concept is None and i not in fv:
-                fv.append(i)
-        graph = AmrSubgraph(tuple(nodes), tuple(edges), final[root], tuple(fv))
-        return graph, final
+    def freeze(self, root: int, slots: list[int]) -> AmrSubgraph:
+        """The built graph rooted at ``root``, with repeated edge triples
+        collapsed (first occurrence wins).  Its fv list is the ordered
+        ``slots`` where constants drop out and a variable keeps only its
+        first slot."""
+        fv = dict.fromkeys([i for i in slots if self.nodes[i].concept is None])
+        return AmrSubgraph(tuple(self.nodes), _unique(self.edges), root, tuple(fv))
 
 
 @dataclass(frozen=True)
@@ -260,14 +217,12 @@ def raised(g: AmrSubgraph) -> AmrSubgraph:
     g's nodes keep their positions and the variable comes last.  Nodes and
     edges whose values did not change are the input objects themselves.
     """
-    nodes: list[Node] = []
-    edges: list[Edge] = []
-    gmap = _join(nodes, edges, g)
-    fresh = len(nodes)
-    nodes.append(Node(fresh, None))
-    edges.append(Edge(fresh, UNDERSPECIFIED, gmap[g.root]))
-    fv = _free(nodes, [fresh, *[gmap[x] for x in g.fv]])
-    return AmrSubgraph(tuple(nodes), _unique(edges), fresh, fv)
+    ws = Workspace()
+    gmap = ws.add(g)
+    fresh = len(ws.nodes)
+    ws.nodes.append(Node(fresh, None))
+    ws.edges.append(Edge(fresh, UNDERSPECIFIED, gmap[g.root]))
+    return ws.freeze(fresh, [fresh, *[gmap[x] for x in g.fv]])
 
 
 def conjoined(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSubgraph:
@@ -284,56 +239,13 @@ def conjoined(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSu
     input objects themselves.  ``right`` must list each free variable once,
     as :func:`validate` requires.
     """
-    nodes: list[Node] = []
-    edges: list[Edge] = []
-    lmap = _join(nodes, edges, left)
-    cmap = _join(nodes, edges, conj)
-    rmap = _join(nodes, edges, right, {rx: lmap[lx] for lx, rx in zip(left.fv, right.fv)})
+    ws = Workspace()
+    lmap = ws.add(left)
+    cmap = ws.add(conj)
+    rmap = ws.add(right, {rx: lmap[lx] for lx, rx in zip(left.fv, right.fv)})
     root = cmap[conj.root]
-    edges += [Edge(root, ":op1", lmap[left.root]), Edge(root, ":op2", rmap[right.root])]
-    fv = _free(nodes, [*[lmap[x] for x in left.fv], *[rmap[x] for x in right.fv]])
-    return AmrSubgraph(tuple(nodes), _unique(edges), root, fv)
-
-
-def _join(
-    nodes: list[Node], edges: list[Edge], g: AmrSubgraph, folds: dict[int, int] | None = None
-) -> list[int] | dict[int, int]:
-    """Append g to the graph being built in ``nodes`` and ``edges``.
-
-    g's nodes take the next ids in order, except that a node whose old id is
-    a key of ``folds`` is identified with the already-built node whose id it
-    maps to (constant beats free variable) and the rest close up.  Returns
-    g's old-id -> new-id map: a list indexed by id when g numbers its nodes
-    0..len-1 in order, as the graphs the engine builds do.  Nodes and edges
-    whose values did not change are the input objects themselves.
-    """
-    base = len(nodes)
-    ids = list(map(_ID, g.nodes))
-    positions = list(range(base, base + len(ids) - len(folds or ())))
-    if folds:
-        at: list[tuple[int, int]] = []  # (position in g.nodes, id it folds into)
-        for x, i in folds.items():
-            k = ids.index(x)
-            concept, kept = g.nodes[k].concept, nodes[i].concept
-            if concept is not None and concept != kept:
-                if kept is not None:
-                    raise UnificationError(f"cannot merge constants {kept!r} and {concept!r}")
-                nodes[i] = Node(i, concept)
-            at.append((k, i))
-        for k, i in sorted(at):
-            positions.insert(k, i)
-    ids_map = _id_map(ids, positions)
-    if ids_map is positions and not base and not folds:  # g keeps every id
-        nodes += g.nodes
-        edges += g.edges
-    else:
-        nodes += [
-            node if node.id == i else Node(i, node.concept)
-            for i, node in zip(positions, g.nodes)
-            if i >= base  # a folded node is already in place as its partner
-        ]
-        edges += _moved(g.edges, ids_map)
-    return ids_map
+    ws.edges += [Edge(root, ":op1", lmap[left.root]), Edge(root, ":op2", rmap[right.root])]
+    return ws.freeze(root, [*[lmap[x] for x in left.fv], *[rmap[x] for x in right.fv]])
 
 
 def _id_map(ids: list[int], positions: list[int]) -> list[int] | dict[int, int]:
@@ -368,12 +280,6 @@ def _unique(edges: list[Edge]) -> tuple[Edge, ...]:
     for e in edges:
         unique.setdefault(_TRIPLE(e), e)
     return tuple(unique.values())
-
-
-def _free(nodes: list[Node], slots: list[int]) -> tuple[int, ...]:
-    """The fv list of ordered ``slots``: constants drop out and a variable
-    keeps only its first slot."""
-    return tuple(dict.fromkeys([i for i in slots if nodes[i].concept is None]))
 
 
 def with_fv_order(g: AmrSubgraph, fv: tuple[int, ...]) -> AmrSubgraph:

@@ -36,7 +36,6 @@ from ccgamr.graph import (
     Node,
     Substitution,
     UnificationError,
-    Workspace,
     iso_equal,
 )
 
@@ -103,8 +102,9 @@ def nested(depth: int) -> str:
 
 
 class DictWorkspace:
-    """Reference for ``graph.Workspace``: the dict-based version it replaced,
-    which builds every node and edge of a result anew.
+    """Reference builder for every graph combinator: the dict-based
+    union-find that the engine's one-pass builders replaced, which builds
+    every node and edge of a result anew.
 
     Mutable scratch for unioning graphs and merging their nodes.
 
@@ -199,20 +199,43 @@ class DictWorkspace:
 
 
 def reference_substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
-    """Reference for ``graph.substitute``: the version it replaced, which
-    copies both graphs into a ``Workspace``, merges g's free variable at
-    ``pos`` with h's root and freezes the result."""
+    """Reference for ``graph.substitute``: the workspace steps it replaced, on
+    a ``DictWorkspace``.  Both graphs are copied in, g's free variable at
+    ``pos`` merges with h's root and the result is frozen."""
     if not 1 <= pos <= len(g.fv):
         raise ValueError(f"fv position {pos} out of range 1..{len(g.fv)}")
-    ws = Workspace()
+    ws = DictWorkspace()
     gmap, _ = ws.add_graph(g)
     hmap, _ = ws.add_graph(h)
     ws.merge(gmap[g.fv[pos - 1]], hmap[h.root])
     g_rem = [gmap[x] for i, x in enumerate(g.fv) if i != pos - 1]
     h_rem = [hmap[x] for x in h.fv]
-    graph, final = ws.freeze(gmap[g.root], g_rem + h_rem)
-    free = lambda ids: tuple(final[x] for x in ids if graph.nodes[final[x]].concept is None)
+    graph, relabel = ws.freeze(gmap[g.root], g_rem + h_rem)
+    final = lambda x: relabel[ws.find(x)]
+    free = lambda ids: tuple(final(x) for x in ids if graph.nodes[final(x)].concept is None)
     return Substitution(graph, free(g_rem), free(h_rem))
+
+
+def reference_relation_wise(f: AmrSubgraph, a: AmrSubgraph, match, order: int) -> AmrSubgraph:
+    """Reference for ``combinator.relation_wise_combine``: the workspace steps
+    it took before, on a ``DictWorkspace``.  Both graphs are copied in, the
+    shared edges' sources merge, then their targets, the function's edge
+    takes the resolved label and the result is frozen."""
+    ws = DictWorkspace()
+    fmap, f_offset = ws.add_graph(f)
+    amap, _ = ws.add_graph(a)
+    fe, ae = f.edges[match.f_edge_pos], a.edges[match.a_edge_pos]
+    partner = ae.source if match.f_side == "source" else ae.target
+    root = fmap[f.root]
+    if f.root == f.fv[0] and partner != a.root:
+        root = amap[a.root]
+    ws.merge(fmap[fe.source], amap[ae.source])
+    ws.merge(fmap[fe.target], amap[ae.target])
+    ws.set_edge_label(f_offset + match.f_edge_pos, match.label)
+    a_rest = [amap[x] for i, x in enumerate(a.fv) if i != order]
+    f_all = [fmap[x] for x in f.fv]
+    graph, _ = ws.freeze(root, a_rest + f_all if order else f_all + a_rest)
+    return graph
 
 
 def reference_type_raise(g: AmrSubgraph) -> AmrSubgraph:

@@ -82,6 +82,11 @@ def test_parse_goal_override(capsys):
     assert code == 0
 
 
+def test_parse_empty_goal_is_one_error_line(capsys):
+    code, out, err = run(capsys, "parse", "--lexicon", LEX, "--sentence", "John likes the cat", "--goal", "")
+    assert (code, out, err) == (1, "", "error: goal must not be empty\n")
+
+
 def test_parse_config_file_enables_raising(tmp_path, capsys):
     cfg = tmp_path / "parser.cfg"
     cfg.write_text("type_raise = NP > S\nmax_cell_items = 150\n")
@@ -135,7 +140,7 @@ def test_parse_all_prints_scripts_and_forest_counts(tmp_path, capsys):
     "setting, message",
     [
         ("max_cell_items = 2.5", "max_cell_items must be an integer"),
-        ("type_raise = NP >", "expected a category"),
+        ("type_raise = NP >", "bad type_raise rule 'NP >': missing target category"),
         ("max_composition_order = 3", "max_composition_order must be 1 or 2"),
         ("strict_conjunction = maybe", "strict_conjunction must be one of"),
         ("goal =", "goal must not be empty"),

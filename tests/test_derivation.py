@@ -508,7 +508,8 @@ def test_parser_config_from_text_reads_every_key():
     "setting, message",
     [
         ("max_cell_items = 2.5", "max_cell_items must be an integer, found '2.5'"),
-        ("type_raise = NP >", "expected a category at offset 0"),
+        ("type_raise = NP >", "bad type_raise rule 'NP >': missing target category"),
+        ("type_raise = < S", "bad type_raise rule '< S': missing source category"),
         ("max_composition_order = 3", "max_composition_order must be 1 or 2"),
         ("strict_conjunction = maybe",
          "strict_conjunction must be one of 1/0/true/false/yes/no, found 'maybe'"),

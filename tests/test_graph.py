@@ -1,13 +1,19 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ccgamr.combinator import (
+    SharedEdgeMatch,
+    _semantic_combination,
+    relation_wise_combine,
+    relation_wise_match,
+)
 from ccgamr.graph import (
+    UNDERSPECIFIED,
     AmrSubgraph,
     Edge,
     Node,
     UnificationError,
-    Workspace,
     conjoined,
     invariant,
     iso_equal,
@@ -20,10 +26,10 @@ from ccgamr.penman import parse
 
 from support import (
     LABELS,
-    DictWorkspace,
     graphs,
     iso_oracle,
     reference_coordinate,
+    reference_relation_wise,
     reference_substitute,
     reference_type_raise,
     relabeled,
@@ -69,47 +75,54 @@ def test_substitute_position_out_of_range():
 
 
 def test_merge_two_free_variables_shares_incoming_edges():
-    g = parse("(g/go-01 :ARG0 ?1 :op1 (r/run-01 :ARG0 ?2))")
-    ws = Workspace()
-    m, _ = ws.add_graph(g)
-    ws.merge(m[g.fv[0]], m[g.fv[1]])
-    merged, _ = ws.freeze(m[g.root], [m[x] for x in g.fv])
+    # coordination identifies the conjuncts' variables pairwise
+    left = parse("(g/go-01 :ARG0 ?1)")
+    right = parse("(r/run-01 :ARG0 ?1)")
+    merged = conjoined(parse("(a/and)"), left, right)
     assert len(merged.fv) == 1
     survivor = merged.fv[0]
     labels = [e.label for e in merged.incoming(survivor)]
     assert labels.count(":ARG0") == 2
 
 
+def _relation_wise(f: AmrSubgraph, a: AmrSubgraph) -> AmrSubgraph:
+    match = relation_wise_match(f, a, 1)
+    assert match is not None
+    graph, _ = relation_wise_combine(f, a, match, 0)
+    assert graph == reference_relation_wise(f, a, match, 0)
+    return graph
+
+
 def test_merge_free_variable_with_constant():
-    g = parse("(g/go-01 :ARG0 ?1 :op1 (y/you))")
-    you = next(n.id for n in g.nodes if n.concept == "you")
-    ws = Workspace()
-    m, _ = ws.add_graph(g)
-    ws.merge(m[g.fv[0]], m[you])
-    merged, _ = ws.freeze(m[g.root], [m[x] for x in g.fv])
-    assert merged.fv == ()
-    kept = next(n for n in merged.nodes if n.concept == "you")
-    assert {e.label for e in merged.incoming(kept.id)} == {":ARG0", ":op1"}
+    # the shared :ARG0 edge's sources merge: f's variable ?2 with want-01
+    f = parse("(?2 :ARG0 ?1)")
+    a = parse("(w/want-01 :ARG0 ?1 :ARG1 (g/go-01))")
+    merged = _relation_wise(f, a)
+    assert merged.fv == (1,)
+    assert merged.concept(merged.root) == "want-01"
+    assert iso_equal(merged, a)
 
 
 def test_merge_equal_constants_is_allowed():
-    g = parse("(g/go-01 :ARG0 (e/eat-01) :ARG1 (e2/eat-01))")
-    pair = [n.id for n in g.nodes if n.concept == "eat-01"]
-    ws = Workspace()
-    m, _ = ws.add_graph(g)
-    ws.merge(m[pair[0]], m[pair[1]])
-    merged, _ = ws.freeze(m[g.root], [])
-    assert sum(1 for n in merged.nodes if n.concept == "eat-01") == 1
+    f = parse("(?1 :mod (b/big))")
+    a = parse("(?1 :mod (b/big) :ARG0 (c/cat))")
+    merged = _relation_wise(f, a)
+    assert sum(1 for n in merged.nodes if n.concept == "big") == 1
+    assert iso_equal(merged, a)
 
 
 def test_merge_conflicting_constants_fails():
-    g = parse("(g/go-01 :ARG0 (c/cat) :ARG1 (d/dog))")
-    cat = next(n.id for n in g.nodes if n.concept == "cat")
-    dog = next(n.id for n in g.nodes if n.concept == "dog")
-    ws = Workspace()
-    m, _ = ws.add_graph(g)
-    with pytest.raises(UnificationError):
-        ws.merge(m[cat], m[dog])
+    f = parse("(?1 :mod (b/big))")
+    a = parse("(?1 :mod (s/small))")
+    match = relation_wise_match(f, a, 1)
+    with pytest.raises(UnificationError, match="^cannot merge constants 'big' and 'small'$"):
+        relation_wise_combine(f, a, match, 0)
+    graph, relation_wise, notes = _semantic_combination(f, a, 0, "auto")
+    assert not relation_wise and graph == substitute(f, 1, a).graph
+    assert notes[0] == (
+        "shared-edge unification failed (cannot merge constants 'big' and 'small');"
+        " fell back to the regular variant"
+    )
 
 
 def test_validate_accepts_figure_shaped_graph():
@@ -258,49 +271,6 @@ def _renumbering(draw, g: AmrSubgraph) -> AmrSubgraph:
     return g
 
 
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_workspace_agrees_with_the_dict_reference(data):
-    """The same random operations give equal graphs and equal final ids."""
-    ws, ref = Workspace(), DictWorkspace()
-    nodes = edges = 0
-    ids = lambda: st.integers(0, nodes - 1)
-
-    def freeze_both():
-        root = data.draw(ids())
-        candidates = data.draw(st.lists(ids(), max_size=4))
-        graph, final = ws.freeze(root, candidates)
-        ref_graph, relabel = ref.freeze(root, candidates)
-        assert graph == ref_graph
-        assert final == [relabel[ref.find(i)] for i in range(nodes)]
-
-    steps = data.draw(st.lists(st.sampled_from(["graph", "merge", "label", "freeze"]),
-                               min_size=1, max_size=10))
-    for step in ["graph"] + steps:
-        if step == "graph":
-            g = data.draw(graphs(max_nodes=5, max_fv=2))
-            g = data.draw(_renumbering(g))
-            assert ws.add_graph(g) == ref.add_graph(g)
-            nodes += len(g.nodes)
-            edges += len(g.edges)
-        elif step == "merge":
-            a, b = data.draw(ids()), data.draw(ids())
-            try:
-                expected = ref.merge(a, b)
-            except UnificationError:
-                with pytest.raises(UnificationError):
-                    ws.merge(a, b)
-            else:
-                assert ws.merge(a, b) == expected
-        elif step == "label" and edges:
-            i, label = data.draw(st.integers(0, edges - 1)), data.draw(st.sampled_from(LABELS))
-            ws.set_edge_label(i, label)
-            ref.set_edge_label(i, label)
-        elif step == "freeze":
-            freeze_both()
-    freeze_both()
-
-
 def test_substitute_reuses_the_untouched_nodes_and_edges_of_g():
     g = parse("(l/like-01 :ARG0 (j/john :mod (o/old)) :ARG1 ?1)")
     h = parse("(c/cat :mod (b/big))")
@@ -321,11 +291,6 @@ def test_substitute_reuses_the_untouched_nodes_and_edges_of_g():
     assert not any(e is h_edge for e in result.edges for h_edge in h.edges)
 
 
-def _origins(objects, inputs) -> list[int | None]:
-    """For each object, the index of the input it is (``is``), or None."""
-    return [next((k for k, x in enumerate(inputs) if x is obj), None) for obj in objects]
-
-
 def _substitution_or_error(g, pos, h):
     try:
         return substitute(g, pos, h)
@@ -336,8 +301,8 @@ def _substitution_or_error(g, pos, h):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_substitute_agrees_with_the_workspace_reference(data):
-    """Same graph, remaining lists and errors as the Workspace version, with
-    the same input Node and Edge objects at the same positions."""
+    """Same graph, remaining lists and errors as the workspace steps it
+    replaced, with every unchanged input Node and Edge reused."""
     g = data.draw(graphs(max_nodes=6, max_fv=3, min_fv=1))
     h = data.draw(graphs(max_nodes=6, max_fv=2))
     pos = data.draw(st.integers(1, len(g.fv)))
@@ -372,10 +337,8 @@ def test_substitute_agrees_with_the_workspace_reference(data):
         return
     got = substitute(g, pos, h)
     assert got == want
-    for field in ("nodes", "edges"):
-        inputs = getattr(g, field) + getattr(h, field)
-        got_objects, want_objects = getattr(got.graph, field), getattr(want.graph, field)
-        assert _origins(got_objects, inputs) == _origins(want_objects, inputs)
+    gnew = {n.id: k for k, n in enumerate(g.nodes)}
+    _assert_reuse(got.graph, *_appended((g, {}), (h, {h.root: gnew[g.fv[pos - 1]]})))
 
 
 def test_substitute_of_a_constant_slot_raises_the_reference_message():
@@ -416,6 +379,24 @@ def _assert_reuse(result: AmrSubgraph, placed, moved) -> None:
             assert by_triple[triple] is edge
 
 
+def _appended(*parts) -> tuple[list, list]:
+    """``placed`` and ``moved`` for :func:`_assert_reuse` of graphs appended
+    in order: each part is a graph and its folds, and the graph's nodes whose
+    old ids are keys of the folds take the ids they map to, while the rest
+    take the next ids in order."""
+    placed, moved = [], []
+    for g, folds in parts:
+        new = {}
+        for n in g.nodes:
+            if n.id in folds:
+                new[n.id] = folds[n.id]
+            else:
+                new[n.id] = len(placed)
+                placed.append((n, new[n.id]))
+        moved += [(e, (new[e.source], e.label, new[e.target])) for e in g.edges]
+    return placed, moved
+
+
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_raised_agrees_with_the_workspace_reference(data):
@@ -431,12 +412,7 @@ def test_raised_agrees_with_the_workspace_reference(data):
     g = data.draw(_renumbering(g))
     got = raised(g)
     assert got == reference_type_raise(g)
-    new = {n.id: k for k, n in enumerate(g.nodes)}
-    _assert_reuse(
-        got,
-        [(n, new[n.id]) for n in g.nodes],
-        [(e, (new[e.source], e.label, new[e.target])) for e in g.edges],
-    )
+    _assert_reuse(got, *_appended((g, {})))
 
 
 def test_conjoined_keeps_the_left_conjuncts_objects():
@@ -489,14 +465,45 @@ def test_conjoined_agrees_with_the_workspace_reference(data):
     assert got == want
     lnew = {n.id: p for p, n in enumerate(left.nodes)}
     folds = {rx: lnew[lx] for lx, rx in zip(left.fv, right.fv)}
-    placed = [(n, lnew[n.id]) for n in left.nodes] + [(conj.nodes[0], len(left.nodes))]
-    rnew = {}
-    for n in right.nodes:
-        if n.id in folds:
-            rnew[n.id] = folds[n.id]
-        else:
-            rnew[n.id] = len(placed)  # ids so far: left, conj, then right's unfolded nodes
-            placed.append((n, rnew[n.id]))
-    moved = [(e, (lnew[e.source], e.label, lnew[e.target])) for e in left.edges]
-    moved += [(e, (rnew[e.source], e.label, rnew[e.target])) for e in right.edges]
+    _assert_reuse(got, *_appended((left, {}), (conj, {}), (right, folds)))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_relation_wise_combine_agrees_with_the_workspace_reference(data):
+    """Same graph, or the same error, as the workspace steps relation-wise
+    combination took before, with every unchanged input Node and Edge reused."""
+    order = data.draw(st.integers(0, 2))
+    f = data.draw(graphs(max_nodes=6, max_fv=2, min_fv=1))
+    a = data.draw(graphs(max_nodes=6, max_fv=order + 1, min_fv=order + 1))
+    f_edges = [i for i, e in enumerate(f.edges) if f.fv[0] in (e.source, e.target)]
+    a_edges = [j for j, e in enumerate(a.edges) if a.fv[order] in (e.source, e.target)]
+    assume(f_edges and a_edges)
+    i, j = data.draw(st.sampled_from(f_edges)), data.draw(st.sampled_from(a_edges))
+    fe, ae = f.edges[i], a.edges[j]
+    side = "source" if fe.source == f.fv[0] else "target"
+    # the function's edge is underspecified or carries the argument's label
+    label = data.draw(st.sampled_from([UNDERSPECIFIED, ae.label]))
+    f = AmrSubgraph(f.nodes, f.edges[:i] + (Edge(fe.source, label, fe.target),) + f.edges[i + 1:], f.root, f.fv)
+    if data.draw(st.booleans()):  # constants paired across the edges agree, so they unify
+        agree = {ae.source: f.concept(fe.source), ae.target: f.concept(fe.target)}
+        nodes = tuple(Node(n.id, agree[n.id]) if n.concept and agree.get(n.id) else n for n in a.nodes)
+        a = AmrSubgraph(nodes, a.edges, a.root, a.fv)
+    f, a = data.draw(_renumbering(f)), data.draw(_renumbering(a))
+    fe, ae = f.edges[i], a.edges[j]
+    match = SharedEdgeMatch(i, j, side, ae.label)
+    try:
+        want = reference_relation_wise(f, a, match, order)
+    except UnificationError as err:
+        with pytest.raises(UnificationError) as got_err:
+            relation_wise_combine(f, a, match, order)
+        assert str(got_err.value) == str(err)
+        return
+    got, _ = relation_wise_combine(f, a, match, order)
+    assert got == want
+    fnew = {n.id: k for k, n in enumerate(f.nodes)}
+    folds = {ae.source: fnew[fe.source], ae.target: fnew[fe.target]}
+    placed, moved = _appended((f, {}), (a, folds))
+    s, _, t = moved[i][1]
+    moved[i] = (fe, (s, ae.label, t))  # the shared edge takes the resolved label
     _assert_reuse(got, placed, moved)
