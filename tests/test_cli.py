@@ -140,7 +140,10 @@ def test_parse_all_prints_scripts_and_forest_counts(tmp_path, capsys):
     "setting, message",
     [
         ("max_cell_items = 2.5", "max_cell_items must be an integer"),
-        ("type_raise = NP >", "bad type_raise rule 'NP >': missing target category"),
+        pytest.param(
+            "type_raise = NP >", "bad type_raise rule 'NP >': missing target category",
+            id="type_raise = NP >-expected a category",
+        ),
         ("max_composition_order = 3", "max_composition_order must be 1 or 2"),
         ("strict_conjunction = maybe", "strict_conjunction must be one of"),
         ("goal =", "goal must not be empty"),
