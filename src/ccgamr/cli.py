@@ -74,7 +74,7 @@ def _valid_lexicon(path: str) -> Lexicon:
         raise _Exit(INVALID, f"lexicon {path} failed validation:", *(f"  {p}" for p in err.problems))
 
 
-def _build_config(path: str | None, goal: str | None = None) -> ParserConfig:
+def _build_config(path: str | None, goal: str | None) -> ParserConfig:
     text = "" if path is None else _read(path)
     limit = os.environ.get(MAX_CELL_ENV)
     if limit and not limit.strip().lstrip("+-").isdigit():

@@ -101,7 +101,9 @@ def relation_wise_match(f: AmrSubgraph, a: AmrSubgraph, k: int) -> SharedEdgeMat
 
     The function's first free variable must lie on the function edge and the
     argument's k-th free variable on the argument edge.  The argument-side
-    label must be concrete; the function side may be underspecified.
+    label must be concrete; the function side may be underspecified.  The
+    argument edge must join two distinct nodes: its ends fold into the
+    function edge's, so a self-loop would fold those into one.
     """
     if not f.fv or len(a.fv) < k:
         return None
@@ -116,7 +118,7 @@ def relation_wise_match(f: AmrSubgraph, a: AmrSubgraph, k: int) -> SharedEdgeMat
         else:
             continue
         for j, ae in enumerate(a.edges):
-            if ak not in (ae.source, ae.target):
+            if ak not in (ae.source, ae.target) or ae.source == ae.target:
                 continue
             if ae.label == UNDERSPECIFIED:
                 continue

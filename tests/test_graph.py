@@ -111,6 +111,16 @@ def test_merge_equal_constants_is_allowed():
     assert iso_equal(merged, a)
 
 
+def test_self_loop_argument_edge_is_not_shared():
+    # folding ?1 :ARG0 ?1 onto ?1 :ARG0 cat would join the variable with cat;
+    # PENMAN text and validate() reject the cycle, so the graph is built here
+    f = parse("(?1 :ARG0 (c/cat))")
+    a = AmrSubgraph((Node(0),), (Edge(0, ":ARG0", 0),), 0, (0,))
+    assert relation_wise_match(f, a, 1) is None
+    graph, relation_wise, _ = _semantic_combination(f, a, 0, "auto")
+    assert not relation_wise and graph == substitute(f, 1, a).graph
+
+
 def test_merge_conflicting_constants_fails():
     f = parse("(?1 :mod (b/big))")
     a = parse("(?1 :mod (s/small))")
@@ -484,13 +494,23 @@ def test_relation_wise_combine_agrees_with_the_workspace_reference(data):
     side = "source" if fe.source == f.fv[0] else "target"
     # the function's edge is underspecified or carries the argument's label
     label = data.draw(st.sampled_from([UNDERSPECIFIED, ae.label]))
+    if data.draw(st.booleans()):  # the function's edge loops on its first variable
+        fe, side = Edge(f.fv[0], fe.label, f.fv[0]), "source"
     f = AmrSubgraph(f.nodes, f.edges[:i] + (Edge(fe.source, label, fe.target),) + f.edges[i + 1:], f.root, f.fv)
+    a_loop = data.draw(st.booleans())
+    if a_loop:  # the argument's edge loops on its k-th variable
+        ak = a.fv[order]
+        a = AmrSubgraph(a.nodes, a.edges[:j] + (Edge(ak, ae.label, ak),) + a.edges[j + 1:], a.root, a.fv)
     if data.draw(st.booleans()):  # constants paired across the edges agree, so they unify
         agree = {ae.source: f.concept(fe.source), ae.target: f.concept(fe.target)}
         nodes = tuple(Node(n.id, agree[n.id]) if n.concept and agree.get(n.id) else n for n in a.nodes)
         a = AmrSubgraph(nodes, a.edges, a.root, a.fv)
     f, a = data.draw(_renumbering(f)), data.draw(_renumbering(a))
     fe, ae = f.edges[i], a.edges[j]
+    if a_loop:  # no shared-edge candidate: folding it would join the function edge's ends
+        match = relation_wise_match(f, a, order + 1)
+        assert match is None or (match.f_edge_pos, match.a_edge_pos) != (i, j)
+        return
     match = SharedEdgeMatch(i, j, side, ae.label)
     try:
         want = reference_relation_wise(f, a, match, order)
