@@ -26,6 +26,7 @@ from .derivation import (
     cky_parse,
     describe_semantics,
     parse_script,
+    read_int,
     replay,
 )
 from .graph import AmrSubgraph, iso_equal, UNDERSPECIFIED
@@ -77,12 +78,11 @@ def _valid_lexicon(path: str) -> Lexicon:
 def _build_config(path: str | None, goal: str | None) -> ParserConfig:
     text = "" if path is None else _read(path)
     limit = os.environ.get(MAX_CELL_ENV)
-    if limit and not limit.strip().lstrip("+-").isdigit():
-        raise _Exit(USAGE, f"error: {MAX_CELL_ENV} must be an integer")
     try:
+        cells = read_int(MAX_CELL_ENV, limit.strip()) if limit else None
         config = ParserConfig.from_text(text, path or "<default>")
-        if limit:
-            config = replace(config, max_cell_items=int(limit))
+        if cells is not None:
+            config = replace(config, max_cell_items=cells)
         return config if goal is None else replace(config, goal=goal)
     except ValueError as err:
         raise _Exit(USAGE, f"error: {err}")

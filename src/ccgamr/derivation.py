@@ -23,7 +23,6 @@ at run time.
 from __future__ import annotations
 
 import re
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -128,7 +127,7 @@ def parse_script(text: str) -> ScriptNode:
         head = take()
         if head == "leaf":
             index, entry_id = take(), take()
-            if not index.isdigit():
+            if not (index.isascii() and index.isdigit()):
                 raise ScriptError(f"leaf index must be an integer, found {index!r}")
             out: ScriptNode = Leaf(int(index), entry_id)
         elif _RAISE_RE.match(head):
@@ -301,6 +300,14 @@ class TypeRaisingRule:
 NP_TO_S = (TypeRaisingRule(Atom("NP"), Atom("S"), "forward"),)
 
 
+def read_int(name: str, value: str) -> int:
+    """``value`` as an integer setting: an optional sign and ASCII digits,
+    else a ``ValueError`` that names the setting."""
+    if not re.fullmatch(r"[+-]?[0-9]+", value):
+        raise ValueError(f"{name} must be an integer, found {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ParserConfig:
     enabled: frozenset[str] | None = None  # None enables every combinator
@@ -333,9 +340,7 @@ class ParserConfig:
                 if not eq:
                     raise ValueError("expected 'key = value'")
                 if key in ("max_composition_order", "max_cell_items"):
-                    if not value.lstrip("+-").isdigit():
-                        raise ValueError(f"{key} must be an integer, found {value!r}")
-                    kwargs[key] = int(value)
+                    kwargs[key] = read_int(key, value)
                 elif key == "strict_conjunction":
                     if value.lower() not in cls._FLAGS:
                         flags = "/".join(cls._FLAGS)
@@ -354,11 +359,17 @@ class ParserConfig:
                                 src, tgt = m.split(symbol, 1)
                                 break
                         else:
-                            raise ValueError(f"bad type_raise rule {value!r}")
+                            raise ValueError(
+                                f"bad type_raise rule {value!r}: expected 'SOURCE > TARGET' or 'SOURCE < TARGET'"
+                            )
                         if not (src and tgt):
                             side = "target" if src else "source"
                             raise ValueError(f"bad type_raise rule {value!r}: missing {side} category")
-                        raising.append(TypeRaisingRule(parse_category(src), parse_category(tgt), direction))
+                        try:
+                            rule = TypeRaisingRule(parse_category(src), parse_category(tgt), direction)
+                        except ValueError as err:
+                            raise ValueError(f"bad type_raise rule {value!r}: {err}") from None
+                        raising.append(rule)
                 else:
                     raise ValueError(f"unknown config key {key!r}")
                 cls(**kwargs)  # the lines before passed, so a failure is this line's
@@ -489,16 +500,22 @@ def _binary_candidates(
             left.category, right.category, config.max_composition_order
         ):
             f, a = (left, right) if direction == "forward" else (right, left)
-            with suppress(CombinationError):
+            try:
                 out.append(combine_matched(direction, order, f, a, match))
+            except CombinationError:
+                pass
     if isinstance(left.category, Atom) and left.category.base == "Conj":
-        with suppress(CombinationError):
+        try:
             out.append(conj_attach(left, right))
+        except CombinationError:
+            pass
     if isinstance(right.semantics, ConjPartial) and not isinstance(left.semantics, ConjPartial):
         partial: ConjPartial = right.semantics
         if unify(left.category, partial.right.category) is not None:
-            with suppress(CombinationError):
+            try:
                 out.append(coordinate(partial.conj, left, partial.right, config.strict_conjunction))
+            except CombinationError:
+                pass
     return [o for o in out if _allowed(config, o.rule)]
 
 

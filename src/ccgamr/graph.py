@@ -20,7 +20,10 @@ relation-wise combination, which folds the two endpoint pairs of a shared
 edge together and relabels the edge.  :func:`substitute` does its single
 fold in its own one-pass code, which is faster.  Either way a result
 shares the immutable :class:`Node` and :class:`Edge` objects of its inputs
-wherever their values did not change.
+wherever their values did not change, and the builders here take every
+node and edge they make from a bounded by-value cache, so equal values
+built by different steps are one object (relation-wise combination builds
+its relabeled edge itself).
 
 Isomorphism classes are keyed on :func:`invariant`: the node count, the
 free-variable count, the root's concept and a hash of the sorted
@@ -33,7 +36,7 @@ itself checks only the node and free-variable counts before its search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 #: Role label of an underspecified edge, resolved later by a shared-edge match.
@@ -62,6 +65,12 @@ class Edge:
     source: int
     label: str
     target: int
+
+
+# Graph steps build their nodes and edges through these bounded by-value
+# caches, so an equal value built again is the object built the first time.
+_node = lru_cache(maxsize=4096)(Node)
+_edge = lru_cache(maxsize=4096)(Edge)
 
 
 @dataclass(frozen=True)
@@ -125,7 +134,7 @@ class Workspace:
                 if concept is not None and concept != kept:
                     if kept is not None:
                         raise UnificationError(f"cannot merge constants {kept!r} and {concept!r}")
-                    nodes[i] = Node(i, concept)
+                    nodes[i] = _node(i, concept)
                 at.append((k, i))
             for k, i in sorted(at):
                 positions.insert(k, i)
@@ -135,7 +144,7 @@ class Workspace:
             self.edges += g.edges
         else:
             nodes += [
-                node if node.id == i else Node(i, node.concept)
+                node if node.id == i else _node(i, node.concept)
                 for i, node in zip(positions, g.nodes)
                 if i >= base  # a folded node is already in place as its partner
             ]
@@ -191,12 +200,12 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
     if gmap is same:
         nodes, edges = list(g.nodes), list(g.edges)
     else:
-        nodes = [node if node.id == i else Node(i, node.concept) for i, node in enumerate(g.nodes)]
+        nodes = [node if node.id == i else _node(i, node.concept) for i, node in enumerate(g.nodes)]
         edges = _moved(g.edges, gmap)
     if ca is None and cb is not None:
-        nodes[slot] = Node(slot, cb)
+        nodes[slot] = _node(slot, cb)
     nodes += [
-        node if node.id == i else Node(i, node.concept)
+        node if node.id == i else _node(i, node.concept)
         for i, node in zip(positions, h.nodes)
         if i >= n  # h's root is already in place as the filled variable
     ]
@@ -220,8 +229,8 @@ def raised(g: AmrSubgraph) -> AmrSubgraph:
     ws = Workspace()
     gmap = ws.add(g)
     fresh = len(ws.nodes)
-    ws.nodes.append(Node(fresh, None))
-    ws.edges.append(Edge(fresh, UNDERSPECIFIED, gmap[g.root]))
+    ws.nodes.append(_node(fresh, None))
+    ws.edges.append(_edge(fresh, UNDERSPECIFIED, gmap[g.root]))
     return ws.freeze(fresh, [fresh, *[gmap[x] for x in g.fv]])
 
 
@@ -244,7 +253,7 @@ def conjoined(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSu
     cmap = ws.add(conj)
     rmap = ws.add(right, {rx: lmap[lx] for lx, rx in zip(left.fv, right.fv)})
     root = cmap[conj.root]
-    ws.edges += [Edge(root, ":op1", lmap[left.root]), Edge(root, ":op2", rmap[right.root])]
+    ws.edges += [_edge(root, ":op1", lmap[left.root]), _edge(root, ":op2", rmap[right.root])]
     return ws.freeze(root, [*[lmap[x] for x in left.fv], *[rmap[x] for x in right.fv]])
 
 
@@ -263,7 +272,7 @@ def _moved(edges: tuple[Edge, ...], ids) -> list[Edge]:
     out = []
     for e in edges:
         s, t = ids[e.source], ids[e.target]
-        out.append(e if s == e.source and t == e.target else Edge(s, e.label, t))
+        out.append(e if s == e.source and t == e.target else _edge(s, e.label, t))
     return out
 
 

@@ -140,6 +140,8 @@ def test_parse_all_prints_scripts_and_forest_counts(tmp_path, capsys):
     "setting, message",
     [
         ("max_cell_items = 2.5", "max_cell_items must be an integer"),
+        ("max_cell_items = --5", "max_cell_items must be an integer, found '--5'"),
+        ("max_composition_order = \u00b2", "max_composition_order must be an integer, found '\u00b2'"),
         pytest.param(
             "type_raise = NP >", "bad type_raise rule 'NP >': missing target category",
             id="type_raise = NP >-expected a category",
@@ -158,6 +160,14 @@ def test_config_error_is_one_line_with_its_source_line(tmp_path, capsys, setting
     assert (code, out) == (1, "")
     [line] = err.splitlines()
     assert line.startswith(f"error: {cfg}:2: {message}")
+
+
+@pytest.mark.parametrize("limit", ["--5", "\u00b2", "2.5"])
+def test_parse_env_var_must_be_an_integer(capsys, monkeypatch, limit):
+    monkeypatch.setenv("CCGAMR_MAX_CELL", limit)
+    code, out, err = run(capsys, "parse", "--lexicon", LEX, "--sentence", "John likes the cat")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: CCGAMR_MAX_CELL must be an integer, found '{limit}'"]
 
 
 def test_parse_env_var_overrides_cell_limit(capsys, monkeypatch):
@@ -430,6 +440,24 @@ def test_replay_too_deep_script_is_usage_error_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     [line] = proc.stderr.splitlines()
     assert line.startswith("error:") and "nesting deeper than" in line
+
+
+@pytest.mark.parametrize("command", ["replay", "render"])
+@pytest.mark.parametrize("index", ["\u00b2", "\u0661"])
+def test_non_ascii_leaf_index_is_usage_error_without_traceback(tmp_path, command, index):
+    import subprocess, sys
+
+    path = tmp_path / "leaf.ccg"
+    path.write_text(f"(leaf {index} john.1)\n", encoding="utf-8")
+    flag = "--derivation" if command == "replay" else "--input"
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccgamr", command, "--lexicon", LEX, flag, str(path)],
+        capture_output=True, text=True, encoding="utf-8",
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error:") and f"leaf index must be an integer, found '{index}'" in line
 
 
 def test_replay_trace_prints_deeply_raised_categories(tmp_path):

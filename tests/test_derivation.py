@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from ccgamr import derivation, penman
+from ccgamr import combinator, derivation, graph, penman
 from ccgamr.category import Atom, format_category, unify
 from ccgamr.combinator import CombinationError, Constituent, conj_attach, is_graph, type_raise
 from ccgamr.derivation import (
@@ -26,7 +26,7 @@ from ccgamr.derivation import (
     parse_script,
     replay,
 )
-from ccgamr.graph import invariant, iso_equal
+from ccgamr.graph import Edge, invariant, iso_equal
 from ccgamr.lexicon import Lexicon, loads
 from ccgamr.penman import parse
 from ccgamr.fixtures import script as script_path
@@ -73,6 +73,13 @@ def test_parse_script_errors():
         parse_script("(FLIP (leaf 0 a.1) (leaf 1 b.1))")
     with pytest.raises(ScriptError, match="missing"):
         parse_script("(> (leaf 0 a.1) (leaf 1 b.1)")
+
+
+@pytest.mark.parametrize("index", ["\u00b2", "\u0661", "-1", "+1"])
+def test_parse_script_reads_only_ascii_digits_as_a_leaf_index(index):
+    with pytest.raises(ScriptError) as err:
+        parse_script(f"(leaf {index} john.1)")
+    assert str(err.value) == f"leaf index must be an integer, found '{index}'"
 
 
 @pytest.mark.parametrize("name", ALL_SCRIPTS)
@@ -475,6 +482,37 @@ def test_chart_compares_only_graphs_with_equal_invariants(lexicon, monkeypatch):
     assert len(calls) <= 400
 
 
+def test_graph_steps_build_each_node_and_edge_value_once(lexicon, monkeypatch):
+    """Across one parse, equal nodes and equal edges that graph steps built
+    are one object each.  PENMAN builds the lexicon's objects and
+    relation-wise combination builds its resolved edge itself, so those are
+    left out."""
+    resolved = []
+    monkeypatch.setattr(combinator, "Edge", lambda *a: resolved.append(Edge(*a)) or resolved[-1])
+    results = cky_parse(coordination_chain(4), lexicon, ParserConfig(type_raising=NP_TO_S))
+    graphs = [d.final.semantics for d in results]
+    graphs += [s.constituent.semantics for d in results for s in d.steps if is_graph(s.constituent.semantics)]
+    lexical = {
+        id(x)
+        for d in results
+        for s in d.steps
+        if s.rule.startswith("lex ") and is_graph(s.constituent.semantics)
+        for x in s.constituent.semantics.nodes + s.constituent.semantics.edges
+    }
+    skipped = lexical | set(map(id, resolved))
+    objects: dict[object, set[int]] = {}
+    uses = 0
+    for g in graphs:
+        for x in g.nodes + g.edges:
+            if id(x) not in skipped:
+                objects.setdefault(x, set()).add(id(x))
+                uses += 1
+    assert resolved and uses > 10 * len(objects)  # values do repeat across graphs
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert isinstance(graph._node.cache_info().maxsize, int)
+    assert isinstance(graph._edge.cache_info().maxsize, int)
+
+
 def test_parser_config_from_text_reads_every_key():
     text = """
     # every key once, type_raise three times
@@ -508,7 +546,11 @@ def test_parser_config_from_text_reads_every_key():
     "setting, message",
     [
         ("max_cell_items = 2.5", "max_cell_items must be an integer, found '2.5'"),
+        ("max_cell_items = --5", "max_cell_items must be an integer, found '--5'"),
+        ("max_composition_order = \u00b2", "max_composition_order must be an integer, found '\u00b2'"),
         ("type_raise = NP >", "bad type_raise rule 'NP >': missing target category"),
+        ("type_raise = NP", "bad type_raise rule 'NP': expected 'SOURCE > TARGET' or 'SOURCE < TARGET'"),
+        ("type_raise = NP > S[", "bad type_raise rule 'NP > S[': bad category syntax at offset 1: '['"),
         ("type_raise = < S", "bad type_raise rule '< S': missing source category"),
         ("max_composition_order = 3", "max_composition_order must be 1 or 2"),
         ("strict_conjunction = maybe",
