@@ -25,6 +25,7 @@ from .derivation import (
     UnknownTokenError,
     cky_parse,
     describe_semantics,
+    looks_like_script,
     parse_script,
     read_int,
     replay,
@@ -190,20 +191,9 @@ def render_dot(g: AmrSubgraph) -> str:
     return "\n".join(lines)
 
 
-_SCRIPT_HEADS = ("leaf", ">", "<", "&")
-
-
-def _looks_like_script(text: str) -> bool:
-    body = text.lstrip()
-    if not body.startswith("("):
-        return False
-    head = body[1:].lstrip().split(None, 1)
-    return bool(head) and head[0].startswith(_SCRIPT_HEADS)
-
-
 def cmd_render(args: argparse.Namespace) -> int:
     text = _read(args.input)
-    if not _looks_like_script(text):
+    if not looks_like_script(text):
         graph = _graph(text, "error: ")
     elif not args.lexicon:
         raise _Exit(USAGE, "error: rendering a derivation needs --lexicon")

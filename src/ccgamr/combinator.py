@@ -5,13 +5,14 @@ shortcuts, and conjunction.
 Application is composition of order 0.  Category matching
 (``match_categories``) runs before any graph work (``combine_matched``).
 
-Variant selection is automatic: a relation-wise combination fires if and only
-if the two graphs share an edge (same concrete label, or an underspecified
-label on the function side) carrying the function's first free variable and
-the argument's k-th free variable, where k = order + 1.  When several edge
-pairs qualify, the first by edge-insertion order wins and the outcome carries
-a note.  The endpoints of the shared edge unify side by side: source with
-source, target with target.
+Variant selection is automatic, and nothing overrides it: a relation-wise
+combination fires if and only if the two graphs share an edge (same concrete
+label, or an underspecified label on the function side) carrying the
+function's first free variable and the argument's k-th free variable, where
+k = order + 1, and the edge's endpoints unify; otherwise the regular variant
+applies.  When several edge pairs qualify, the first by edge-insertion order
+wins and the outcome carries a note.  The endpoints of the shared edge unify
+side by side: source with source, target with target.
 
 Free-variable ordering of a result is positional.  Regular application keeps
 the function's remaining variables first, regular composition the argument's;
@@ -169,16 +170,6 @@ def relation_wise_combine(
     return graph, notes
 
 
-def _regular_semantics(f: AmrSubgraph, a: AmrSubgraph, order: int) -> AmrSubgraph:
-    if not f.fv:
-        raise CombinationError("function semantics has no free variable to fill")
-    sub = substitute(f, 1, a)
-    if order == 0:
-        return sub.graph  # already f-remaining then a-remaining
-    fv = sub.h_remaining + sub.g_remaining
-    return sub.graph if fv == sub.graph.fv else with_fv_order(sub.graph, fv)
-
-
 def _check_result(category: Category, semantics: object) -> None:
     problems = check_iso_principle(category, semantics)
     if problems:
@@ -191,29 +182,6 @@ def _reject_partial(*constituents: Constituent) -> None:
     for c in constituents:
         if isinstance(c.semantics, ConjPartial):
             raise CombinationError("a pending conjunction cannot be combined this way")
-
-
-def _semantic_combination(
-    f: AmrSubgraph, a: AmrSubgraph, order: int, variant: str
-) -> tuple[AmrSubgraph, bool, tuple[str, ...]]:
-    """Shared path: returns (graph, relation_wise_used, notes)."""
-    match = None
-    if variant in ("auto", "relation"):
-        match = relation_wise_match(f, a, order + 1)
-    if variant == "relation" and match is None:
-        raise CombinationError("forced relation-wise combination, but no shared edge exists")
-    notes: tuple[str, ...] = ()
-    if match is not None and variant != "regular":
-        try:
-            graph, notes = relation_wise_combine(f, a, match, order)
-            return graph, True, notes
-        except UnificationError as err:
-            if variant == "relation":
-                raise CombinationError(f"shared-edge unification failed: {err}") from err
-            notes = (f"shared-edge unification failed ({err}); fell back to the regular variant",)
-    if a.fv and a.is_free(a.root):
-        notes += ("argument is rooted at a free variable; the merged variable keeps the argument's slot",)
-    return _regular_semantics(f, a, order), False, notes
 
 
 def match_categories(
@@ -248,34 +216,42 @@ def combine_matched(
     function: Constituent,
     argument: Constituent,
     match: tuple[Category, bool],
-    variant: str = "auto",
 ) -> Combined:
-    """Graph step for adjacent, non-pending constituents whose categories match."""
+    """Graph step for adjacent, non-pending constituents whose categories
+    match: the identity shortcut, else the relation-wise variant when a shared
+    edge unifies, else regular substitution."""
     result_cat, crossed = match
     left, right = (function, argument) if direction == "forward" else (argument, function)
     base = ">" if direction == "forward" else "<"
     suffix = ("B2" if order == 2 else "B" if order else "") + ("x" if crossed else "")
-    if isinstance(function.semantics, Identity) or isinstance(argument.semantics, Identity):
-        other = argument.semantics if isinstance(function.semantics, Identity) else function.semantics
-        if variant == "relation":
-            raise CombinationError("identity semantics has no edges to share")
-        _check_result(result_cat, other)
-        return Combined(Constituent(left.start, right.end, result_cat, other), base + suffix)
-    semantics, used_relation, notes = _semantic_combination(
-        function.semantics, argument.semantics, order, variant
-    )
-    _check_result(result_cat, semantics)
-    rule = base + ("R" if used_relation else "") + suffix
-    return Combined(Constituent(left.start, right.end, result_cat, semantics), rule, notes)
+    f, a = function.semantics, argument.semantics
+    notes: tuple[str, ...] = ()
+    graph = None
+    if isinstance(f, Identity) or isinstance(a, Identity):
+        graph = a if isinstance(f, Identity) else f
+    else:
+        shared = relation_wise_match(f, a, order + 1)
+        if shared is not None:
+            try:
+                graph, notes = relation_wise_combine(f, a, shared, order)
+                base += "R"
+            except UnificationError as err:
+                notes = (f"shared-edge unification failed ({err}); fell back to the regular variant",)
+    if graph is None:
+        if not f.fv:
+            raise CombinationError("function semantics has no free variable to fill")
+        if a.fv and a.is_free(a.root):
+            notes += ("argument is rooted at a free variable; the merged variable keeps the argument's slot",)
+        sub = substitute(f, 1, a)
+        graph = sub.graph  # order 0 keeps f-remaining then a-remaining already
+        if order and (fv := sub.h_remaining + sub.g_remaining) != graph.fv:
+            graph = with_fv_order(graph, fv)
+    _check_result(result_cat, graph)
+    return Combined(Constituent(left.start, right.end, result_cat, graph), base + suffix, notes)
 
 
 def _combine(
-    direction: str,
-    order: int,
-    function: Constituent,
-    argument: Constituent,
-    crossed: bool | None,
-    variant: str,
+    direction: str, order: int, function: Constituent, argument: Constituent
 ) -> Combined:
     _reject_partial(function, argument)
     left, right = (function, argument) if direction == "forward" else (argument, function)
@@ -290,38 +266,22 @@ def _combine(
             f"no {direction} {rule} of {format_category(function.category)}"
             f" with {format_category(argument.category)}"
         )
-    if crossed is not None and crossed != match[1]:
-        want = "crossed" if crossed else "non-crossed"
-        raise CombinationError(f"expected {want} composition, categories say otherwise")
-    return combine_matched(direction, order, function, argument, match, variant)
+    return combine_matched(direction, order, function, argument, match)
 
 
-def combine_application(
-    direction: str,
-    function: Constituent,
-    argument: Constituent,
-    variant: str = "auto",
-) -> Combined:
+def combine_application(direction: str, function: Constituent, argument: Constituent) -> Combined:
     """Function application, relation-wise when a shared edge exists."""
-    return _combine(direction, 0, function, argument, None, variant)
+    return _combine(direction, 0, function, argument)
 
 
 def combine_composition(
-    direction: str,
-    order: int,
-    function: Constituent,
-    argument: Constituent,
-    crossed: bool | None = None,
-    variant: str = "auto",
+    direction: str, order: int, function: Constituent, argument: Constituent
 ) -> Combined:
-    """Function composition of the given order, relation-wise when shared.
-
-    ``crossed`` asserts the expected slash configuration when given;
-    otherwise it is inferred from the argument's peeled slashes.
-    """
+    """Function composition of the given order, relation-wise when shared;
+    whether it is crossed follows from the argument's peeled slashes."""
     if order < 1:
         raise CombinationError("composition order must be at least 1")
-    return _combine(direction, order, function, argument, crossed, variant)
+    return _combine(direction, order, function, argument)
 
 
 def type_raise(c: Constituent, target: Category, direction: str) -> Combined:

@@ -25,9 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 from . import penman
-from .category import Atom, Category, parse_category, unify
+from .category import ATOM_BASES, Atom, Category, parse_category, unify
 from .combinator import (
     Combined,
     CombinationError,
@@ -96,6 +97,18 @@ _RAISE_RE = re.compile(r"^([><])T\[(.+)\]$")
 
 
 _SCRIPT_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+
+
+def looks_like_script(text: str) -> bool:
+    """Whether ``text`` opens like a derivation script rather than a PENMAN
+    graph: '(' then '&', a combinator name, or 'leaf' and a digit index
+    (any Unicode digit, so that ``parse_script`` reports a non-ASCII one)."""
+    head = [m.group() for m in islice(_SCRIPT_TOKEN_RE.finditer(text), 3)] + ["", ""]
+    if head[0] != "(":
+        return False
+    if head[1] == "leaf":
+        return head[2].isdigit()
+    return head[1] == "&" or bool(_BINARY_RE.match(head[1]) or _RAISE_RE.match(head[1]))
 
 
 def parse_script(text: str) -> ScriptNode:
@@ -204,8 +217,7 @@ def _binary_outcome(
         f, a = (left, right) if direction == "forward" else (right, left)
         if m.group(3) is None:
             return combine_application(direction, f, a)
-        order = 2 if m.group(3) else 1
-        return combine_composition(direction, order, f, a, crossed=bool(m.group(4)))
+        return combine_composition(direction, 2 if m.group(3) else 1, f, a)
     if name == "&":
         if isinstance(left.category, Atom) and left.category.base == "Conj":
             return conj_attach(left, right)
@@ -325,6 +337,11 @@ class ParserConfig:
             raise ValueError("max_cell_items must be at least 1")
         if not self.goal:
             raise ValueError("goal must not be empty")
+        if self.goal not in ATOM_BASES:
+            raise ValueError(f"goal must be one of {', '.join(ATOM_BASES)}, found {self.goal!r}")
+        for name in sorted(self.enabled or ()):
+            if name != "&" and not (_BINARY_RE.match(name) or _RAISE_RE.match(name)):
+                raise ValueError(f"unknown combinator {name!r}")
 
     @classmethod
     def from_text(cls, text: str, source: str = "<string>") -> "ParserConfig":

@@ -15,7 +15,7 @@ from itertools import permutations, product
 from hypothesis import strategies as st
 
 from ccgamr import penman
-from ccgamr.category import Atom, Functor, format_category, unify
+from ccgamr.category import Atom, Functor, check_iso_principle, format_category, unify
 from ccgamr.combinator import (
     Combined,
     CombinationError,
@@ -26,6 +26,9 @@ from ccgamr.combinator import (
     combine_composition,
     conj_attach,
     coordinate,
+    match_categories,
+    relation_wise_combine,
+    relation_wise_match,
     type_raise,
 )
 from ccgamr.derivation import ParserConfig, finalize_check
@@ -37,6 +40,8 @@ from ccgamr.graph import (
     Substitution,
     UnificationError,
     iso_equal,
+    substitute,
+    with_fv_order,
 )
 
 CONCEPTS = ["eat-01", "person", "cat", "give-01", "and", "math", "idea"]
@@ -267,6 +272,40 @@ def reference_coordinate(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgrap
     for lx, rx in zip(left.fv, right.fv):
         ws.merge(lmap[lx], rmap[rx])
     graph, _ = ws.freeze(root, [lmap[x] for x in left.fv] + [rmap[x] for x in right.fv])
+    return graph
+
+
+def forced_variant(
+    direction: str, order: int, f: Constituent, a: Constituent, variant: str
+) -> AmrSubgraph:
+    """The graph of one variant, ``"regular"`` or ``"relation"``, of an
+    order-``order`` combination (order 0 is application) of two graph
+    constituents, whether or not the engine would pick that variant.
+    Raises ``CombinationError`` when the categories do not match, the
+    variant cannot build a graph, or the graph breaks the
+    functional-isomorphism principle."""
+    match = match_categories(direction, order, f.category, a.category)
+    if match is None:
+        raise CombinationError("categories do not match")
+    fsem, asem = f.semantics, a.semantics
+    if variant == "relation":
+        shared = relation_wise_match(fsem, asem, order + 1)
+        if shared is None:
+            raise CombinationError("forced relation-wise combination, but no shared edge exists")
+        try:
+            graph, _ = relation_wise_combine(fsem, asem, shared, order)
+        except UnificationError as err:
+            raise CombinationError(f"shared-edge unification failed: {err}") from err
+    else:
+        if not fsem.fv:
+            raise CombinationError("function semantics has no free variable to fill")
+        sub = substitute(fsem, 1, asem)
+        graph = sub.graph
+        if order:
+            graph = with_fv_order(graph, sub.h_remaining + sub.g_remaining)
+    problems = check_iso_principle(match[0], graph)
+    if problems:
+        raise CombinationError("result breaks the functional-isomorphism principle: " + "; ".join(problems))
     return graph
 
 

@@ -219,7 +219,6 @@ def _prop_fv_order(nf, na, mode):
             "forward",
             Constituent(0, 1, f_cat, f_sem),
             Constituent(1, 2, a_cat, a_sem),
-            variant="regular",
         )
         expected = [f":f{i}" for i in range(2, nf + 1)] + [f":a{j}" for j in range(1, na + 1)]
     else:
@@ -229,9 +228,9 @@ def _prop_fv_order(nf, na, mode):
             "forward", 1,
             Constituent(0, 1, f_cat, f_sem),
             Constituent(1, 2, a_cat, a_sem),
-            variant="regular",
         )
         expected = [f":a{j}" for j in range(1, na + 1)] + [f":f{i}" for i in range(2, nf + 1)]
+    assert "R" not in out.rule  # the tag labels are never shared: the regular variant
     sem = out.constituent.semantics
     assert [_tag_of(sem, x) for x in sem.fv] == expected
 

@@ -82,6 +82,13 @@ def test_parse_goal_override(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("goal", ["S[dcl]", "s"])
+def test_parse_unknown_goal_is_one_error_line(capsys, goal):
+    code, out, err = run(capsys, "parse", "--lexicon", LEX, "--sentence", "John likes the cat", "--goal", goal)
+    assert (code, out) == (1, "")
+    assert err == f"error: goal must be one of S, NP, N, PP, Conj, found {goal!r}\n"
+
+
 def test_parse_empty_goal_is_one_error_line(capsys):
     code, out, err = run(capsys, "parse", "--lexicon", LEX, "--sentence", "John likes the cat", "--goal", "")
     assert (code, out, err) == (1, "", "error: goal must not be empty\n")
@@ -149,6 +156,10 @@ def test_parse_all_prints_scripts_and_forest_counts(tmp_path, capsys):
         ("max_composition_order = 3", "max_composition_order must be 1 or 2"),
         ("strict_conjunction = maybe", "strict_conjunction must be one of"),
         ("goal =", "goal must not be empty"),
+        ("goal = s", "goal must be one of S, NP, N, PP, Conj, found 's'"),
+        ("goal = S[dcl]", "goal must be one of S, NP, N, PP, Conj, found 'S[dcl]'"),
+        ("combinators = >, <, frob", "unknown combinator 'frob'"),
+        ("combinators = >b", "unknown combinator '>b'"),
     ],
 )
 def test_config_error_is_one_line_with_its_source_line(tmp_path, capsys, setting, message):
@@ -210,6 +221,15 @@ def test_replay_variant_flip_reports_both(tmp_path, capsys):
     assert "'>'" in err and "'>R'" in err
 
 
+def test_replay_crossed_flip_reports_both(tmp_path, capsys):
+    text = script("wh_control").read_text().replace("(<Bx ", "(<B ", 1)
+    flipped = tmp_path / "flipped.ccg"
+    flipped.write_text(text)
+    code, _, err = run(capsys, "replay", "--lexicon", LEX, "--derivation", str(flipped))
+    assert code == 4
+    assert "script names '<B' but the engine derives '<Bx'" in err
+
+
 def test_replay_missing_file(capsys):
     code, _, err = run(capsys, "replay", "--lexicon", LEX, "--derivation", "/nonexistent.ccg")
     assert code == 1
@@ -239,6 +259,20 @@ def test_render_wh_control_dot_shows_reentrancy(capsys):
     )
     assert code == 0
     assert out.count('[label="ARG0"]') == 2
+
+
+@pytest.mark.parametrize("text", ["(leaf / leaf-01 :ARG1 (t / tree))", "(leaf :ARG1 (t / tree))"])
+def test_render_graph_headed_by_leaf(tmp_path, capsys, text):
+    graph = tmp_path / "leaf.amr"
+    graph.write_text(text)
+    code, out, err = run(capsys, "render", "--input", str(graph), "--format", "text")
+    assert (code, err) == (0, "")
+    assert "tree" in out
+
+
+def test_render_script_needs_lexicon(capsys):
+    code, out, err = run(capsys, "render", "--input", str(script("wh_control")))
+    assert (code, out, err) == (1, "", "error: rendering a derivation needs --lexicon\n")
 
 
 def test_render_bad_input(tmp_path, capsys):

@@ -1,20 +1,27 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ccgamr.category import arity, format_category, parse_category
+from ccgamr.category import BACKWARD, FORWARD, Atom, Functor, arity, format_category, parse_category
 from ccgamr.combinator import (
     CombinationError,
+    Constituent,
     combine_application,
     combine_composition,
+    combine_matched,
     conj_attach,
     coordinate,
+    match_categories,
     relation_wise_combine,
     relation_wise_match,
     type_raise,
 )
-from ccgamr.graph import UNDERSPECIFIED, iso_equal
+from ccgamr.derivation import ReplayError, parse_script, replay
+from ccgamr.graph import UNDERSPECIFIED, UnificationError, iso_equal
+from ccgamr.lexicon import loads
 from ccgamr.penman import parse, serialize
 
-from support import constituent
+from support import LABELS, constituent, forced_variant, graphs
 
 
 def c(cat, sem, start=0, end=1):
@@ -100,8 +107,13 @@ def test_backward_crossed_composition_adjunct():
 def test_crossed_flag_verified_against_categories():
     may = c("(S\\NP)/(S[b]\\NP)", "(p/possible-01 :ARG1 ?1)", 0, 1)
     eat = c("(S[b]\\NP)/NP", "(e/eat-01 :ARG0 ?2 :ARG1 ?1)", 1, 2)
-    with pytest.raises(CombinationError, match="crossed"):
-        combine_composition("forward", 1, may, eat, crossed=True)
+    assert combine_composition("forward", 1, may, eat).rule == ">B"
+    lexicon = loads(
+        "may | (S\\NP)/(S[b]\\NP) | (p/possible-01 :ARG1 ?1) | may.1\n"
+        "eat | (S[b]\\NP)/NP | (e/eat-01 :ARG0 ?2 :ARG1 ?1) | eat.1\n"
+    )
+    with pytest.raises(ReplayError, match="script names '>Bx' but the engine derives '>B'"):
+        replay(parse_script("(>Bx (leaf 0 may.1) (leaf 1 eat.1))"), lexicon)
 
 
 def test_crossed_and_straight_composition_agree_semantically():
@@ -242,19 +254,61 @@ def test_forced_variants():
     chain = c("(S[to]\\NP)/NP", "(e/eat-01 :ARG0 ?2 :ARG1 ?1)", 1, 2)
     auto = combine_composition("forward", 1, decide, chain)
     assert auto.rule == ">RB"
+    assert auto.constituent.semantics == forced_variant("forward", 1, decide, chain, "relation")
     # forcing the regular variant leaves 3 free variables under arity 2: it fails
     with pytest.raises(CombinationError, match="isomorphism"):
-        combine_composition("forward", 1, decide, chain, variant="regular")
+        forced_variant("forward", 1, decide, chain, "regular")
     # with arity slack both variants are legal but produce different graphs
     to_like = c("((S\\NP)\\(S\\NP))/(S[b]\\NP)", "(?2 :purpose (?1 :ARG0 (h/he)))", 0, 1)
     eat = c("S[b]\\NP", "(e/eat-01 :ARG0 ?1)", 1, 2)
     auto_app = combine_application("forward", to_like, eat)
-    forced_app = combine_application("forward", to_like, eat, variant="regular")
-    assert auto_app.rule == ">R" and forced_app.rule == ">"
-    assert not iso_equal(auto_app.constituent.semantics, forced_app.constituent.semantics)
+    forced_app = forced_variant("forward", 0, to_like, eat, "regular")
+    assert auto_app.rule == ">R"
+    assert not iso_equal(auto_app.constituent.semantics, forced_app)
     plain = c("(S[to]\\NP)/NP", "(s/sleep-01 :mod ?2 :ARG1 ?1)", 1, 2)
     with pytest.raises(CombinationError):
-        combine_composition("forward", 1, decide, plain, variant="relation")
+        forced_variant("forward", 1, decide, plain, "relation")
+
+
+def _chain(base, argument, depth):
+    for _ in range(depth):
+        base = Functor(base, FORWARD, argument)
+    return base
+
+
+@given(
+    f_sem=graphs(min_fv=1, labels=(*LABELS, UNDERSPECIFIED)),
+    a_sem=graphs(),
+    order=st.integers(0, 1),
+    forward=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_combine_matched_picks_relation_wise_iff_a_shared_edge_unifies(f_sem, a_sem, order, forward):
+    # categories sized to the arity: the function takes every free variable
+    # either side brings, so the iso principle rarely decides the outcome
+    na = max(len(a_sem.fv), order)
+    a_cat = _chain(Atom("N"), Atom("PP"), na)
+    result = _chain(Atom("S"), Atom("NP"), len(f_sem.fv) - 1 + na)
+    f_cat = Functor(result, FORWARD if forward else BACKWARD, a_cat.result if order else a_cat)
+    direction = "forward" if forward else "backward"
+    f = Constituent(int(not forward), int(not forward) + 1, f_cat, f_sem)
+    a = Constituent(int(forward), int(forward) + 1, a_cat, a_sem)
+    shared = relation_wise_match(f_sem, a_sem, order + 1)
+    relation = shared is not None
+    if relation:
+        try:
+            relation_wise_combine(f_sem, a_sem, shared, order)
+        except UnificationError:
+            relation = False
+    variant = "relation" if relation else "regular"
+    try:
+        out = combine_matched(direction, order, f, a, match_categories(direction, order, f_cat, a_cat))
+    except CombinationError:
+        with pytest.raises(CombinationError):
+            forced_variant(direction, order, f, a, variant)
+        return
+    assert ("R" in out.rule) == relation
+    assert out.constituent.semantics == forced_variant(direction, order, f, a, variant)
 
 
 def test_relation_wise_falls_back_on_constant_clash():

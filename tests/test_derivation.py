@@ -556,6 +556,10 @@ def test_parser_config_from_text_reads_every_key():
         ("strict_conjunction = maybe",
          "strict_conjunction must be one of 1/0/true/false/yes/no, found 'maybe'"),
         ("goal =", "goal must not be empty"),
+        ("goal = s", "goal must be one of S, NP, N, PP, Conj, found 's'"),
+        ("goal = S[dcl]", "goal must be one of S, NP, N, PP, Conj, found 'S[dcl]'"),
+        ("combinators = >, <, frob", "unknown combinator 'frob'"),
+        ("combinators = >b", "unknown combinator '>b'"),
     ],
 )
 def test_parser_config_errors_name_source_and_line(setting, message):

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ccgamr.category import parse_category
 from ccgamr.combinator import (
+    Constituent,
     SharedEdgeMatch,
-    _semantic_combination,
+    combine_application,
     relation_wise_combine,
     relation_wise_match,
 )
@@ -111,14 +113,20 @@ def test_merge_equal_constants_is_allowed():
     assert iso_equal(merged, a)
 
 
+def _one_slot(f, a):
+    """f and a as adjacent constituents whose categories admit one free
+    variable in f, in a and in the result of applying f to a."""
+    return Constituent(0, 1, parse_category("(S/NP)/NP"), f), Constituent(1, 2, parse_category("NP"), a)
+
+
 def test_self_loop_argument_edge_is_not_shared():
     # folding ?1 :ARG0 ?1 onto ?1 :ARG0 cat would join the variable with cat;
     # PENMAN text and validate() reject the cycle, so the graph is built here
     f = parse("(?1 :ARG0 (c/cat))")
     a = AmrSubgraph((Node(0),), (Edge(0, ":ARG0", 0),), 0, (0,))
     assert relation_wise_match(f, a, 1) is None
-    graph, relation_wise, _ = _semantic_combination(f, a, 0, "auto")
-    assert not relation_wise and graph == substitute(f, 1, a).graph
+    out = combine_application("forward", *_one_slot(f, a))
+    assert out.rule == ">" and out.constituent.semantics == substitute(f, 1, a).graph
 
 
 def test_merge_conflicting_constants_fails():
@@ -127,9 +135,9 @@ def test_merge_conflicting_constants_fails():
     match = relation_wise_match(f, a, 1)
     with pytest.raises(UnificationError, match="^cannot merge constants 'big' and 'small'$"):
         relation_wise_combine(f, a, match, 0)
-    graph, relation_wise, notes = _semantic_combination(f, a, 0, "auto")
-    assert not relation_wise and graph == substitute(f, 1, a).graph
-    assert notes[0] == (
+    out = combine_application("forward", *_one_slot(f, a))
+    assert out.rule == ">" and out.constituent.semantics == substitute(f, 1, a).graph
+    assert out.notes[0] == (
         "shared-edge unification failed (cannot merge constants 'big' and 'small');"
         " fell back to the regular variant"
     )
