@@ -209,11 +209,12 @@ def cmd_render(args: argparse.Namespace) -> int:
     return OK
 
 
-def _edge_signatures(g: AmrSubgraph) -> Counter[str]:
-    def show(node_id: int) -> str:
-        return g.concept(node_id) or f"?{g.fv_index(node_id)}"
+def _shown(g: AmrSubgraph, node_id: int) -> str:
+    return g.concept(node_id) or f"?{g.fv_index(node_id)}"
 
-    return Counter(f"{show(e.source)} {e.label} {show(e.target)}" for e in g.edges)
+
+def _edge_signatures(g: AmrSubgraph) -> Counter[str]:
+    return Counter(f"{_shown(g, e.source)} {e.label} {_shown(g, e.target)}" for e in g.edges)
 
 
 def compare_witness(g1: AmrSubgraph, g2: AmrSubgraph) -> str:
@@ -232,9 +233,7 @@ def compare_witness(g1: AmrSubgraph, g2: AmrSubgraph) -> str:
         if a and b:
             return f"edge [{witness}] appears {a} vs {b} times"
         return f"edge [{witness}] appears only in the {'first' if a else 'second'} graph"
-    if len(g1.fv) != len(g2.fv):
-        return f"free-variable counts differ: {len(g1.fv)} vs {len(g2.fv)}"
-    # same concepts and edge signatures: a reentrancy must be spread differently
+    # same concepts (so the same fv counts) and edge signatures
     concepts = sorted({n.concept for n in g1.nodes if n.concept is not None})
     for concept in concepts:
         mine = sorted(len(g1.incoming(n.id)) for n in g1.nodes if n.concept == concept)
@@ -244,7 +243,10 @@ def compare_witness(g1: AmrSubgraph, g2: AmrSubgraph) -> str:
                 f"reentrancy differs at the {concept!r} node: "
                 f"incoming-edge counts {mine} vs {theirs}"
             )
-    return "graphs differ structurally (root or fv placement)"
+    r1, r2 = _shown(g1, g1.root), _shown(g2, g2.root)
+    if r1 != r2:
+        return f"roots differ: {r1!r} vs {r2!r}"
+    return "same concepts, edges and incoming-edge counts, but the edges join different nodes"
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -4,20 +4,21 @@ Replay takes an s-expression derivation script, e.g.::
 
     (>R (leaf 0 what.1) (>RB (> (leaf 1 did.1) (leaf 2 you.1)) ...))
 
-evaluates it bottom-up against a lexicon, records every intermediate
-constituent, and verifies at each step that the combinator the engine
-selects (relation-wise or regular, crossed or not) is the one the script
-names.  CKY search explores all enabled combinators over a token sequence
-and returns complete derivations deduplicated by category and semantic
-isomorphism class.  Two equal graphs merge without an isomorphism search,
-and the rule matches of a pair of adjacent categories come from a bounded
-cache (``_category_matches``) instead of being recomputed per item pair.
+evaluates it bottom-up against a lexicon, and verifies at each step that
+the combinator the engine selects (relation-wise or regular, crossed or not)
+is the one the script names.  CKY search explores all enabled combinators
+over a token sequence and returns complete derivations deduplicated by
+category and semantics: two items of a cell merge when their semantics are
+equal, or are isomorphic graphs.  Two equal graphs merge without an
+isomorphism search, and the rule matches of a pair of adjacent categories
+come from a bounded cache (``_category_matches``) instead of being
+recomputed per item pair.
 
-Chart items keep only back-pointers to the items they were built from.  A
-result of ``cky_parse`` builds its script and steps from them the first time
-either is read, without replaying, and keeps them.  That chart and replay
-agree is asserted in the tests (``tests/test_derivation.py``), not re-checked
-at run time.
+Both modes record a derivation the same way: as items that keep only
+back-pointers to the items they were built from.  A ``Derivation`` builds
+its script and steps from its root item the first time either is read, and
+keeps them.  That chart and replay agree is asserted in the tests
+(``tests/test_derivation.py``), not re-checked at run time.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from itertools import islice
 
 from . import penman
-from .category import ATOM_BASES, Atom, Category, parse_category, unify
+from .category import ATOM_BASES, Atom, Category, format_category, parse_category, unify
 from .combinator import (
     Combined,
     CombinationError,
@@ -189,7 +190,7 @@ class Derivation:
     forest_count: int = 1
 
     def __getattr__(self, name: str):
-        # a CKY result holds its chart item until its script or steps are read
+        # a derivation holds its root item until its script or steps are read
         if name not in ("script", "steps") or "_item" not in self.__dict__:
             raise AttributeError(name)
         self.script, self.steps = _built(self.__dict__.pop("_item"))
@@ -197,6 +198,48 @@ class Derivation:
 
     def to_script(self) -> str:
         return format_script(self.script)
+
+
+@dataclass(slots=True)
+class _Item:
+    constituent: Constituent
+    rule: str  # the entry id of a lexical item
+    notes: tuple[str, ...] = ()
+    forest_count: int = 1
+    children: tuple["_Item", ...] = ()  # back-pointers: () lexical, 1 raised, 2 binary
+
+
+def _built(item: _Item) -> tuple[ScriptNode, list[Step]]:
+    """The item's script and its steps, read off the back-pointers:
+    post-order, left child first."""
+    order = []  # pre-order, right child first: the post-order reversed
+    todo: list[tuple[_Item, tuple[int, ...]]] = [(item, ())]
+    while todo:
+        it, path = todo.pop()
+        order.append((it, path))
+        todo += [(kid, path + (i,)) for i, kid in enumerate(it.children)]
+    steps: list[Step] = []
+    done: list[ScriptNode] = []  # scripts of the finished subtrees
+    for it, path in reversed(order):
+        rule, kids = it.rule, it.children
+        if not kids:
+            done.append(Leaf(it.constituent.start, rule))
+            rule = f"lex {rule}"
+        elif len(kids) == 1:
+            done.append(Unary(rule, done.pop()))
+        else:
+            right = done.pop()
+            done.append(Binary(rule, done.pop(), right))
+        steps.append(Step(path, rule, it.constituent, it.notes))
+    return done[0], steps
+
+
+def _derivation(item: _Item) -> Derivation:
+    """The derivation rooted at ``item``; its script and steps are built on
+    first read."""
+    d = Derivation.__new__(Derivation)
+    d.final, d.forest_count, d._item = item.constituent, item.forest_count, item
+    return d
 
 
 def describe_semantics(sem: object) -> str:
@@ -244,43 +287,36 @@ def _explain_variant_mismatch(scripted: str, outcome: Combined) -> str:
 
 
 def replay(script: ScriptNode, lexicon: Lexicon) -> Derivation:
-    steps: list[Step] = []
-
-    def walk(node: ScriptNode, path: tuple[int, ...]) -> Constituent:
+    def walk(node: ScriptNode, path: tuple[int, ...]) -> _Item:
         if isinstance(node, Leaf):
             try:
                 entry = lexicon.entry(node.entry_id)
             except KeyError as err:
                 raise ReplayError(path, str(err)) from err
             c = Constituent(node.token_index, node.token_index + 1, entry.category, entry.semantics)
-            steps.append(Step(path, f"lex {node.entry_id}", c))
-            return c
+            return _Item(c, node.entry_id)
         if isinstance(node, Unary):
-            child = walk(node.child, path + (0,))
+            children = (walk(node.child, path + (0,)),)
             m = _RAISE_RE.match(node.name)
             if not m:
                 raise ReplayError(path, f"unknown unary combinator {node.name!r}")
             direction = "forward" if m.group(1) == ">" else "backward"
             try:
                 target = parse_category(m.group(2))
-                outcome = type_raise(child, target, direction)
+                outcome = type_raise(children[0].constituent, target, direction)
             except (CombinationError, ValueError) as err:
                 raise ReplayError(path, str(err)) from err
-            steps.append(Step(path, outcome.rule, outcome.constituent, outcome.notes))
-            return outcome.constituent
-        left = walk(node.left, path + (0,))
-        right = walk(node.right, path + (1,))
-        try:
-            outcome = _binary_outcome(node.name, left, right)
-        except CombinationError as err:
-            raise ReplayError(path, f"{node.name!r} failed: {err}") from err
-        if outcome.rule != node.name:
-            raise ReplayError(path, _explain_variant_mismatch(node.name, outcome))
-        steps.append(Step(path, outcome.rule, outcome.constituent, outcome.notes))
-        return outcome.constituent
+        else:
+            children = (walk(node.left, path + (0,)), walk(node.right, path + (1,)))
+            try:
+                outcome = _binary_outcome(node.name, *(kid.constituent for kid in children))
+            except CombinationError as err:
+                raise ReplayError(path, f"{node.name!r} failed: {err}") from err
+            if outcome.rule != node.name:
+                raise ReplayError(path, _explain_variant_mismatch(node.name, outcome))
+        return _Item(outcome.constituent, outcome.rule, outcome.notes, 1, children)
 
-    final = walk(script, ())
-    return Derivation(script, steps, final)
+    return _derivation(walk(script, ()))
 
 
 def finalize_check(c: Constituent) -> list[str]:
@@ -340,8 +376,18 @@ class ParserConfig:
         if self.goal not in ATOM_BASES:
             raise ValueError(f"goal must be one of {', '.join(ATOM_BASES)}, found {self.goal!r}")
         for name in sorted(self.enabled or ()):
-            if name != "&" and not (_BINARY_RE.match(name) or _RAISE_RE.match(name)):
+            binary, raising = _BINARY_RE.match(name), _RAISE_RE.match(name)
+            if name != "&" and not (binary or raising):
                 raise ValueError(f"unknown combinator {name!r}")
+            if binary and binary.group(3) and self.max_composition_order == 1:
+                raise ValueError(f"combinator {name!r} needs max_composition_order = 2")
+            if raising:  # the chart names a raise by format_category's spelling
+                try:
+                    spelled = f"{raising.group(1)}T[{format_category(parse_category(raising.group(2)))}]"
+                except ValueError as err:
+                    raise ValueError(f"bad combinator {name!r}: {err}") from None
+                if spelled != name:
+                    raise ValueError(f"combinator {name!r} is spelled {spelled!r}")
 
     @classmethod
     def from_text(cls, text: str, source: str = "<string>") -> "ParserConfig":
@@ -397,65 +443,14 @@ class ParserConfig:
         return cls(**kwargs)
 
 
-@dataclass(slots=True)
-class _Item:
-    constituent: Constituent
-    rule: str  # the entry id of a lexical item
-    notes: tuple[str, ...] = ()
-    forest_count: int = 1
-    children: tuple["_Item", ...] = ()  # back-pointers: () lexical, 1 raised, 2 binary
-
-
-def _built(item: _Item) -> tuple[ScriptNode, list[Step]]:
-    """The item's script and the steps replaying it records, read off the
-    back-pointers: post-order, left child first."""
-    order = []  # pre-order, right child first: replay's post-order reversed
-    todo: list[tuple[_Item, tuple[int, ...]]] = [(item, ())]
-    while todo:
-        it, path = todo.pop()
-        order.append((it, path))
-        todo += [(kid, path + (i,)) for i, kid in enumerate(it.children)]
-    steps: list[Step] = []
-    done: list[ScriptNode] = []  # scripts of the finished subtrees
-    for it, path in reversed(order):
-        rule, kids = it.rule, it.children
-        if not kids:
-            done.append(Leaf(it.constituent.start, rule))
-            rule = f"lex {rule}"
-        elif len(kids) == 1:
-            done.append(Unary(rule, done.pop()))
-        else:
-            right = done.pop()
-            done.append(Binary(rule, done.pop(), right))
-        steps.append(Step(path, rule, it.constituent, it.notes))
-    return done[0], steps
-
-
 def _same_semantics(a: object, b: object) -> bool:
-    if isinstance(a, Identity) and isinstance(b, Identity):
-        return True
-    if is_graph(a) and is_graph(b):
-        # equal graphs are isomorphic under the identity map
-        return a == b or iso_equal(a, b)
-    if isinstance(a, ConjPartial) and isinstance(b, ConjPartial):
-        return (
-            a.conj.category == b.conj.category
-            and _same_semantics(a.conj.semantics, b.conj.semantics)
-            and a.right.category == b.right.category
-            and _same_semantics(a.right.semantics, b.right.semantics)
-        )
-    return False
+    # equal graphs are isomorphic under the identity map
+    return a == b or (is_graph(a) and iso_equal(a, b))
 
 
 def _semantic_key(sem: object) -> object:
     """Equal for any two semantics that ``_same_semantics`` calls the same."""
-    if is_graph(sem):
-        return invariant(sem)
-    if isinstance(sem, ConjPartial):
-        return tuple(
-            (c.category, _semantic_key(c.semantics)) for c in (sem.conj, sem.right)
-        )
-    return None  # Identity
+    return invariant(sem) if is_graph(sem) else sem
 
 
 class _Chart:
@@ -549,10 +544,7 @@ def _raise_closure(chart: _Chart, span: tuple[int, int]) -> None:
             for rule in config.type_raising:
                 if unify(rule.source, item.constituent.category) is None:
                     continue
-                try:
-                    outcome = type_raise(item.constituent, rule.target, rule.direction)
-                except CombinationError:
-                    continue
+                outcome = type_raise(item.constituent, rule.target, rule.direction)
                 if not _allowed(config, outcome.rule):
                     continue
                 new = _Item(outcome.constituent, outcome.rule, outcome.notes,
@@ -590,11 +582,6 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
     results: list[Derivation] = []
     for item in chart.cells.get((0, n), []):
         cat = item.constituent.category
-        if not (isinstance(cat, Atom) and cat.base == config.goal):
-            continue
-        if finalize_check(item.constituent):
-            continue
-        d = Derivation.__new__(Derivation)  # script and steps are built on first read
-        d.final, d.forest_count, d._item = item.constituent, item.forest_count, item
-        results.append(d)
+        if isinstance(cat, Atom) and cat.base == config.goal and not finalize_check(item.constituent):
+            results.append(_derivation(item))
     return results

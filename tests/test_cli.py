@@ -82,6 +82,17 @@ def test_parse_goal_override(capsys):
     assert code == 0
 
 
+def test_parse_blank_sentence_is_one_error_line(capsys):
+    code, out, err = run(capsys, "parse", "--lexicon", LEX, "--sentence", "   ")
+    assert (code, out, err) == (1, "", "error: empty sentence\n")
+
+
+def test_parse_goal_without_derivation(capsys):
+    code, out, err = run(capsys, "parse", "--lexicon", LEX, "--sentence", "John likes the cat", "--goal", "PP")
+    assert (code, out) == (2, "")
+    assert "no derivation over goal category 'PP'" in err
+
+
 @pytest.mark.parametrize("goal", ["S[dcl]", "s"])
 def test_parse_unknown_goal_is_one_error_line(capsys, goal):
     code, out, err = run(capsys, "parse", "--lexicon", LEX, "--sentence", "John likes the cat", "--goal", goal)
@@ -160,6 +171,10 @@ def test_parse_all_prints_scripts_and_forest_counts(tmp_path, capsys):
         ("goal = S[dcl]", "goal must be one of S, NP, N, PP, Conj, found 'S[dcl]'"),
         ("combinators = >, <, frob", "unknown combinator 'frob'"),
         ("combinators = >b", "unknown combinator '>b'"),
+        ("combinators = >, >T[frob]", "bad combinator '>T[frob]': unknown atomic category 'frob'"),
+        ("combinators = &, >, >RB, >T[(S)]", "combinator '>T[(S)]' is spelled '>T[S]'"),
+        ("max_composition_order = 1\ncombinators = >B2", "combinator '>B2' needs max_composition_order = 2"),
+        ("combinators = <RB2x\nmax_composition_order = 1", "combinator '<RB2x' needs max_composition_order = 2"),
     ],
 )
 def test_config_error_is_one_line_with_its_source_line(tmp_path, capsys, setting, message):
@@ -170,7 +185,8 @@ def test_config_error_is_one_line_with_its_source_line(tmp_path, capsys, setting
     )
     assert (code, out) == (1, "")
     [line] = err.splitlines()
-    assert line.startswith(f"error: {cfg}:2: {message}")
+    # the setting's last line is the one that fails
+    assert line.startswith(f"error: {cfg}:{2 + setting.count(chr(10))}: {message}")
 
 
 @pytest.mark.parametrize("limit", ["--5", "\u00b2", "2.5"])
@@ -275,6 +291,13 @@ def test_render_script_needs_lexicon(capsys):
     assert (code, out, err) == (1, "", "error: rendering a derivation needs --lexicon\n")
 
 
+def test_render_identity_leaf_has_no_graph(tmp_path, capsys):
+    leaf = tmp_path / "the.ccg"
+    leaf.write_text("(leaf 0 the.1)")
+    code, out, err = run(capsys, "render", "--input", str(leaf), "--lexicon", LEX)
+    assert (code, out, err) == (1, "", "error: derivation has no graph semantics to render\n")
+
+
 def test_render_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.amr"
     bad.write_text("(p/person :name")
@@ -316,6 +339,36 @@ def test_compare_counts_repeated_edge_signatures(tmp_path, capsys):
     code, out, _ = run(capsys, "compare", str(a), str(b))
     assert code == 3
     assert out == "not isomorphic: edge [r :p a] appears 2 vs 1 times\n"
+
+
+@pytest.mark.parametrize(
+    "first, second, witness",
+    [
+        (
+            "(a / alpha :ARG0 ?1 :ARG1 ?2)",
+            "(a / alpha :ARG0 ?2 :ARG1 ?1)",
+            "edge [alpha :ARG0 ?1] appears only in the first graph",
+        ),
+        (
+            "(a / alpha :ARG0 (b / beta) :ARG1 (b2 / beta) :ARG4 (g / gamma :ARG2 b :ARG3 b2))",
+            "(a / alpha :ARG0 (b / beta) :ARG1 (b2 / beta) :ARG4 (g / gamma :ARG2 b2 :ARG3 b2))",
+            "reentrancy differs at the 'beta' node: incoming-edge counts [2, 2] vs [1, 3]",
+        ),
+        ("(a / alpha :ARG0 (b / beta))", "(b / beta :ARG0-of (a / alpha))", "roots differ: 'alpha' vs 'beta'"),
+        (
+            "(a / alpha :ARG0 (b / beta) :ARG1 (b2 / beta :ARG2 (c / gamma)))",
+            "(a / alpha :ARG0 (b / beta :ARG2 (c / gamma)) :ARG1 (b2 / beta))",
+            "same concepts, edges and incoming-edge counts, but the edges join different nodes",
+        ),
+    ],
+    ids=["edge-in-first-only", "reentrancy", "root", "same-counts"],
+)
+def test_compare_witness_names_the_difference(tmp_path, capsys, first, second, witness):
+    a, b = tmp_path / "a.amr", tmp_path / "b.amr"
+    a.write_text(first)
+    b.write_text(second)
+    code, out, err = run(capsys, "compare", str(a), str(b))
+    assert (code, out, err) == (3, f"not isomorphic: {witness}\n", "")
 
 
 def test_compare_parse_failure(tmp_path, capsys):

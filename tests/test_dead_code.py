@@ -1,4 +1,5 @@
-"""Every function, method and class in the package is used by the package."""
+"""Every function, method and class in the package is used by the package,
+and every module uses the names it imports."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,46 @@ def test_a_local_variable_does_not_count_as_a_use_of_a_method(tmp_path):
     )
     (tmp_path / "__init__.py").write_text("from .mod import Graph, walk\n")
     assert unused_definitions(tmp_path) == ["mod:node"]
+
+
+def unused_imports(src: Path) -> list[str]:
+    """``module:name`` of each name a module other than ``__init__`` imports
+    and never names; ``__future__`` imports and lines marked
+    ``# noqa: F401`` are skipped."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in names and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.stem}:{name}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports(SRC) == []
+
+
+def test_the_import_audit_skips_init_future_and_noqa_lines(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import re as regex\n"
+        "from itertools import (\n"
+        "    chain,\n"
+        "    islice,\n"
+        ")\n"
+        "from json import dumps  # noqa: F401\n"
+        "def first(xs):\n"
+        "    return next(islice(xs, 1))\n"
+    )
+    (tmp_path / "__init__.py").write_text("from .mod import first\nimport sys\n")
+    assert unused_imports(tmp_path) == ["mod:os", "mod:regex", "mod:chain"]

@@ -83,12 +83,13 @@ def test_parse_script_reads_only_ascii_digits_as_a_leaf_index(index):
 
 
 @pytest.mark.parametrize("name", ALL_SCRIPTS)
-def test_scripts_round_trip_bit_compatibly(name):
+def test_scripts_round_trip_bit_compatibly(lexicon, name):
     text = script_path(name).read_text()
     node = parse_script(text)
     emitted = format_script(node)
     assert parse_script(emitted) == node
     assert format_script(parse_script(emitted)) == emitted
+    assert replay(node, lexicon).script == node  # rebuilt from the replayed items
 
 
 # --- replay -----------------------------------------------------------------
@@ -455,6 +456,31 @@ def test_cky_builds_scripts_and_steps_only_when_read(lexicon, monkeypatch):
     assert second == results  # == reads both sides' scripts and steps
 
 
+def test_replay_builds_steps_only_when_read(lexicon, monkeypatch):
+    script = parse_script(script_path("coordination").read_text())
+    built = []
+    monkeypatch.setattr(derivation, "Step", lambda *a, cls=derivation.Step: built.append(a) or cls(*a))
+    d = replay(script, lexicon)
+    assert built == [] and d.__dict__.keys() == {"final", "forest_count", "_item"}
+    steps = d.steps
+    assert len(built) == len(steps) == 13
+    monkeypatch.undo()
+    assert d.script == script and d.script is not script and d.forest_count == 1
+
+
+def test_equal_identity_entries_merge_in_the_chart():
+    lexicon = loads("the | NP/N | ID | the.1\nthe | NP/N | ID | the.2\ncat | N | (c/cat) | cat.1\n")
+    [d] = cky_parse("the cat".split(), lexicon, ParserConfig(goal="NP"))
+    assert d.forest_count == 2 and d.to_script() == "(> (leaf 0 the.1) (leaf 1 cat.1))"
+    # the words merge in their own cell, not only once they combine with "cat"
+    chart = derivation._Chart(ParserConfig())
+    the1, the2 = (
+        derivation._Item(Constituent(0, 1, e.category, e.semantics), e.entry_id) for e in lexicon.lookup("the")
+    )
+    assert chart.add((0, 1), the1) and not chart.add((0, 1), the2)
+    assert chart.cells == {(0, 1): [the1]} and the1.forest_count == 2
+
+
 @pytest.mark.parametrize("raising", [(), NP_TO_S])
 def test_cky_results_are_pairwise_distinct_classes(lexicon, raising):
     results = cky_parse(coordination_chain(3), lexicon, ParserConfig(type_raising=raising))
@@ -560,12 +586,18 @@ def test_parser_config_from_text_reads_every_key():
         ("goal = S[dcl]", "goal must be one of S, NP, N, PP, Conj, found 'S[dcl]'"),
         ("combinators = >, <, frob", "unknown combinator 'frob'"),
         ("combinators = >b", "unknown combinator '>b'"),
+        ("combinators = >, >T[frob]", "bad combinator '>T[frob]': unknown atomic category 'frob' at offset 0"),
+        ("combinators = &, >, >RB, >T[(S)]", "combinator '>T[(S)]' is spelled '>T[S]'"),
+        ("combinators = <T[S\\(NP)]", r"combinator '<T[S\\(NP)]' is spelled '<T[S\\NP]'"),
+        ("max_composition_order = 1\ncombinators = >B2", "combinator '>B2' needs max_composition_order = 2"),
+        ("combinators = <RB2x\nmax_composition_order = 1", "combinator '<RB2x' needs max_composition_order = 2"),
     ],
 )
 def test_parser_config_errors_name_source_and_line(setting, message):
     with pytest.raises(ValueError) as err:
         ParserConfig.from_text(f"# header\ngoal = S\n{setting}\n", "parser.cfg")
-    assert str(err.value) == f"parser.cfg:3: {message}"
+    # the setting's last line is the one that fails
+    assert str(err.value) == f"parser.cfg:{3 + setting.count(chr(10))}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -616,6 +648,8 @@ def test_cky_combinator_whitelist(lexicon):
         enabled=frozenset({">", "<", ">B", "<B", ">Bx", "<Bx", ">RB", "<RB", ">R", "<R", ">T[S]"}),
     )
     assert cky_parse(tokens, lexicon, no_conj) == []
+    few = ParserConfig.from_text("type_raise = NP > S\ncombinators = &, >, >RB, >T[S]")
+    assert len(cky_parse(tokens, lexicon, few)) == 4
 
 
 def test_cky_strict_conjunction_blocks_two_variable_conjuncts(lexicon):
