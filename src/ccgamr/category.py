@@ -8,7 +8,10 @@ a featured atom of the same base; two distinct features never unify.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .graph import AmrSubgraph
@@ -29,44 +32,32 @@ class Atom:
     feature: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+#: The live functor of each (result, slash, argument) value.
+_LIVE: weakref.WeakValueDictionary[tuple, "Functor"] = weakref.WeakValueDictionary()
+_LIVE_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Functor:
+    """A functor category, hash-consed: building an equal value returns the
+    live object, so ``==`` and ``hash`` are identity and never recurse."""
+
+    __slots__ = ("result", "slash", "argument", "__weakref__")
     result: "Category"
     slash: str
     argument: "Category"
-    # Hashed once from the children's stored hashes, so hashing never recurses.
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.result, self.slash, self.argument)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        # Walks down the result spine and keeps the argument pairs still to
-        # compare on a list, so deep trees never recurse.
-        if other.__class__ is not Functor:
-            return NotImplemented
-        pending = []
-        a, b = self, other
-        while True:
-            if a is not b:
-                cls = a.__class__
-                if cls is not b.__class__:
-                    return False
-                if cls is Functor:
-                    if a.slash != b.slash:
-                        return False
-                    if a.argument is not b.argument:
-                        pending.append((a.argument, b.argument))
-                    a, b = a.result, b.result
-                    continue
-                if a.base != b.base or a.feature != b.feature:
-                    return False
-            if not pending:
-                return True
-            a, b = pending.pop()
+    def __new__(cls, result: "Category", slash: str, argument: "Category") -> "Functor":
+        key = (result, slash, argument)
+        with _LIVE_LOCK:
+            self = _LIVE.get(key)
+            if self is None:
+                self = object.__new__(cls)
+                object.__setattr__(self, "result", result)
+                object.__setattr__(self, "slash", slash)
+                object.__setattr__(self, "argument", argument)
+                _LIVE[key] = self
+        return self
 
     def __repr__(self) -> str:
         # The dataclass's text, written from an explicit stack of literal
@@ -89,8 +80,8 @@ class Functor:
         return "".join(parts)
 
     def __reduce__(self):
-        # Rebuilt on unpickling, since string hashes differ between processes.
-        # The pickle holds a flat list of subterms, so it never recurses.
+        # Rebuilt through Functor() on unpickling, so the copy is the live
+        # object.  The pickle holds a flat list of subterms, so it never recurses.
         return _from_terms, (_terms(self),)
 
 
@@ -134,6 +125,7 @@ MAX_DEPTH = 500
 _TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<feat>\[[A-Za-z0-9]+\])|(?P<punct>[()/\\]))")
 
 
+@lru_cache(maxsize=1024)  # errors are not cached: each bad text reports its own
 def parse_category(text: str) -> Category:
     tokens: list[tuple[str, str, int]] = []
     pos = 0
@@ -231,9 +223,7 @@ def unify(x: Category, y: Category) -> Category | None:
         a, b, rebuild = todo.pop()
         if rebuild:
             arg = done.pop()
-            res = done.pop()
-            same = res is a.result and arg is a.argument
-            done.append(a if same else Functor(res, a.slash, arg))
+            done.append(Functor(done.pop(), a.slash, arg))
         elif a is b:
             done.append(a)
         elif a.__class__ is not b.__class__:

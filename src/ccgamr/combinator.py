@@ -184,6 +184,11 @@ def _reject_partial(*constituents: Constituent) -> None:
             raise CombinationError("a pending conjunction cannot be combined this way")
 
 
+def check_direction(direction: str) -> None:
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', found {direction!r}")
+
+
 def match_categories(
     direction: str, order: int, fcat: Category, acat: Category
 ) -> tuple[Category, bool] | None:
@@ -253,6 +258,7 @@ def combine_matched(
 def _combine(
     direction: str, order: int, function: Constituent, argument: Constituent
 ) -> Combined:
+    check_direction(direction)
     _reject_partial(function, argument)
     left, right = (function, argument) if direction == "forward" else (argument, function)
     if left.end != right.start:
@@ -291,6 +297,7 @@ def type_raise(c: Constituent, target: Category, direction: str) -> Combined:
     the old root; the variable goes first in the fv order and the edge label
     is fixed by a later relation-wise combination.
     """
+    check_direction(direction)
     if not is_graph(c.semantics):
         raise CombinationError("only graph semantics can be type-raised")
     if direction == "forward":

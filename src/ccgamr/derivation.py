@@ -36,6 +36,7 @@ from .combinator import (
     ConjPartial,
     Constituent,
     Identity,
+    check_direction,
     combine_application,
     combine_composition,
     combine_matched,
@@ -343,6 +344,9 @@ class TypeRaisingRule:
     target: Category
     direction: str = "forward"
 
+    def __post_init__(self):
+        check_direction(self.direction)
+
 
 #: The one raising rule the fixtures ever need: NP to S/(S\NP).
 NP_TO_S = (TypeRaisingRule(Atom("NP"), Atom("S"), "forward"),)
@@ -388,13 +392,17 @@ class ParserConfig:
                     raise ValueError(f"bad combinator {name!r}: {err}") from None
                 if spelled != name:
                     raise ValueError(f"combinator {name!r} is spelled {spelled!r}")
+        for i, rule in enumerate(self.type_raising):
+            if rule in self.type_raising[:i]:
+                symbol = ">" if rule.direction == "forward" else "<"
+                spelled = f"{format_category(rule.source)} {symbol} {format_category(rule.target)}"
+                raise ValueError(f"duplicate type_raise rule {spelled!r}")
 
     @classmethod
     def from_text(cls, text: str, source: str = "<string>") -> "ParserConfig":
         """Read ``key = value`` lines (``#`` starts a comment); every error
         starts with ``source:line:``."""
         kwargs: dict = {}
-        raising: list[TypeRaisingRule] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
             if not (key or eq):
@@ -432,14 +440,12 @@ class ParserConfig:
                             rule = TypeRaisingRule(parse_category(src), parse_category(tgt), direction)
                         except ValueError as err:
                             raise ValueError(f"bad type_raise rule {value!r}: {err}") from None
-                        raising.append(rule)
+                        kwargs["type_raising"] = (*kwargs.get("type_raising", ()), rule)
                 else:
                     raise ValueError(f"unknown config key {key!r}")
                 cls(**kwargs)  # the lines before passed, so a failure is this line's
             except ValueError as err:
                 raise ValueError(f"{source}:{lineno}: {err}") from None
-        if raising:
-            kwargs["type_raising"] = tuple(raising)
         return cls(**kwargs)
 
 

@@ -8,7 +8,8 @@ One entry per line::
 ``:op1 "#ccg"``.  The semantics field is either ``ID`` (identity) or a
 PENMAN-FV graph.  Entry ids default to ``token.N`` with N counting entries
 for the same token in file order; an id must be one derivation-script
-token (no whitespace or parentheses).  Every entry must satisfy the
+token (no whitespace or parentheses).  Categories are interned, so entries
+with equal category text share one object.  Every entry must satisfy the
 functional-isomorphism principle and its graph must validate; violations are
 collected and reported together.
 """
@@ -75,10 +76,6 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
     problems: list[str] = []
     counts: dict[str, int] = {}
     ids: set[str] = set()
-    # Equal category texts share one parsed Category, so rule-match cache
-    # hits on lexical categories compare by identity.  Failures are not kept:
-    # every bad line reports its own error.
-    parsed: dict[str, Category] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _CODE_RE.match(raw).group().strip()
         if not line:
@@ -96,13 +93,11 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
         if entry_id in ids:
             problems.append(f"{source}:{lineno}: duplicate entry id {entry_id!r}")
             continue
-        category = parsed.get(cat_text)
-        if category is None:
-            try:
-                category = parsed[cat_text] = parse_category(cat_text)
-            except CategoryError as err:
-                problems.append(f"{source}:{lineno}: {err}")
-                continue
+        try:
+            category = parse_category(cat_text)
+        except CategoryError as err:
+            problems.append(f"{source}:{lineno}: {err}")
+            continue
         semantics: AmrSubgraph | Identity
         if sem_text == "ID":
             semantics = IDENTITY

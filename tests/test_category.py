@@ -1,13 +1,18 @@
+import copy
 import dataclasses
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccgamr import category as category_module
 from ccgamr.category import (
     MAX_DEPTH,
     Atom,
@@ -19,10 +24,10 @@ from ccgamr.category import (
     parse_category,
     unify,
 )
-from ccgamr.combinator import IDENTITY
+from ccgamr.combinator import IDENTITY, conj_attach, match_categories, type_raise
 from ccgamr.penman import parse as parse_graph
 
-from support import categories
+from support import categories, constituent
 
 
 def test_parse_left_associative():
@@ -212,28 +217,34 @@ def test_unify_and_eq_agree_with_the_recursive_reference(x, y):
 def test_deepest_accepted_categories_compare_equal_and_unify():
     nested = "S/(" * MAX_DEPTH + "S/NP" + ")" * MAX_DEPTH
     for text in (nested, "S" + "/NP" * 1000):
-        a, b = parse_category(text), parse_category(text)
-        assert a is not b and a == b and not a != b
+        a = parse_category(text)
+        parse_category.cache_clear()
+        b = parse_category(text)
+        assert a is b and a == b and not a != b
         assert format_category(unify(a, b)) == text
     featured = parse_category(nested.replace("S/NP", "S[b]/NP"))
     assert featured != parse_category(nested)
-    assert unify(parse_category(nested), featured) == featured
+    assert unify(parse_category(nested), featured) is featured
     assert unify(featured, parse_category(nested.replace("S/NP", "S[q]/NP"))) is None
     assert unify(parse_category(nested), parse_category(nested.replace("S/NP", "S\\NP"))) is None
 
 
-def test_functor_hash_is_stored_and_left_out_of_eq_and_repr():
+def test_functor_eq_and_hash_are_identity_and_left_out_of_repr():
     a = parse_category("(S\\NP)/NP")
     b = Functor(Functor(Atom("S"), "\\", Atom("NP")), "/", Atom("NP"))
-    assert a == b and hash(a) == hash(b) and a is not b
-    assert "_hash" not in repr(a) and repr(a) == repr(b)
-    object.__setattr__(b, "_hash", hash(a) + 1)
-    assert a == b
+    assert a is b and hash(a) == object.__hash__(a)
+    for name in ("__eq__", "__hash__", "__post_init__", "_hash"):
+        assert name not in vars(Functor)
+    assert Functor.__eq__ is object.__eq__ and Functor.__hash__ is object.__hash__
+    assert [f.name for f in dataclasses.fields(Functor)] == ["result", "slash", "argument"]
+    assert not hasattr(a, "__dict__") and repr(a) == _dataclass_repr(a)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.slash = "\\"
     assert {a: 1}[parse_category("(S\\NP)/NP")] == 1
 
 
 def test_pickled_functor_rehashes_in_another_process():
-    # string hashes are seeded per process, so a stored hash must not travel
+    # string hashes are seeded per process; the pickle rebuilds the live object
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     code = "import pickle, sys; from ccgamr.category import parse_category; " \
         "sys.stdout.buffer.write(pickle.dumps(parse_category('S[b]\\\\NP/NP')))"
@@ -241,9 +252,7 @@ def test_pickled_functor_rehashes_in_another_process():
         [sys.executable, "-c", code], capture_output=True, check=True,
         env={**os.environ, "PYTHONHASHSEED": seed},
     ).stdout
-    cat = pickle.loads(data)
-    assert cat == parse_category("S[b]\\NP/NP")
-    assert hash(cat) == hash(parse_category("S[b]\\NP/NP"))
+    assert pickle.loads(data) is parse_category("S[b]\\NP/NP")
 
 
 def _dataclass_repr(cat) -> str:
@@ -264,8 +273,7 @@ def test_functor_repr_is_the_dataclass_text(cat):
 def test_repr_and_pickle_of_deep_categories_do_not_recurse(cat):
     text = repr(cat)
     assert str(cat) == text and text.count("Functor(") == 1000
-    again = pickle.loads(pickle.dumps(cat))
-    assert again is not cat and again == cat and hash(again) == hash(cat) and repr(again) == text
+    assert pickle.loads(pickle.dumps(cat)) is cat and copy.deepcopy(cat) is cat
 
 
 def test_pickle_keeps_shared_subterms_shared():
@@ -275,4 +283,74 @@ def test_pickle_keeps_shared_subterms_shared():
     data = pickle.dumps(cat)
     again = pickle.loads(data)
     assert len(data) < 1000
-    assert again == cat and hash(again) == hash(cat) and again.result is again.argument
+    assert again is cat and again.result is again.argument
+
+
+# --- interning: one object per category value ------------------------------
+
+def test_every_way_of_building_a_category_gives_the_live_object():
+    tv = parse_category("(S\\NP)/NP")
+    parse_category.cache_clear()
+    assert parse_category("(S\\NP)/NP") is tv
+    assert Functor(Functor(Atom("S"), "\\", Atom("NP")), "/", Atom("NP")) is tv
+    featured = parse_category("(S[b]\\NP)/NP")
+    assert unify(tv, featured) is featured and unify(featured, tv) is featured
+    assert match_categories("forward", 0, parse_category("((S\\NP)/NP)/PP"), Atom("PP")) == (tv, False)
+    composed, _ = match_categories("forward", 1, parse_category("S/(S\\NP)"), tv)
+    assert composed is parse_category("S/NP")
+    raised = type_raise(constituent("NP", "(c/cat)"), Atom("S"), "forward")
+    assert raised.constituent.category is parse_category("S/(S\\NP)")
+    attached = conj_attach(constituent("Conj", "(a/and)", 0, 1), constituent("S\\NP", "(r/run-01 :ARG0 ?1)", 1, 2))
+    assert attached.constituent.category is parse_category("(S\\NP)\\(S\\NP)")
+    assert dataclasses.replace(tv) is tv
+    assert dataclasses.replace(tv, slash="\\") is parse_category("(S\\NP)\\NP")
+    assert copy.copy(tv) is tv and copy.deepcopy(tv) is tv
+    assert pickle.loads(pickle.dumps(tv)) is tv
+
+
+@given(
+    pair=st.tuples(categories(max_depth=3), st.sampled_from("/\\"), categories(max_depth=3)),
+    other=st.tuples(categories(max_depth=3), st.sampled_from("/\\"), categories(max_depth=3)),
+)
+@settings(max_examples=200, deadline=None)
+def test_functors_are_equal_exactly_when_identical_and_printed_alike(pair, other):
+    a = Functor(*pair)
+    for b in (Functor(*other), _copy(a), pickle.loads(pickle.dumps(a)), parse_category(format_category(a))):
+        assert (a == b) == (a is b) == (repr(a) == repr(b))
+
+
+def test_a_dropped_deep_category_leaves_the_weak_table():
+    gc.collect()
+    before = len(category_module._LIVE)
+    cat = Atom("S", "dropped")
+    for _ in range(1000):
+        cat = Functor(cat, "/", Atom("NP"))
+    assert len(category_module._LIVE) == before + 1000
+    del cat
+    gc.collect()
+    assert len(category_module._LIVE) == before
+
+
+def test_threads_that_build_equal_categories_get_one_object_each():
+    start = threading.Barrier(8, timeout=60)
+
+    def build(_):
+        start.wait()
+        built = []
+        for i in range(200):
+            cat = Atom("S", f"t{i}")
+            for _ in range(20):
+                cat = Functor(cat, "/", Functor(Atom("NP", f"t{i}"), "\\", Atom("N")))
+                built.append(cat)
+        return built
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            runs = list(pool.map(build, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs) == 8
+    for objects in zip(*runs):
+        assert all(o is objects[0] for o in objects)

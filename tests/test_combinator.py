@@ -355,6 +355,23 @@ def test_type_raise_rejects_identity():
         type_raise(c("NP/N", "ID"), parse_category("S"), "forward")
 
 
+@pytest.mark.parametrize("direction", ["up", "Forward", ">"])
+def test_type_raise_rejects_an_unknown_direction(direction):
+    with pytest.raises(ValueError, match=f"^direction must be 'forward' or 'backward', found {direction!r}$"):
+        type_raise(c("NP", "(c/cat)"), parse_category("S"), direction)
+
+
+def test_application_and_composition_reject_an_unknown_direction():
+    # each pair combines backward, which an unknown direction used to mean
+    john, runs = c("NP", "(j/john)", 0, 1), c("S\\NP", "(r/run-01 :ARG0 ?1)", 1, 2)
+    with pytest.raises(ValueError, match="found 'sideways'"):
+        combine_application("sideways", runs, john)
+    quickly = c("(S\\NP)\\(S\\NP)", "(?1 :manner (q/quick))", 2, 3)
+    runs_to = c("(S\\NP)/PP", "(r/run-01 :ARG0 ?2 :direction ?1)", 1, 2)
+    with pytest.raises(ValueError, match="found 'Backward'"):
+        combine_composition("Backward", 1, quickly, runs_to)
+
+
 # --- conjunction ------------------------------------------------------------
 
 def test_coordinate_shares_object_variable():

@@ -134,3 +134,67 @@ def test_the_import_audit_skips_init_future_and_noqa_lines(tmp_path):
     )
     (tmp_path / "__init__.py").write_text("from .mod import first\nimport sys\n")
     assert unused_imports(tmp_path) == ["mod:os", "mod:regex", "mod:chain"]
+
+
+def unbounded_caches(src: Path) -> list[str]:
+    """``module:line`` of each ``functools`` cache not bounded by an explicit
+    integer ``maxsize``: a bare ``lru_cache``, one without ``maxsize`` or with
+    ``maxsize=None``, and any ``cache``.  Names come from ``import functools``
+    or ``from functools import ...``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names
+        }
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        lines = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                kind = imported.get(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+                kind = node.attr
+            else:
+                continue
+            if kind not in ("lru_cache", "cache"):
+                continue
+            call = calls.get(id(node))
+            given = [*call.args[:1], *(k.value for k in call.keywords if k.arg == "maxsize")] if call else []
+            maxsize = given[0] if kind == "lru_cache" and given else None
+            if not (isinstance(maxsize, ast.Constant) and type(maxsize.value) is int):
+                lines.append(node.lineno)
+        found += [f"{path.stem}:{line}" for line in sorted(lines)]
+    return found
+
+
+def test_every_cache_is_bounded():
+    assert unbounded_caches(SRC) == []
+
+
+def test_the_cache_audit_flags_every_unbounded_form(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import functools\n"
+        "from functools import cache, cached_property, lru_cache as memo\n"
+        "@memo(maxsize=64)\n"
+        "def a(x): return x\n"
+        "@memo(128)\n"
+        "def b(x): return x\n"
+        "@memo\n"
+        "def c(x): return x\n"
+        "@memo(maxsize=None)\n"
+        "def d(x): return x\n"
+        "@functools.lru_cache()\n"
+        "def e(x): return x\n"
+        "@cache\n"
+        "def f(x): return x\n"
+        "g = functools.cache(len)\n"
+        "h = functools.lru_cache(maxsize=True)(len)\n"
+        "i = functools.lru_cache(maxsize=8)(len)\n"
+        "class K:\n"
+        "    @cached_property\n"
+        "    def j(self): return 1\n"
+    )
+    assert unbounded_caches(tmp_path) == ["mod:7", "mod:9", "mod:11", "mod:13", "mod:15", "mod:16"]

@@ -568,6 +568,20 @@ def test_parser_config_from_text_reads_every_key():
         ParserConfig.from_text("type_raise = NP")
 
 
+def test_a_repeated_type_raising_rule_is_rejected_and_distinct_rules_are_kept():
+    rule = TypeRaisingRule(Atom("NP"), Atom("S"))
+    with pytest.raises(ValueError, match=r"^duplicate type_raise rule 'NP > S'$"):
+        ParserConfig(type_raising=(rule, TypeRaisingRule(Atom("NP"), Atom("S"), "backward"), rule))
+    config = ParserConfig.from_text("type_raise = NP > S\ntype_raise = NP[nb] > S")
+    assert config.type_raising == (rule, TypeRaisingRule(Atom("NP", "nb"), Atom("S")))
+
+
+@pytest.mark.parametrize("direction", ["Forward", "up", ""])
+def test_a_type_raising_rule_rejects_an_unknown_direction(direction):
+    with pytest.raises(ValueError, match=f"^direction must be 'forward' or 'backward', found {direction!r}$"):
+        TypeRaisingRule(Atom("NP"), Atom("S"), direction)
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [
@@ -591,6 +605,8 @@ def test_parser_config_from_text_reads_every_key():
         ("combinators = <T[S\\(NP)]", r"combinator '<T[S\\(NP)]' is spelled '<T[S\\NP]'"),
         ("max_composition_order = 1\ncombinators = >B2", "combinator '>B2' needs max_composition_order = 2"),
         ("combinators = <RB2x\nmax_composition_order = 1", "combinator '<RB2x' needs max_composition_order = 2"),
+        ("type_raise = NP > S\ntype_raise = NP > S", "duplicate type_raise rule 'NP > S'"),
+        ("type_raise = NP<S[b]\ngoal = S\ntype_raise = NP < S[b]", "duplicate type_raise rule 'NP < S[b]'"),
     ],
 )
 def test_parser_config_errors_name_source_and_line(setting, message):

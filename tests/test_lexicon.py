@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ccgamr.category import format_category
+from ccgamr.category import format_category, parse_category
 from ccgamr.combinator import IDENTITY
 from ccgamr.fixtures import LEXICON_PATH
 from ccgamr.graph import iso_equal
@@ -109,23 +109,16 @@ def test_hash_inside_quotes_is_literal():
     assert iso_equal(entry.semantics, parse('(h/hashtag :op1 "#ccg")'))
 
 
-def test_equal_category_texts_share_one_parsed_category(monkeypatch):
-    import ccgamr.lexicon as lexicon_module
-
-    texts = []
-    original = lexicon_module.parse_category
-
-    def counting(text):
-        texts.append(text)
-        return original(text)
-
-    monkeypatch.setattr(lexicon_module, "parse_category", counting)
+def test_equal_category_texts_share_one_parsed_category():
+    parse_category.cache_clear()
     lex = load(LEXICON_PATH)
-    assert len(texts) == len(set(texts)) == 27 < len(lex.entries) == 57
+    info = parse_category.cache_info()
+    assert info.misses == 27 and info.hits == 30 and len(lex.entries) == 57
     by_text = {}
     for entry in lex.entries:
         shown = format_category(entry.category)
         assert by_text.setdefault(shown, entry.category) is entry.category
+    assert len(by_text) == 27
 
 
 def test_every_line_with_a_bad_category_reports_its_own_error():
