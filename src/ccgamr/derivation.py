@@ -12,7 +12,9 @@ category and semantics: two items of a cell merge when their semantics are
 equal, or are isomorphic graphs.  Two equal graphs merge without an
 isomorphism search, and the rule matches of a pair of adjacent categories
 come from a bounded cache (``_category_matches``) instead of being
-recomputed per item pair.
+recomputed per item pair.  A category-only pass (``_goal_categories``) runs
+first, and an application or composition does its graph step only when its
+result category lies on some category-level derivation of the goal.
 
 Both modes record a derivation the same way: as items that keep only
 back-pointers to the items they were built from.  A ``Derivation`` builds
@@ -26,10 +28,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 
 from . import penman
-from .category import ATOM_BASES, Atom, Category, format_category, parse_category, unify
+from .category import (
+    ATOM_BASES, BACKWARD, FORWARD, Atom, Category, Functor, format_category, parse_category, unify,
+)
 from .combinator import (
     Combined,
     CombinationError,
@@ -422,7 +426,13 @@ class ParserConfig:
                 elif key == "combinators":
                     kwargs["enabled"] = frozenset(v.strip() for v in value.split(",") if v.strip())
                 elif key == "type_raise":
-                    if value.lower() != "none":
+                    none = value.lower() == "none"
+                    # only a none line leaves the rules read so far empty
+                    if "type_raising" in kwargs and (none or kwargs["type_raising"] == ()):
+                        raise ValueError("type_raise = none must be the only type_raise line")
+                    if none:
+                        kwargs["type_raising"] = ()
+                    else:
                         # e.g. "NP > S" raises NP forward to S/(S\NP)
                         m = value.replace(" ", "")
                         for direction, symbol in (("forward", ">"), ("backward", "<")):
@@ -508,15 +518,18 @@ def _category_matches(
 
 
 def _binary_candidates(
-    left: Constituent, right: Constituent, config: ParserConfig
+    left: Constituent, right: Constituent, config: ParserConfig, wanted=None
 ) -> list[Combined]:
     """Every rule's outcome on two adjacent constituents; graph work runs only
-    for rules whose categories match."""
+    for rules whose categories match and, given ``wanted``, only for result
+    categories in it."""
     out: list[Combined] = []
     if not isinstance(left.semantics, ConjPartial) and not isinstance(right.semantics, ConjPartial):
         for direction, order, match in _category_matches(
             left.category, right.category, config.max_composition_order
         ):
+            if wanted is not None and match[0] not in wanted:
+                continue
             f, a = (left, right) if direction == "forward" else (right, left)
             try:
                 out.append(combine_matched(direction, order, f, a, match))
@@ -559,6 +572,91 @@ def _raise_closure(chart: _Chart, span: tuple[int, int]) -> None:
                     changed = True
 
 
+@lru_cache(maxsize=4096)
+def _category_steps(
+    lcat: Category, rcat: Category, max_order: int, enabled: frozenset[str] | None
+) -> tuple[Category, ...]:
+    """The result categories binary rules can give two adjacent categories: a
+    rule match allowed in either spelling (the relation-wise choice depends
+    on the graphs), and '&' by category."""
+    out = []
+    for direction, order, (cat, crossed) in _category_matches(lcat, rcat, max_order):
+        base = ">" if direction == "forward" else "<"
+        suffix = ("B2" if order == 2 else "B" if order else "") + ("x" if crossed else "")
+        if enabled is None or base + suffix in enabled or base + "R" + suffix in enabled:
+            out.append(cat)
+    if enabled is None or "&" in enabled:
+        if isinstance(lcat, Atom) and lcat.base == "Conj":
+            out.append(Functor(rcat, BACKWARD, rcat))
+        if isinstance(rcat, Functor) and rcat.slash == BACKWARD and rcat.result is rcat.argument:
+            out += filter(None, [unify(lcat, rcat.argument)])
+    return tuple(out)
+
+
+def _goal_categories(
+    tokens: list[str], lexicon: Lexicon, config: ParserConfig
+) -> dict[tuple[int, int], set[Category]]:
+    """Per span, the categories on some category-level derivation of the goal
+    over the whole sentence; empty if there is none.
+
+    An inside pass over categories alone, then an outside pass down from the
+    goal atoms at (0, n).  A graph step succeeds only where its categories
+    match, so every chart item that can feed a result has its (span,
+    category) here.
+    """
+    n = len(tokens)
+    raisings = []  # (source, target, outer slash) of the enabled raising rules
+    for rule in config.type_raising:
+        forward = rule.direction == "forward"
+        if _allowed(config, f"{'>' if forward else '<'}T[{format_category(rule.target)}]"):
+            raisings.append((rule.source, rule.target, FORWARD if forward else BACKWARD))
+    raised: dict[Category, list[Category]] = {}  # what type_raise makes of each category
+
+    def closed(cats: set[Category]) -> frozenset[Category]:
+        todo = list(cats) if raisings else []
+        while todo:
+            cat = todo.pop()
+            if cat not in raised:
+                raised[cat] = [
+                    Functor(target, outer, Functor(target, BACKWARD if outer == FORWARD else FORWARD, cat))
+                    for source, target, outer in raisings
+                    if unify(source, cat) is not None
+                ]
+            todo += [up for up in raised[cat] if up not in cats]
+            cats.update(raised[cat])
+        return frozenset(cats)
+
+    inside = {(i, i + 1): closed({e.category for e in lexicon.lookup(t)}) for i, t in enumerate(tokens)}
+    rules = (config.max_composition_order, config.enabled)
+    results: dict[tuple, set[Category]] = {}  # per pair of cells, which often repeat
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            cats: set[Category] = set()
+            for split in range(i + 1, i + width):
+                cells = (inside[i, split], inside[split, i + width])
+                if cells not in results:
+                    results[cells] = {c for l, r in product(*cells) for c in _category_steps(l, r, *rules)}
+                cats |= results[cells]
+            inside[i, i + width] = closed(cats)
+    goal = {c for c in inside[0, n] if isinstance(c, Atom) and c.base == config.goal}
+    wanted = {(0, n): goal} if goal else {}
+    for width in range(n, 0, -1):
+        for i in range(n - width + 1):
+            want = wanted.get((i, i + width))
+            if want is None:
+                continue
+            size = 0
+            while raisings and size != len(want):  # a wanted raised category wants its source
+                size = len(want)
+                want.update([c for c in inside[i, i + width] if not want.isdisjoint(raised[c])])
+            for split in range(i + 1, i + width):
+                for lcat, rcat in product(inside[i, split], inside[split, i + width]):
+                    if not want.isdisjoint(_category_steps(lcat, rcat, *rules)):
+                        wanted.setdefault((i, split), set()).add(lcat)
+                        wanted.setdefault((split, i + width), set()).add(rcat)
+    return wanted
+
+
 def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None = None) -> list[Derivation]:
     """All complete derivations over the goal category, one per iso-class."""
     config = config or ParserConfig()
@@ -568,6 +666,9 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
     missing = [t for t in tokens if not lexicon.lookup(t)]
     if missing:
         raise UnknownTokenError(f"tokens not in lexicon: {', '.join(sorted(set(missing)))}")
+    wanted = _goal_categories(tokens, lexicon, config)
+    if not wanted:
+        return []
     chart = _Chart(config)
     for i, token in enumerate(tokens):
         for entry in lexicon.lookup(token):
@@ -577,10 +678,11 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
+            want = wanted.get((i, j), ())
             for split in range(i + 1, j):
                 for litem in chart.cells.get((i, split), []):
                     for ritem in chart.cells.get((split, j), []):
-                        for o in _binary_candidates(litem.constituent, ritem.constituent, config):
+                        for o in _binary_candidates(litem.constituent, ritem.constituent, config, want):
                             count = litem.forest_count * ritem.forest_count
                             new = _Item(o.constituent, o.rule, o.notes, count, (litem, ritem))
                             chart.add((i, j), new)

@@ -1,11 +1,12 @@
 import hashlib
+import random
 from contextlib import suppress
 from itertools import combinations
 
 import pytest
 
 from ccgamr import combinator, derivation, graph, penman
-from ccgamr.category import Atom, format_category, unify
+from ccgamr.category import ATOM_BASES, Atom, format_category, unify
 from ccgamr.combinator import CombinationError, Constituent, conj_attach, is_graph, type_raise
 from ccgamr.derivation import (
     Binary,
@@ -413,15 +414,19 @@ def _pinned_parses():
             yield coordination_chain(k), ParserConfig(type_raising=raising)
 
 
+def _record(d: Derivation) -> str:
+    """A derivation's script, forest count, final constituent and every
+    step's path, rule, constituent and notes."""
+    steps = [(s.path, s.rule, repr(s.constituent), s.notes) for s in d.steps]
+    return repr((d.to_script(), d.forest_count, repr(d.final), steps))
+
+
 def cky_digest(lexicon) -> str:
-    """sha256 over every pinned parse's derivations: script, forest count,
-    final constituent and every step's path, rule, constituent and notes."""
+    """sha256 over the records of every pinned parse's derivations."""
     digest = hashlib.sha256()
     for tokens, config in _pinned_parses():
         for d in cky_parse(tokens, lexicon, config):
-            steps = [(s.path, s.rule, repr(s.constituent), s.notes) for s in d.steps]
-            record = (d.to_script(), d.forest_count, repr(d.final), steps)
-            digest.update(repr(record).encode() + b"\n")
+            digest.update(_record(d).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -432,6 +437,102 @@ CKY_DIGEST = "12d2ad7e879b3d740cee07b1eb4df24159b7107eff77db3cd88f84b2caa6ad34"
 
 def test_cky_output_matches_the_pinned_digest(lexicon):
     assert cky_digest(lexicon) == CKY_DIGEST
+
+
+class _WantsEverything(dict):
+    """A goal pass that wants every category of every span: no graph step is
+    skipped."""
+
+    def __bool__(self):
+        return True
+
+    def get(self, span, default=None):
+        return None
+
+
+def _gate_cases(lexicon):
+    """(tokens, config) of every pinned parse; of seeded random strings over
+    the lexicon, under each goal, raising on and off and both composition
+    orders; and of the fixture sentences under whitelists that name only the
+    relation-wise spelling of application, of composition, or of both (the
+    last one without backward rules, so that '&' alone coordinates)."""
+    yield from _pinned_parses()
+    rng = random.Random(1997)
+    words = lexicon.tokens()
+    for _ in range(300):
+        tokens = rng.choices(words, k=rng.randint(2, 6))
+        for goal in ATOM_BASES:
+            for raising in ((), NP_TO_S):
+                for order in (1, 2):
+                    yield tokens, ParserConfig(goal=goal, type_raising=raising, max_composition_order=order)
+    composition = [f"{d}RB{o}{x}" for d in "><" for o in ("", "2") for x in ("", "x")]
+    for names in ([">R", "<R"], [">R", "<R", *composition], [">", "<", *composition], [">", ">RB"]):
+        enabled = frozenset([*names, "&", ">T[S]"])
+        for sentence, goal, raising in FIXTURE_PARSES:
+            yield sentence.split(), ParserConfig(goal=goal, type_raising=raising, enabled=enabled)
+
+
+def test_the_goal_pass_leaves_every_output_unchanged(lexicon, monkeypatch):
+    cases = list(_gate_cases(lexicon))
+    with monkeypatch.context() as m:
+        m.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())
+        ungated = []
+        for tokens, config in cases:
+            try:
+                ungated.append([_record(d) for d in cky_parse(tokens, lexicon, config)])
+            except ChartOverflowError:
+                ungated.append(None)
+    # the ungated parses that overflow a cell are left out
+    assert ungated.count(None) == 0
+    parsed = 0
+    for (tokens, config), want in zip(cases, ungated):
+        if want is not None:
+            assert [_record(d) for d in cky_parse(tokens, lexicon, config)] == want, (tokens, config)
+            parsed += bool(want)
+    assert parsed == 41 + 16 + 8  # pinned, random and whitelisted parses that find a derivation
+
+
+def test_every_result_step_lies_on_a_goal_derivation_by_categories(lexicon):
+    checked = 0
+    for sentence, goal, raising in FIXTURE_PARSES:
+        tokens, config = sentence.split(), ParserConfig(goal=goal, type_raising=raising)
+        wanted = derivation._goal_categories(tokens, lexicon, config)
+        for d in cky_parse(tokens, lexicon, config):
+            for step in d.steps:
+                c = step.constituent
+                assert c.category in wanted[c.start, c.end], (sentence, step.path)
+                checked += 1
+    assert checked > 100
+
+
+def _graph_steps(monkeypatch, tokens, lexicon, config) -> int:
+    calls = []
+    original = derivation.combine_matched
+    with monkeypatch.context() as m:
+        m.setattr(derivation, "combine_matched", lambda *args: calls.append(1) or original(*args))
+        cky_parse(tokens, lexicon, config)
+    return len(calls)
+
+
+def test_the_goal_pass_skips_graph_steps_off_every_goal_derivation(lexicon, monkeypatch):
+    tokens = "What did you decide to eat yesterday".split()
+    gated = _graph_steps(monkeypatch, tokens, lexicon, ParserConfig())
+    monkeypatch.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())
+    assert 0 < gated < _graph_steps(monkeypatch, tokens, lexicon, ParserConfig())
+    monkeypatch.undo()
+    # no S spans the sentence by categories, so no item is built at all
+    tokens = "John likes and Mary hates cats".split()
+    assert derivation._goal_categories(tokens, lexicon, ParserConfig()) == {}
+    assert _graph_steps(monkeypatch, tokens, lexicon, ParserConfig()) == 0
+
+
+def test_chart_overflow_counts_only_the_items_the_goal_pass_lets_in(lexicon, monkeypatch):
+    tokens = "What did you decide to eat yesterday".split()
+    small = cky_parse(tokens, lexicon, ParserConfig(max_cell_items=3))
+    assert small and list(map(_record, small)) == list(map(_record, cky_parse(tokens, lexicon, ParserConfig())))
+    monkeypatch.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())
+    with pytest.raises(ChartOverflowError):  # the ungated chart needs 17 items in a cell
+        cky_parse(tokens, lexicon, ParserConfig(max_cell_items=3))
 
 
 def test_cky_builds_scripts_and_steps_only_when_read(lexicon, monkeypatch):
@@ -541,9 +642,8 @@ def test_graph_steps_build_each_node_and_edge_value_once(lexicon, monkeypatch):
 
 def test_parser_config_from_text_reads_every_key():
     text = """
-    # every key once, type_raise three times
+    # every key once, type_raise twice
     combinators = >, <, >B, >T[S]  # trailing comment
-    type_raise = none
     type_raise = NP > S
     type_raise = NP < S
     goal = NP
@@ -561,6 +661,7 @@ def test_parser_config_from_text_reads_every_key():
         goal="NP",
     )
     assert ParserConfig.from_text("type_raise = none").type_raising == ()
+    assert ParserConfig.from_text("type_raise = None\ngoal = NP").type_raising == ()
     assert ParserConfig.from_text("") == ParserConfig()
     with pytest.raises(ValueError, match=r"^parser\.cfg:2: unknown config key 'beam'"):
         ParserConfig.from_text("goal = S\nbeam = 4", "parser.cfg")
@@ -607,6 +708,9 @@ def test_a_type_raising_rule_rejects_an_unknown_direction(direction):
         ("combinators = <RB2x\nmax_composition_order = 1", "combinator '<RB2x' needs max_composition_order = 2"),
         ("type_raise = NP > S\ntype_raise = NP > S", "duplicate type_raise rule 'NP > S'"),
         ("type_raise = NP<S[b]\ngoal = S\ntype_raise = NP < S[b]", "duplicate type_raise rule 'NP < S[b]'"),
+        ("type_raise = NP > S\ntype_raise = none", "type_raise = none must be the only type_raise line"),
+        ("type_raise = none\ngoal = S\ntype_raise = NP < S", "type_raise = none must be the only type_raise line"),
+        ("type_raise = NONE\ntype_raise = none", "type_raise = none must be the only type_raise line"),
     ],
 )
 def test_parser_config_errors_name_source_and_line(setting, message):
