@@ -189,6 +189,40 @@ def check_direction(direction: str) -> None:
         raise ValueError(f"direction must be 'forward' or 'backward', found {direction!r}")
 
 
+#: The name of an application (order 0) or a composition, e.g. '>', '<RB',
+#: '>B2x', by (direction, order, crossed, relation-wise).
+RULE_NAMES = {
+    (direction, order, crossed, rw): sign + "R" * rw + ("", "B", "B2")[order] + "x" * crossed
+    for direction, sign in (("forward", ">"), ("backward", "<"))
+    for order in (0, 1, 2) for crossed in (False, True) for rw in (False, True)
+}
+
+
+def raise_rule_name(target: Category, direction: str) -> str:
+    """The name of a type raise to ``target``, e.g. '>T[S]'."""
+    return f"{'>' if direction == 'forward' else '<'}T[{format_category(target)}]"
+
+
+def raised_category(category: Category, target: Category, direction: str) -> Functor:
+    """T/(T\\X) (forward) or T\\(T/X) (backward) for X = ``category``."""
+    if direction == "forward":
+        return Functor(target, FORWARD, Functor(target, BACKWARD, category))
+    return Functor(target, BACKWARD, Functor(target, FORWARD, category))
+
+
+def pending_category(conjunct: Category) -> Functor:
+    """X\\X: the category of a conjunction paired with a right conjunct X."""
+    return Functor(conjunct, BACKWARD, conjunct)
+
+
+def pending_conjunct(category: Category) -> Category | None:
+    """X if ``category`` is X\\X, the shape ``pending_category`` gives; else
+    None."""
+    if isinstance(category, Functor) and category.slash == BACKWARD and category.result == category.argument:
+        return category.argument
+    return None
+
+
 def match_categories(
     direction: str, order: int, fcat: Category, acat: Category
 ) -> tuple[Category, bool] | None:
@@ -227,8 +261,7 @@ def combine_matched(
     edge unifies, else regular substitution."""
     result_cat, crossed = match
     left, right = (function, argument) if direction == "forward" else (argument, function)
-    base = ">" if direction == "forward" else "<"
-    suffix = ("B2" if order == 2 else "B" if order else "") + ("x" if crossed else "")
+    relation_wise = False
     f, a = function.semantics, argument.semantics
     notes: tuple[str, ...] = ()
     graph = None
@@ -239,7 +272,7 @@ def combine_matched(
         if shared is not None:
             try:
                 graph, notes = relation_wise_combine(f, a, shared, order)
-                base += "R"
+                relation_wise = True
             except UnificationError as err:
                 notes = (f"shared-edge unification failed ({err}); fell back to the regular variant",)
     if graph is None:
@@ -252,7 +285,8 @@ def combine_matched(
         if order and (fv := sub.h_remaining + sub.g_remaining) != graph.fv:
             graph = with_fv_order(graph, fv)
     _check_result(result_cat, graph)
-    return Combined(Constituent(left.start, right.end, result_cat, graph), base + suffix, notes)
+    rule = RULE_NAMES[direction, order, crossed, relation_wise]
+    return Combined(Constituent(left.start, right.end, result_cat, graph), rule, notes)
 
 
 def _combine(
@@ -285,8 +319,8 @@ def combine_composition(
 ) -> Combined:
     """Function composition of the given order, relation-wise when shared;
     whether it is crossed follows from the argument's peeled slashes."""
-    if order < 1:
-        raise CombinationError("composition order must be at least 1")
+    if order not in (1, 2):
+        raise CombinationError(f"composition order must be 1 or 2, found {order}")
     return _combine(direction, order, function, argument)
 
 
@@ -300,13 +334,8 @@ def type_raise(c: Constituent, target: Category, direction: str) -> Combined:
     check_direction(direction)
     if not is_graph(c.semantics):
         raise CombinationError("only graph semantics can be type-raised")
-    if direction == "forward":
-        cat: Category = Functor(target, FORWARD, Functor(target, BACKWARD, c.category))
-        marker = ">"
-    else:
-        cat = Functor(target, BACKWARD, Functor(target, FORWARD, c.category))
-        marker = "<"
-    rule = f"{marker}T[{format_category(target)}]"
+    cat = raised_category(c.category, target, direction)
+    rule = raise_rule_name(target, direction)
     return Combined(Constituent(c.start, c.end, cat, raised(c.semantics)), rule)
 
 
@@ -327,7 +356,7 @@ def conj_attach(conj: Constituent, right: Constituent) -> Combined:
     _reject_partial(right)
     if conj.end != right.start:
         raise CombinationError("conjunction and right conjunct are not adjacent")
-    cat = Functor(right.category, BACKWARD, right.category)
+    cat = pending_category(right.category)
     return Combined(
         Constituent(conj.start, right.end, cat, ConjPartial(conj, right)), "&"
     )

@@ -32,7 +32,7 @@ from itertools import islice, product
 
 from . import penman
 from .category import (
-    ATOM_BASES, BACKWARD, FORWARD, Atom, Category, Functor, format_category, parse_category, unify,
+    ATOM_BASES, Atom, Category, format_category, parse_category, unify,
 )
 from .combinator import (
     Combined,
@@ -40,6 +40,7 @@ from .combinator import (
     ConjPartial,
     Constituent,
     Identity,
+    RULE_NAMES,
     check_direction,
     combine_application,
     combine_composition,
@@ -48,6 +49,10 @@ from .combinator import (
     coordinate,
     is_graph,
     match_categories,
+    pending_category,
+    pending_conjunct,
+    raise_rule_name,
+    raised_category,
     type_raise,
 )
 from .graph import UNDERSPECIFIED, invariant, iso_equal, validate
@@ -389,9 +394,10 @@ class ParserConfig:
                 raise ValueError(f"unknown combinator {name!r}")
             if binary and binary.group(3) and self.max_composition_order == 1:
                 raise ValueError(f"combinator {name!r} needs max_composition_order = 2")
-            if raising:  # the chart names a raise by format_category's spelling
+            if raising:  # the chart names a raise as type_raise does
+                direction = "forward" if raising.group(1) == ">" else "backward"
                 try:
-                    spelled = f"{raising.group(1)}T[{format_category(parse_category(raising.group(2)))}]"
+                    spelled = raise_rule_name(parse_category(raising.group(2)), direction)
                 except ValueError as err:
                     raise ValueError(f"bad combinator {name!r}: {err}") from None
                 if spelled != name:
@@ -581,15 +587,14 @@ def _category_steps(
     on the graphs), and '&' by category."""
     out = []
     for direction, order, (cat, crossed) in _category_matches(lcat, rcat, max_order):
-        base = ">" if direction == "forward" else "<"
-        suffix = ("B2" if order == 2 else "B" if order else "") + ("x" if crossed else "")
-        if enabled is None or base + suffix in enabled or base + "R" + suffix in enabled:
+        names = (RULE_NAMES[direction, order, crossed, rw] for rw in (False, True))
+        if enabled is None or not enabled.isdisjoint(names):
             out.append(cat)
     if enabled is None or "&" in enabled:
         if isinstance(lcat, Atom) and lcat.base == "Conj":
-            out.append(Functor(rcat, BACKWARD, rcat))
-        if isinstance(rcat, Functor) and rcat.slash == BACKWARD and rcat.result is rcat.argument:
-            out += filter(None, [unify(lcat, rcat.argument)])
+            out.append(pending_category(rcat))
+        if (conjunct := pending_conjunct(rcat)) is not None:
+            out += filter(None, [unify(lcat, conjunct)])
     return tuple(out)
 
 
@@ -605,11 +610,7 @@ def _goal_categories(
     category) here.
     """
     n = len(tokens)
-    raisings = []  # (source, target, outer slash) of the enabled raising rules
-    for rule in config.type_raising:
-        forward = rule.direction == "forward"
-        if _allowed(config, f"{'>' if forward else '<'}T[{format_category(rule.target)}]"):
-            raisings.append((rule.source, rule.target, FORWARD if forward else BACKWARD))
+    raisings = [r for r in config.type_raising if _allowed(config, raise_rule_name(r.target, r.direction))]
     raised: dict[Category, list[Category]] = {}  # what type_raise makes of each category
 
     def closed(cats: set[Category]) -> frozenset[Category]:
@@ -618,9 +619,7 @@ def _goal_categories(
             cat = todo.pop()
             if cat not in raised:
                 raised[cat] = [
-                    Functor(target, outer, Functor(target, BACKWARD if outer == FORWARD else FORWARD, cat))
-                    for source, target, outer in raisings
-                    if unify(source, cat) is not None
+                    raised_category(cat, r.target, r.direction) for r in raisings if unify(r.source, cat) is not None
                 ]
             todo += [up for up in raised[cat] if up not in cats]
             cats.update(raised[cat])

@@ -372,6 +372,15 @@ def test_application_and_composition_reject_an_unknown_direction():
         combine_composition("Backward", 1, quickly, runs_to)
 
 
+@pytest.mark.parametrize("order", [0, 3])
+def test_composition_order_must_be_one_or_two(order):
+    # only B and B2 have a rule name, so no other order can be recorded
+    quickly = c("(S\\NP)\\(S\\NP)", "(?1 :manner (q/quick))", 2, 3)
+    runs_to = c("(S\\NP)/PP", "(r/run-01 :ARG0 ?2 :direction ?1)", 1, 2)
+    with pytest.raises(CombinationError, match=f"^composition order must be 1 or 2, found {order}$"):
+        combine_composition("backward", order, quickly, runs_to)
+
+
 # --- conjunction ------------------------------------------------------------
 
 def test_coordinate_shares_object_variable():

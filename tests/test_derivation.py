@@ -455,7 +455,9 @@ def _gate_cases(lexicon):
     the lexicon, under each goal, raising on and off and both composition
     orders; and of the fixture sentences under whitelists that name only the
     relation-wise spelling of application, of composition, or of both (the
-    last one without backward rules, so that '&' alone coordinates)."""
+    last one without backward rules, so that '&' alone coordinates); and of
+    atomic conjuncts under forward rules only, where paper.lex's live NP\\NP
+    (from 'who') holds two equal but distinct NP atoms."""
     yield from _pinned_parses()
     rng = random.Random(1997)
     words = lexicon.tokens()
@@ -470,6 +472,10 @@ def _gate_cases(lexicon):
         enabled = frozenset([*names, "&", ">T[S]"])
         for sentence, goal, raising in FIXTURE_PARSES:
             yield sentence.split(), ParserConfig(goal=goal, type_raising=raising, enabled=enabled)
+    forward = frozenset([">", ">R", "&", ">T[S]"])
+    for sentence in ("John and Mary", "cats and bears and rice", "John likes cats and bears"):
+        for goal in ATOM_BASES:
+            yield sentence.split(), ParserConfig(goal=goal, type_raising=NP_TO_S, enabled=forward)
 
 
 def test_the_goal_pass_leaves_every_output_unchanged(lexicon, monkeypatch):
@@ -489,7 +495,7 @@ def test_the_goal_pass_leaves_every_output_unchanged(lexicon, monkeypatch):
         if want is not None:
             assert [_record(d) for d in cky_parse(tokens, lexicon, config)] == want, (tokens, config)
             parsed += bool(want)
-    assert parsed == 41 + 16 + 8  # pinned, random and whitelisted parses that find a derivation
+    assert parsed == 41 + 16 + 8 + 3  # pinned, random, whitelisted and forward-only parses with a result
 
 
 def test_every_result_step_lies_on_a_goal_derivation_by_categories(lexicon):
