@@ -10,9 +10,11 @@ is the one the script names.  CKY search explores all enabled combinators
 over a token sequence and returns complete derivations deduplicated by
 category and semantics: two items of a cell merge when their semantics are
 equal, or are isomorphic graphs.  Two equal graphs merge without an
-isomorphism search, and the rule matches of a pair of adjacent categories
-come from a bounded cache (``_category_matches``) instead of being
-recomputed per item pair.  A category-only pass (``_goal_categories``) runs
+isomorphism search, and the isomorphism invariant is computed only for
+unequal graphs of one span, category, node count and free-variable count
+(``_Chart``).  The rule matches of a pair of adjacent categories come
+from a bounded cache (``_category_matches``) instead of being recomputed
+per item pair.  A category-only pass (``_goal_categories``) runs
 first, and an application or composition does its graph step only when its
 result category lies on some category-level derivation of the goal.
 
@@ -465,36 +467,42 @@ class ParserConfig:
         return cls(**kwargs)
 
 
-def _same_semantics(a: object, b: object) -> bool:
-    # equal graphs are isomorphic under the identity map
-    return a == b or (is_graph(a) and iso_equal(a, b))
-
-
-def _semantic_key(sem: object) -> object:
-    """Equal for any two semantics that ``_same_semantics`` calls the same."""
-    return invariant(sem) if is_graph(sem) else sem
-
-
 class _Chart:
     """Cells of items in insertion order, one item per (category, iso-class).
 
-    Items are bucketed by (span, category, semantic key), so a new item is
-    compared for isomorphism only with the items of its own bucket.
+    Items are bucketed by span, category and, for a graph, its node and
+    free-variable counts; other semantics are keyed by value.  A bucket that
+    holds one item merges a new item only if it is ``==`` to it, as every
+    merge of a spurious-ambiguity chain is, so no invariant is computed.
+    The first unequal graph splits the bucket into sub-buckets by
+    :func:`invariant`, and a new item is then compared for isomorphism only
+    with the items of its own sub-bucket.
     """
 
     def __init__(self, config: ParserConfig):
         self.config = config
         self.cells: dict[tuple[int, int], list[_Item]] = {}
-        self._buckets: dict[tuple, list[_Item]] = {}
+        self._buckets: dict[tuple, _Item | dict[tuple, list[_Item]]] = {}
 
     def add(self, span: tuple[int, int], item: _Item) -> bool:
-        c = item.constituent
-        bucket = self._buckets.setdefault((span, c.category, _semantic_key(c.semantics)), [])
-        for existing in bucket:
-            if _same_semantics(existing.constituent.semantics, c.semantics):
-                existing.forest_count += item.forest_count
-                return False
-        bucket.append(item)
+        c, sem = item.constituent, item.constituent.semantics
+        key = (span, c.category, len(sem.nodes), len(sem.fv)) if is_graph(sem) else (span, c.category, sem)
+        bucket = self._buckets.setdefault(key, item)
+        if bucket is not item:
+            # uncontested: one item, which merges only an equal value (every
+            # value of a non-graph bucket is equal, so it is never contested)
+            if isinstance(bucket, _Item):
+                if bucket.constituent.semantics == sem:
+                    bucket.forest_count += item.forest_count
+                    return False
+                bucket = self._buckets[key] = {invariant(bucket.constituent.semantics): [bucket]}
+            rivals = bucket.setdefault(invariant(sem), [])
+            for existing in rivals:
+                # equal graphs are isomorphic under the identity map
+                if existing.constituent.semantics == sem or iso_equal(existing.constituent.semantics, sem):
+                    existing.forest_count += item.forest_count
+                    return False
+            rivals.append(item)
         cell = self.cells.setdefault(span, [])
         cell.append(item)
         if len(cell) > self.config.max_cell_items:

@@ -25,12 +25,12 @@ node and edge they make from a bounded by-value cache, so equal values
 built by different steps are one object (relation-wise combination builds
 its relabeled edge itself).
 
-Isomorphism classes are keyed on :func:`invariant`: the node count, the
-free-variable count, the root's concept and a hash of the sorted
-(source concept, label, target concept) edge triples.  Isomorphic graphs
-always share it, so a caller that holds many graphs (the chart) buckets
-them by it and runs :func:`iso_map` only within a bucket; :func:`iso_map`
-itself checks only the node and free-variable counts before its search.
+:func:`invariant` (node count, free-variable count, root concept and a
+hash of the sorted (source concept, label, target concept) edge triples)
+is shared by isomorphic graphs, so a caller that holds many unequal graphs
+(a contested chart bucket) splits them by it and runs :func:`iso_map` only
+within a split; :func:`iso_map` itself checks only the node and
+free-variable counts before its search.
 """
 
 from __future__ import annotations
@@ -380,11 +380,12 @@ def iso_map(g1: AmrSubgraph, g2: AmrSubgraph) -> dict[int, int] | None:
     Concepts, edges, the root, and fv positions must all be preserved; free
     variables can only map to free variables at the same fv index.  Graphs
     with different node or fv counts are rejected at once; the search below
-    is exact for any other pair, so it does not recompute :func:`invariant`
-    (callers that hold many graphs bucket them by it first, as the chart
-    does).  The fv pairs and the roots are bound first, then the remaining
-    nodes of g1 are tried in node order against g2's nodes of the same
-    concept, in node order, by a depth-first search with an explicit stack.
+    is exact for any other pair, so it does not compute :func:`invariant`
+    (a caller that holds many unequal graphs splits them by it first, as a
+    contested chart bucket does).  The fv pairs and the roots are bound
+    first, then the remaining nodes of g1 are tried in node order against
+    g2's nodes of the same concept, in node order, by a depth-first search
+    with an explicit stack.
     """
     if len(g1.nodes) != len(g2.nodes) or len(g1.fv) != len(g2.fv):
         return None

@@ -372,25 +372,56 @@ def test_category_matches_are_the_same_after_cache_clear(lexicon):
     assert sum(map(len, first)) > len(cats)
 
 
-def test_same_semantics_skips_the_iso_search_for_equal_graphs(monkeypatch):
-    calls = []
-    original = derivation.iso_equal
-    monkeypatch.setattr(derivation, "iso_equal", lambda a, b: calls.append(1) or original(a, b))
+def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the calls the chart makes to each named function."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(derivation, name, counting(name, getattr(derivation, name)))
+    return counts
+
+
+def _added(*graphs) -> tuple[list[bool], list[int]]:
+    """What ``_Chart.add`` returns for one S item per graph, all in span
+    (0, 1), and the forest counts of the items the cell keeps."""
+    chart = derivation._Chart(ParserConfig())
+    added = [chart.add((0, 1), derivation._Item(Constituent(0, 1, Atom("S"), g), "x")) for g in graphs]
+    return added, [item.forest_count for item in chart.cells[0, 1]]
+
+
+def test_chart_add_computes_invariants_only_for_contested_buckets(monkeypatch):
+    calls = _count_calls(monkeypatch, "invariant", "iso_equal")
     text = "(l / like-01 :ARG0 (p / person) :ARG1 (c / cat) :time ?1)"
     a, b = parse(text), parse(text)
     assert a == b and a is not b
-    assert derivation._same_semantics(a, b) and calls == []
+    assert _added(a, b) == ([True, False], [2])
+    assert calls == {"invariant": 0, "iso_equal": 0}
     copy = relabeled(a, seed=1)
     assert copy != a
-    assert derivation._same_semantics(a, copy) and calls == [1]
+    assert _added(a, copy) == ([True, False], [2])
+    assert calls == {"invariant": 2, "iso_equal": 1}
+    # three nodes and no free variable each; chain and fork share their
+    # invariant, swapped has another
+    chain = parse("(x / a :r (y / a :s (z / b)))")
+    fork = parse("(x / a :r (y / a) :s (z / b))")
+    swapped = parse("(x / a :r (y / b :s (z / a)))")
+    assert invariant(chain) == invariant(fork) != invariant(swapped)
+    calls.update(invariant=0, iso_equal=0)
+    assert _added(chain, fork, swapped) == ([True] * 3, [1] * 3)
+    assert calls == {"invariant": 3, "iso_equal": 1}
 
 
 def test_adjunct_chain_merges_without_an_iso_search(lexicon, monkeypatch):
-    calls = []
-    original = derivation.iso_equal
-    monkeypatch.setattr(derivation, "iso_equal", lambda a, b: calls.append(1) or original(a, b))
+    calls = _count_calls(monkeypatch, "invariant", "iso_equal")
     results = cky_parse("John likes the cat".split() + ["yesterday"] * 5, lexicon, ParserConfig())
-    assert calls == []
+    # every merge is of an equal graph, in a bucket no unequal graph contests
+    assert calls == {"invariant": 0, "iso_equal": 0}
     assert [d.forest_count for d in results] == [2 * 42, 2 * 42]  # h * Catalan(5), h = 2
 
 
@@ -608,11 +639,14 @@ def test_chart_compares_only_graphs_with_equal_invariants(lexicon, monkeypatch):
         return original(a, b)
 
     monkeypatch.setattr(derivation, "iso_equal", counting)
-    results = cky_parse(coordination_chain(4), lexicon, ParserConfig(type_raising=NP_TO_S))
-    assert len(results) == 80  # Catalan(3) bracketings times 2^4 name readings
-    assert calls  # otherwise all() below holds with no comparison made
-    assert all(calls)
-    assert len(calls) <= 400
+    for raising, searches in (((), 94), (NP_TO_S, 110)):
+        calls.clear()
+        results = cky_parse(coordination_chain(4), lexicon, ParserConfig(type_raising=raising))
+        assert len(results) == 80  # Catalan(3) bracketings times 2^4 name readings
+        assert all(calls)
+        # as many as when every item was keyed by its invariant: splitting a
+        # contested bucket adds no search
+        assert len(calls) == searches
 
 
 def test_graph_steps_build_each_node_and_edge_value_once(lexicon, monkeypatch):

@@ -215,6 +215,22 @@ def test_substitute_counting_laws(g, h):
     assert validate(result) == []
 
 
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_substitute_of_valid_graphs_is_valid(data):
+    """Whatever the slot, and whether h's root is a constant or a listed free
+    variable, substitution keeps valid graphs valid.  A valid g lists only
+    free variables, so filling one never raises a UnificationError."""
+    g = data.draw(graphs(max_nodes=6, max_fv=3, min_fv=1))
+    h = data.draw(graphs(max_nodes=6, max_fv=2))
+    pos = data.draw(st.integers(1, len(g.fv)))
+    if data.draw(st.booleans()):  # h rooted at a free variable listed first
+        nodes = (Node(h.root, None),) + h.nodes[1:]
+        h = AmrSubgraph(nodes, h.edges, h.root, (h.root,) + tuple(x for x in h.fv if x != h.root))
+    assert validate(g) == [] and validate(h) == []
+    assert validate(substitute(g, pos, h).graph) == []
+
+
 @given(h=graphs(max_fv=2))
 @settings(max_examples=60, deadline=None)
 def test_substitute_into_lone_variable_yields_argument(h):
