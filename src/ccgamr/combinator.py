@@ -22,6 +22,7 @@ a variable merged across the shared edge in its earliest surviving slot.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .category import (
@@ -189,18 +190,28 @@ def check_direction(direction: str) -> None:
         raise ValueError(f"direction must be 'forward' or 'backward', found {direction!r}")
 
 
-#: The name of an application (order 0) or a composition, e.g. '>', '<RB',
-#: '>B2x', by (direction, order, crossed, relation-wise).
-RULE_NAMES = {
-    (direction, order, crossed, rw): sign + "R" * rw + ("", "B", "B2")[order] + "x" * crossed
+#: Each application (order 0) or composition step name, e.g. '>', '<RB',
+#: '>B2x', with its (direction, order, crossed, relation-wise).  Only a
+#: composition can be crossed.
+RULES = {
+    sign + "R" * rw + ("", "B", "B2")[order] + "x" * crossed: (direction, order, crossed, rw)
     for direction, sign in (("forward", ">"), ("backward", "<"))
-    for order in (0, 1, 2) for crossed in (False, True) for rw in (False, True)
+    for order in (0, 1, 2) for crossed in (False, True)[: order + 1] for rw in (False, True)
 }
+RULE_NAMES = {rule: name for name, rule in RULES.items()}
+_RAISE_NAME = re.compile(r"([><])T\[(.+)\]")
 
 
 def raise_rule_name(target: Category, direction: str) -> str:
     """The name of a type raise to ``target``, e.g. '>T[S]'."""
     return f"{'>' if direction == 'forward' else '<'}T[{format_category(target)}]"
+
+
+def read_raise(name: str) -> tuple[str, str] | None:
+    """(direction, target text) of a type raise name, e.g. ('forward', 'S')
+    for '>T[S]'; None for any other name."""
+    m = _RAISE_NAME.fullmatch(name)
+    return m and ("forward" if m[1] == ">" else "backward", m[2])
 
 
 def raised_category(category: Category, target: Category, direction: str) -> Functor:
@@ -278,7 +289,7 @@ def combine_matched(
     if graph is None:
         if not f.fv:
             raise CombinationError("function semantics has no free variable to fill")
-        if a.fv and a.is_free(a.root):
+        if a.root in a.fv:
             notes += ("argument is rooted at a free variable; the merged variable keeps the argument's slot",)
         sub = substitute(f, 1, a)
         graph = sub.graph  # order 0 keeps f-remaining then a-remaining already
@@ -379,6 +390,8 @@ def coordinate(
         if isinstance(c.semantics, Identity):
             raise CombinationError(f"identity semantics cannot be the {side} conjunct")
         _reject_partial(c)
+    if left.end != conj.start:
+        raise CombinationError("left conjunct and conjunction are not adjacent")
     cat = unify(left.category, right.category)
     if cat is None:
         raise CombinationError(

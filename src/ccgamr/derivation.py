@@ -12,11 +12,12 @@ category and semantics: two items of a cell merge when their semantics are
 equal, or are isomorphic graphs.  Two equal graphs merge without an
 isomorphism search, and the isomorphism invariant is computed only for
 unequal graphs of one span, category, node count and free-variable count
-(``_Chart``).  The rule matches of a pair of adjacent categories come
-from a bounded cache (``_category_matches``) instead of being recomputed
-per item pair.  A category-only pass (``_goal_categories``) runs
-first, and an application or composition does its graph step only when its
-result category lies on some category-level derivation of the goal.
+(``_Chart``).  What the binary rules can do with a pair of adjacent
+categories comes from one bounded cache (``_category_rules``), which both
+passes read.  A category-only pass (``_goal_categories``) runs first, and an
+application or composition does its graph step only when its result
+category lies on some category-level derivation of the goal.  Step names
+are read only through ``combinator.RULES`` and ``combinator.read_raise``.
 
 Both modes record a derivation the same way: as items that keep only
 back-pointers to the items they were built from.  A ``Derivation`` builds
@@ -43,6 +44,7 @@ from .combinator import (
     Constituent,
     Identity,
     RULE_NAMES,
+    RULES,
     check_direction,
     combine_application,
     combine_composition,
@@ -55,6 +57,7 @@ from .combinator import (
     pending_conjunct,
     raise_rule_name,
     raised_category,
+    read_raise,
     type_raise,
 )
 from .graph import UNDERSPECIFIED, invariant, iso_equal, validate
@@ -104,11 +107,6 @@ class Binary:
 
 ScriptNode = Leaf | Unary | Binary
 
-# >, <R, >B, <RB2x, ...: application is composition of order 0, written without B
-_BINARY_RE = re.compile(r"^([><])(R?)(?:B(2?)(x?))?$")
-_RAISE_RE = re.compile(r"^([><])T\[(.+)\]$")
-
-
 _SCRIPT_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 
 
@@ -121,7 +119,7 @@ def looks_like_script(text: str) -> bool:
         return False
     if head[1] == "leaf":
         return head[2].isdigit()
-    return head[1] == "&" or bool(_BINARY_RE.match(head[1]) or _RAISE_RE.match(head[1]))
+    return head[1] == "&" or head[1] in RULES or read_raise(head[1]) is not None
 
 
 def parse_script(text: str) -> ScriptNode:
@@ -156,9 +154,9 @@ def parse_script(text: str) -> ScriptNode:
             if not (index.isascii() and index.isdigit()):
                 raise ScriptError(f"leaf index must be an integer, found {index!r}")
             out: ScriptNode = Leaf(int(index), entry_id)
-        elif _RAISE_RE.match(head):
+        elif read_raise(head):
             out = Unary(head, node(depth + 1))
-        elif head == "&" or _BINARY_RE.match(head):
+        elif head == "&" or head in RULES:
             left = node(depth + 1)
             right = node(depth + 1)
             out = Binary(head, left, right)
@@ -202,10 +200,14 @@ class Derivation:
     forest_count: int = 1
 
     def __getattr__(self, name: str):
-        # a derivation holds its root item until its script or steps are read
-        if name not in ("script", "steps") or "_item" not in self.__dict__:
+        # a derivation holds its root item until its script and steps are set;
+        # another thread may have set them since this lookup missed them
+        item = self.__dict__.get("_item")
+        if item is not None and name in ("script", "steps"):
+            self.script, self.steps = _built(item)
+            self.__dict__.pop("_item", None)
+        if name not in self.__dict__:
             raise AttributeError(name)
-        self.script, self.steps = _built(self.__dict__.pop("_item"))
         return self.__dict__[name]
 
     def to_script(self) -> str:
@@ -266,13 +268,12 @@ def _binary_outcome(
     name: str, left: Constituent, right: Constituent
 ) -> Combined:
     """Run the operation a script step names, with automatic variant choice."""
-    m = _BINARY_RE.match(name)
-    if m:
-        direction = "forward" if m.group(1) == ">" else "backward"
+    if name in RULES:
+        direction, order, _, _ = RULES[name]
         f, a = (left, right) if direction == "forward" else (right, left)
-        if m.group(3) is None:
+        if order == 0:
             return combine_application(direction, f, a)
-        return combine_composition(direction, 2 if m.group(3) else 1, f, a)
+        return combine_composition(direction, order, f, a)
     if name == "&":
         if isinstance(left.category, Atom) and left.category.base == "Conj":
             return conj_attach(left, right)
@@ -286,13 +287,14 @@ def _binary_outcome(
 def _explain_variant_mismatch(scripted: str, outcome: Combined) -> str:
     got = outcome.rule
     lines = [f"script names {scripted!r} but the engine derives {got!r}"]
-    if "R" in got and "R" not in scripted:
+    relation_wise = RULES[scripted][3], RULES[got][3]  # '&' always derives '&'
+    if relation_wise == (False, True):
         lines.append(
             f"{scripted!r} fails: the constituents share a relation, and the "
             "relation-wise variant applies whenever a shared relation exists"
         )
         lines.append(f"{got!r} holds: the shared edge was merged")
-    elif "R" in scripted and "R" not in got:
+    elif relation_wise == (True, False):
         lines.append(f"{scripted!r} fails: no relation is shared at the required free variables")
         lines.append(f"{got!r} holds: the regular variant applies")
     return "; ".join(lines)
@@ -309,13 +311,12 @@ def replay(script: ScriptNode, lexicon: Lexicon) -> Derivation:
             return _Item(c, node.entry_id)
         if isinstance(node, Unary):
             children = (walk(node.child, path + (0,)),)
-            m = _RAISE_RE.match(node.name)
-            if not m:
+            raising = read_raise(node.name)
+            if raising is None:
                 raise ReplayError(path, f"unknown unary combinator {node.name!r}")
-            direction = "forward" if m.group(1) == ">" else "backward"
+            direction, target = raising
             try:
-                target = parse_category(m.group(2))
-                outcome = type_raise(children[0].constituent, target, direction)
+                outcome = type_raise(children[0].constituent, parse_category(target), direction)
             except (CombinationError, ValueError) as err:
                 raise ReplayError(path, str(err)) from err
         else:
@@ -391,15 +392,15 @@ class ParserConfig:
         if self.goal not in ATOM_BASES:
             raise ValueError(f"goal must be one of {', '.join(ATOM_BASES)}, found {self.goal!r}")
         for name in sorted(self.enabled or ()):
-            binary, raising = _BINARY_RE.match(name), _RAISE_RE.match(name)
-            if name != "&" and not (binary or raising):
+            raising = read_raise(name)
+            if name != "&" and name not in RULES and not raising:
                 raise ValueError(f"unknown combinator {name!r}")
-            if binary and binary.group(3) and self.max_composition_order == 1:
+            if name in RULES and RULES[name][1] > self.max_composition_order:
                 raise ValueError(f"combinator {name!r} needs max_composition_order = 2")
             if raising:  # the chart names a raise as type_raise does
-                direction = "forward" if raising.group(1) == ">" else "backward"
+                direction, target = raising
                 try:
-                    spelled = raise_rule_name(parse_category(raising.group(2)), direction)
+                    spelled = raise_rule_name(parse_category(target), direction)
                 except ValueError as err:
                     raise ValueError(f"bad combinator {name!r}: {err}") from None
                 if spelled != name:
@@ -512,36 +513,44 @@ class _Chart:
         return True
 
 
-def _allowed(config: ParserConfig, rule: str) -> bool:
-    return config.enabled is None or rule in config.enabled
-
-
 @lru_cache(maxsize=4096)
-def _category_matches(
-    lcat: Category, rcat: Category, max_order: int
-) -> tuple[tuple[str, int, tuple[Category, bool]], ...]:
-    """(direction, order, match) for every composition of order 0 (application)
-    to ``max_order`` whose categories match, forward before backward."""
-    out = []
+def _category_rules(lcat: Category, rcat: Category, max_order: int, enabled: frozenset[str] | None) -> tuple:
+    """What the binary rules can do with two adjacent categories, for the
+    chart and the goal pass alike: (direction, order, match) of every
+    composition of order 0 (application) to ``max_order`` whose categories
+    match, allowed in either spelling (the relation-wise choice depends on
+    the graphs), forward before backward; whether '&' can attach ``lcat`` as a
+    conjunction; the category of coordinating ``lcat`` with the conjunct
+    pending in ``rcat``, or None; and the set of all their result categories."""
+    matches = []
     for order in range(max_order + 1):
         for direction, fcat, acat in (("forward", lcat, rcat), ("backward", rcat, lcat)):
             match = match_categories(direction, order, fcat, acat)
-            if match is not None:
-                out.append((direction, order, match))
-    return tuple(out)
+            if match is not None and (enabled is None or any(
+                RULE_NAMES[direction, order, match[1], rw] in enabled for rw in (False, True)
+            )):
+                matches.append((direction, order, match))
+    conj = enabled is None or "&" in enabled
+    attach = conj and isinstance(lcat, Atom) and lcat.base == "Conj"
+    conjunct = pending_conjunct(rcat) if conj else None
+    coordinated = None if conjunct is None else unify(lcat, conjunct)
+    results = [cat for _, _, (cat, _) in matches] + [pending_category(rcat)] * attach + [coordinated]
+    return tuple(matches), attach, coordinated, frozenset(results) - {None}
 
 
 def _binary_candidates(
     left: Constituent, right: Constituent, config: ParserConfig, wanted=None
 ) -> list[Combined]:
-    """Every rule's outcome on two adjacent constituents; graph work runs only
-    for rules whose categories match and, given ``wanted``, only for result
-    categories in it."""
+    """Every enabled rule's outcome on two adjacent constituents; graph work
+    runs only where ``_category_rules`` allows it and, given ``wanted``, only
+    for result categories in it."""
+    matches, attach, coordinated, _ = _category_rules(
+        left.category, right.category, config.max_composition_order, config.enabled
+    )
+    lpartial, rpartial = isinstance(left.semantics, ConjPartial), isinstance(right.semantics, ConjPartial)
     out: list[Combined] = []
-    if not isinstance(left.semantics, ConjPartial) and not isinstance(right.semantics, ConjPartial):
-        for direction, order, match in _category_matches(
-            left.category, right.category, config.max_composition_order
-        ):
+    if not (lpartial or rpartial):
+        for direction, order, match in matches:
             if wanted is not None and match[0] not in wanted:
                 continue
             f, a = (left, right) if direction == "forward" else (right, left)
@@ -549,65 +558,40 @@ def _binary_candidates(
                 out.append(combine_matched(direction, order, f, a, match))
             except CombinationError:
                 pass
-    if isinstance(left.category, Atom) and left.category.base == "Conj":
+    if attach:
         try:
             out.append(conj_attach(left, right))
         except CombinationError:
             pass
-    if isinstance(right.semantics, ConjPartial) and not isinstance(left.semantics, ConjPartial):
+    if rpartial and not lpartial and coordinated is not None:
         partial: ConjPartial = right.semantics
-        if unify(left.category, partial.right.category) is not None:
-            try:
-                out.append(coordinate(partial.conj, left, partial.right, config.strict_conjunction))
-            except CombinationError:
-                pass
-    return [o for o in out if _allowed(config, o.rule)]
+        try:
+            out.append(coordinate(partial.conj, left, partial.right, config.strict_conjunction))
+        except CombinationError:
+            pass
+    # the relation-wise spelling of a match is known only after its graph step
+    return out if config.enabled is None else [o for o in out if o.rule in config.enabled]
 
 
-def _raise_closure(chart: _Chart, span: tuple[int, int]) -> None:
-    config = chart.config
-    if not config.type_raising:
-        return
-    changed = True
+def _raise_closure(chart: _Chart, span: tuple[int, int], raisings: tuple[TypeRaisingRule, ...]) -> None:
+    changed = bool(raisings)
     while changed:
         changed = False
         for item in list(chart.cells.get(span, [])):
             if not is_graph(item.constituent.semantics):
                 continue
-            for rule in config.type_raising:
+            for rule in raisings:
                 if unify(rule.source, item.constituent.category) is None:
                     continue
                 outcome = type_raise(item.constituent, rule.target, rule.direction)
-                if not _allowed(config, outcome.rule):
-                    continue
                 new = _Item(outcome.constituent, outcome.rule, outcome.notes,
                             item.forest_count, (item,))
                 if chart.add(span, new):
                     changed = True
 
 
-@lru_cache(maxsize=4096)
-def _category_steps(
-    lcat: Category, rcat: Category, max_order: int, enabled: frozenset[str] | None
-) -> tuple[Category, ...]:
-    """The result categories binary rules can give two adjacent categories: a
-    rule match allowed in either spelling (the relation-wise choice depends
-    on the graphs), and '&' by category."""
-    out = []
-    for direction, order, (cat, crossed) in _category_matches(lcat, rcat, max_order):
-        names = (RULE_NAMES[direction, order, crossed, rw] for rw in (False, True))
-        if enabled is None or not enabled.isdisjoint(names):
-            out.append(cat)
-    if enabled is None or "&" in enabled:
-        if isinstance(lcat, Atom) and lcat.base == "Conj":
-            out.append(pending_category(rcat))
-        if (conjunct := pending_conjunct(rcat)) is not None:
-            out += filter(None, [unify(lcat, conjunct)])
-    return tuple(out)
-
-
 def _goal_categories(
-    tokens: list[str], lexicon: Lexicon, config: ParserConfig
+    tokens: list[str], lexicon: Lexicon, config: ParserConfig, raisings: tuple[TypeRaisingRule, ...]
 ) -> dict[tuple[int, int], set[Category]]:
     """Per span, the categories on some category-level derivation of the goal
     over the whole sentence; empty if there is none.
@@ -618,7 +602,6 @@ def _goal_categories(
     category) here.
     """
     n = len(tokens)
-    raisings = [r for r in config.type_raising if _allowed(config, raise_rule_name(r.target, r.direction))]
     raised: dict[Category, list[Category]] = {}  # what type_raise makes of each category
 
     def closed(cats: set[Category]) -> frozenset[Category]:
@@ -642,7 +625,7 @@ def _goal_categories(
             for split in range(i + 1, i + width):
                 cells = (inside[i, split], inside[split, i + width])
                 if cells not in results:
-                    results[cells] = {c for l, r in product(*cells) for c in _category_steps(l, r, *rules)}
+                    results[cells] = {c for l, r in product(*cells) for c in _category_rules(l, r, *rules)[-1]}
                 cats |= results[cells]
             inside[i, i + width] = closed(cats)
     goal = {c for c in inside[0, n] if isinstance(c, Atom) and c.base == config.goal}
@@ -658,7 +641,7 @@ def _goal_categories(
                 want.update([c for c in inside[i, i + width] if not want.isdisjoint(raised[c])])
             for split in range(i + 1, i + width):
                 for lcat, rcat in product(inside[i, split], inside[split, i + width]):
-                    if not want.isdisjoint(_category_steps(lcat, rcat, *rules)):
+                    if not want.isdisjoint(_category_rules(lcat, rcat, *rules)[-1]):
                         wanted.setdefault((i, split), set()).add(lcat)
                         wanted.setdefault((split, i + width), set()).add(rcat)
     return wanted
@@ -673,7 +656,9 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
     missing = [t for t in tokens if not lexicon.lookup(t)]
     if missing:
         raise UnknownTokenError(f"tokens not in lexicon: {', '.join(sorted(set(missing)))}")
-    wanted = _goal_categories(tokens, lexicon, config)
+    raisings = tuple(r for r in config.type_raising  # a whitelist must name each raise
+                     if config.enabled is None or raise_rule_name(r.target, r.direction) in config.enabled)
+    wanted = _goal_categories(tokens, lexicon, config, raisings)
     if not wanted:
         return []
     chart = _Chart(config)
@@ -681,7 +666,7 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
         for entry in lexicon.lookup(token):
             c = Constituent(i, i + 1, entry.category, entry.semantics)
             chart.add((i, i + 1), _Item(c, entry.entry_id))
-        _raise_closure(chart, (i, i + 1))
+        _raise_closure(chart, (i, i + 1), raisings)
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
@@ -693,7 +678,7 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
                             count = litem.forest_count * ritem.forest_count
                             new = _Item(o.constituent, o.rule, o.notes, count, (litem, ritem))
                             chart.add((i, j), new)
-            _raise_closure(chart, (i, j))
+            _raise_closure(chart, (i, j), raisings)
     results: list[Derivation] = []
     for item in chart.cells.get((0, n), []):
         cat = item.constituent.category

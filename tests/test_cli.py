@@ -171,6 +171,8 @@ def test_parse_all_prints_scripts_and_forest_counts(tmp_path, capsys):
         ("goal = S[dcl]", "goal must be one of S, NP, N, PP, Conj, found 'S[dcl]'"),
         ("combinators = >, <, frob", "unknown combinator 'frob'"),
         ("combinators = >b", "unknown combinator '>b'"),
+        ("combinators = >, >x", "unknown combinator '>x'"),
+        ("combinators = <Rx, <R", "unknown combinator '<Rx'"),
         ("combinators = >, >T[frob]", "bad combinator '>T[frob]': unknown atomic category 'frob'"),
         ("combinators = &, >, >RB, >T[(S)]", "combinator '>T[(S)]' is spelled '>T[S]'"),
         ("max_composition_order = 1\ncombinators = >B2", "combinator '>B2' needs max_composition_order = 2"),
@@ -244,6 +246,16 @@ def test_replay_crossed_flip_reports_both(tmp_path, capsys):
     code, _, err = run(capsys, "replay", "--lexicon", LEX, "--derivation", str(flipped))
     assert code == 4
     assert "script names '<B' but the engine derives '<Bx'" in err
+
+
+def test_replay_of_a_coordination_whose_conjuncts_are_not_adjacent_is_invalid(tmp_path, capsys):
+    bad = tmp_path / "apart.ccg"
+    bad.write_text("(& (leaf 5 john.1) (& (leaf 1 and.1) (leaf 2 mary.1)))\n")
+    code, out, err = run(capsys, "replay", "--lexicon", LEX, "--derivation", str(bad), "--trace")
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [
+        "replay failed: step root: '&' failed: left conjunct and conjunction are not adjacent"
+    ]
 
 
 def test_replay_missing_file(capsys):

@@ -1,9 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgamr.category import BACKWARD, FORWARD, Atom, Functor, arity, format_category, parse_category
 from ccgamr.combinator import (
+    RULE_NAMES,
+    RULES,
     CombinationError,
     Constituent,
     combine_application,
@@ -12,6 +16,8 @@ from ccgamr.combinator import (
     conj_attach,
     coordinate,
     match_categories,
+    raise_rule_name,
+    read_raise,
     relation_wise_combine,
     relation_wise_match,
     type_raise,
@@ -426,6 +432,12 @@ def test_coordinate_rejects_mismatched_variable_counts():
         )
 
 
+def test_coordinate_rejects_a_left_conjunct_not_next_to_the_conjunction():
+    for left_span in ((5, 6), (0, 1)):
+        with pytest.raises(CombinationError, match="^left conjunct and conjunction are not adjacent$"):
+            coordinate(c("Conj", "(a/and)", 2, 3), c("NP", "(a/alpha)", *left_span), c("NP", "(b/beta)", 3, 4))
+
+
 def test_coordinate_rejects_identity_conjunct():
     with pytest.raises(CombinationError, match="identity"):
         coordinate(
@@ -483,3 +495,27 @@ def test_relation_wise_discharges_underspecified_edge():
     assert out.rule == ">RB"
     sem = out.constituent.semantics
     assert all(e.label != UNDERSPECIFIED for e in sem.edges)
+
+
+# --- step names -------------------------------------------------------------
+
+def test_rules_hold_exactly_the_step_names():
+    spelled = {d + r + b + x for d in "><" for r in ("", "R") for b in ("", "B", "B2") for x in ("", "x")}
+    names = {name for name in spelled if re.fullmatch(r"[><]R?(?:B2?x?)?", name)}
+    assert len(names) == 20 and set(RULES) == names
+    assert RULE_NAMES == {rule: name for name, rule in RULES.items()} and len(RULE_NAMES) == 20
+    for name, (direction, order, crossed, rw) in RULES.items():
+        assert name[0] == (">" if direction == "forward" else "<")
+        assert (order, crossed, rw) == (name.count("B") + name.count("2"), "x" in name, "R" in name)
+
+
+@pytest.mark.parametrize("name", ["&", ">", "<RBx", "T[S]", ">T[]", ">T[S]x", "<T", ">x", "<Rx"])
+def test_read_raise_reads_only_raise_names(name):
+    assert read_raise(name) is None
+
+
+@pytest.mark.parametrize("text, direction", [("S", "forward"), ("S\\NP", "backward"), ("(S/NP)/NP", "forward")])
+def test_read_raise_inverts_raise_rule_name(text, direction):
+    target = parse_category(text)
+    name = raise_rule_name(target, direction)
+    assert read_raise(name) == (direction, format_category(target))

@@ -1,13 +1,17 @@
 import hashlib
 import random
+import re
+import sys
+import threading
 from contextlib import suppress
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from ccgamr import combinator, derivation, graph, penman
 from ccgamr.category import ATOM_BASES, Atom, format_category, unify
-from ccgamr.combinator import CombinationError, Constituent, conj_attach, is_graph, type_raise
+from ccgamr.combinator import CombinationError, Constituent, conj_attach, is_graph, raise_rule_name, type_raise
 from ccgamr.derivation import (
     Binary,
     ChartOverflowError,
@@ -65,6 +69,14 @@ def test_parse_script_example():
 def test_parse_script_unary():
     node = parse_script("(>T[S] (leaf 0 john.1))")
     assert isinstance(node, Unary) and node.name == ">T[S]"
+
+
+@pytest.mark.parametrize("name", ["FLIP", ">x", "<Rx", ">T[]"])
+def test_parse_script_rejects_a_name_that_no_step_has(name):
+    text = f"({name} (leaf 0 a.1) (leaf 1 b.1))"
+    with pytest.raises(ScriptError, match=f"^unknown combinator {re.escape(repr(name))}$"):
+        parse_script(text)
+    assert not derivation.looks_like_script(text)
 
 
 def test_parse_script_errors():
@@ -162,6 +174,19 @@ def test_replay_rejects_nonadjacent_leaves(lexicon):
     bad = Binary(">", Leaf(0, "likes.1"), Leaf(2, "cats.1"))
     with pytest.raises(ReplayError, match="adjacent"):
         replay(bad, lexicon)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(& (leaf 5 john.1) (& (leaf 1 and.1) (leaf 2 mary.1)))",
+        "(& (leaf 0 john.1) (& (leaf 7 and.1) (leaf 8 mary.1)))",
+    ],
+)
+def test_replay_rejects_a_left_conjunct_not_next_to_the_conjunction(lexicon, text):
+    with pytest.raises(ReplayError) as err:
+        replay(parse_script(text), lexicon)
+    assert str(err.value) == "step root: '&' failed: left conjunct and conjunction are not adjacent"
 
 
 def test_replay_reports_step_path(lexicon):
@@ -362,14 +387,14 @@ def test_binary_candidates_agree_with_trying_every_combinator_on_pending_conjunc
             assert _shown(_binary_candidates(left, right, config)) == want, (left, right)
 
 
-def test_category_matches_are_the_same_after_cache_clear(lexicon):
+def test_category_rules_are_the_same_after_cache_clear(lexicon):
     cats = sorted({e.category for e in lexicon.entries}, key=format_category)
-    keys = [(lcat, rcat, order) for lcat in cats for rcat in cats for order in (1, 2)]
-    first = [derivation._category_matches(*key) for key in keys]
-    derivation._category_matches.cache_clear()
-    assert [derivation._category_matches(*key) for key in keys] == first
-    assert first == [derivation._category_matches.__wrapped__(*key) for key in keys]
-    assert sum(map(len, first)) > len(cats)
+    keys = [(lcat, rcat, order, None) for lcat in cats for rcat in cats for order in (1, 2)]
+    first = [derivation._category_rules(*key) for key in keys]
+    derivation._category_rules.cache_clear()
+    assert [derivation._category_rules(*key) for key in keys] == first
+    assert first == [derivation._category_rules.__wrapped__(*key) for key in keys]
+    assert sum(len(matches) for matches, *_ in first) > len(cats)
 
 
 def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
@@ -533,7 +558,7 @@ def test_every_result_step_lies_on_a_goal_derivation_by_categories(lexicon):
     checked = 0
     for sentence, goal, raising in FIXTURE_PARSES:
         tokens, config = sentence.split(), ParserConfig(goal=goal, type_raising=raising)
-        wanted = derivation._goal_categories(tokens, lexicon, config)
+        wanted = derivation._goal_categories(tokens, lexicon, config, raising)
         for d in cky_parse(tokens, lexicon, config):
             for step in d.steps:
                 c = step.constituent
@@ -559,7 +584,7 @@ def test_the_goal_pass_skips_graph_steps_off_every_goal_derivation(lexicon, monk
     monkeypatch.undo()
     # no S spans the sentence by categories, so no item is built at all
     tokens = "John likes and Mary hates cats".split()
-    assert derivation._goal_categories(tokens, lexicon, ParserConfig()) == {}
+    assert derivation._goal_categories(tokens, lexicon, ParserConfig(), ()) == {}
     assert _graph_steps(monkeypatch, tokens, lexicon, ParserConfig()) == 0
 
 
@@ -592,6 +617,36 @@ def test_cky_builds_scripts_and_steps_only_when_read(lexicon, monkeypatch):
     assert Derivation(again.script, again.steps, again.final, 4) == first
     second = cky_parse(tokens, lexicon, ParserConfig(type_raising=NP_TO_S))
     assert second == results  # == reads both sides' scripts and steps
+
+
+def test_first_reads_of_steps_from_several_threads_all_succeed(lexicon):
+    tokens = ("John likes the cat" + " yesterday" * 4).split()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(20):
+            d = cky_parse(tokens, lexicon, ParserConfig())[0]
+            barrier, read, errors = threading.Barrier(4), [], []
+
+            def first_read():
+                barrier.wait(timeout=10)
+                try:
+                    read.append(d.steps)
+                except AttributeError as err:
+                    errors.append(err)
+
+            threads = [threading.Thread(target=first_read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == [] and len(read) == 4
+            assert all(steps == read[0] for steps in read) and d.steps in read
+            # a thread whose lookup missed just before another one set the steps
+            assert d.__getattr__("steps") is d.steps and d.__getattr__("script") is d.script
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_replay_builds_steps_only_when_read(lexicon, monkeypatch):
@@ -741,6 +796,8 @@ def test_a_type_raising_rule_rejects_an_unknown_direction(direction):
         ("goal = S[dcl]", "goal must be one of S, NP, N, PP, Conj, found 'S[dcl]'"),
         ("combinators = >, <, frob", "unknown combinator 'frob'"),
         ("combinators = >b", "unknown combinator '>b'"),
+        ("combinators = >, >x", "unknown combinator '>x'"),
+        ("combinators = <Rx, <R", "unknown combinator '<Rx'"),
         ("combinators = >, >T[frob]", "bad combinator '>T[frob]': unknown atomic category 'frob' at offset 0"),
         ("combinators = &, >, >RB, >T[(S)]", "combinator '>T[(S)]' is spelled '>T[S]'"),
         ("combinators = <T[S\\(NP)]", r"combinator '<T[S\\(NP)]' is spelled '<T[S\\NP]'"),
@@ -810,6 +867,28 @@ def test_cky_combinator_whitelist(lexicon):
     assert cky_parse(tokens, lexicon, no_conj) == []
     few = ParserConfig.from_text("type_raise = NP > S\ncombinators = &, >, >RB, >T[S]")
     assert len(cky_parse(tokens, lexicon, few)) == 4
+
+
+def test_a_whitelist_that_omits_a_configured_raise_disables_it(lexicon, monkeypatch):
+    tokens = "John likes and Mary hates cats".split()
+    names = "combinators = >, <, >B, <B, >Bx, <Bx, >R, <R, >RB, <RB, &"
+    omitted = ParserConfig.from_text(f"type_raise = NP > S\n{names}")
+    assert cky_parse(tokens, lexicon, omitted) == cky_parse(tokens, lexicon, ParserConfig.from_text(names)) == []
+    named = ParserConfig.from_text(f"type_raise = NP > S\n{names}, >T[S]")
+    assert len(cky_parse(tokens, lexicon, named)) == 4
+    # the chart drops the raise too, not only the goal pass
+    monkeypatch.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())
+    assert cky_parse(tokens, lexicon, omitted) == []
+    assert len(cky_parse(tokens, lexicon, named)) == 4
+
+
+def test_the_readme_config_names_each_raise_it_configures():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^```ini\n(.*?)^```", readme, re.M | re.S)
+    config = ParserConfig.from_text(block, "README.md")
+    assert config.type_raising and config.enabled
+    for rule in config.type_raising:
+        assert raise_rule_name(rule.target, rule.direction) in config.enabled
 
 
 def test_cky_strict_conjunction_blocks_two_variable_conjuncts(lexicon):
