@@ -15,9 +15,10 @@ unequal graphs of one span, category, node count and free-variable count
 (``_Chart``).  What the binary rules can do with a pair of adjacent
 categories comes from one bounded cache (``_category_rules``), which both
 passes read.  A category-only pass (``_goal_categories``) runs first, and an
-application or composition does its graph step only when its result
-category lies on some category-level derivation of the goal.  Step names
-are read only through ``combinator.RULES`` and ``combinator.read_raise``.
+application, composition or coordination does its graph step only when its
+result category lies on some category-level derivation of the goal (words,
+raising and attaching a conjunction are not gated).  Step names are read
+only through ``combinator.RULES`` and ``combinator.read_raise``.
 
 Both modes record a derivation the same way: as items that keep only
 back-pointers to the items they were built from.  A ``Derivation`` builds
@@ -542,8 +543,9 @@ def _binary_candidates(
     left: Constituent, right: Constituent, config: ParserConfig, wanted=None
 ) -> list[Combined]:
     """Every enabled rule's outcome on two adjacent constituents; graph work
-    runs only where ``_category_rules`` allows it and, given ``wanted``, only
-    for result categories in it."""
+    runs only where ``_category_rules`` allows it and, given ``wanted``, an
+    application, composition or coordination only for a result category in
+    it (attaching a conjunction builds no graph and is not gated)."""
     matches, attach, coordinated, _ = _category_rules(
         left.category, right.category, config.max_composition_order, config.enabled
     )
@@ -563,7 +565,7 @@ def _binary_candidates(
             out.append(conj_attach(left, right))
         except CombinationError:
             pass
-    if rpartial and not lpartial and coordinated is not None:
+    if rpartial and not lpartial and coordinated is not None and (wanted is None or coordinated in wanted):
         partial: ConjPartial = right.semantics
         try:
             out.append(coordinate(partial.conj, left, partial.right, config.strict_conjunction))

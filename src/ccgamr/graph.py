@@ -86,9 +86,6 @@ class AmrSubgraph:
     def _by_id(self) -> dict[int, Node]:
         return {n.id: n for n in self.nodes}
 
-    def is_free(self, node_id: int) -> bool:
-        return self._by_id[node_id].concept is None
-
     def concept(self, node_id: int) -> str | None:
         return self._by_id[node_id].concept
 
@@ -299,65 +296,66 @@ def with_fv_order(g: AmrSubgraph, fv: tuple[int, ...]) -> AmrSubgraph:
 
 
 def validate(g: AmrSubgraph) -> list[str]:
-    """All invariant violations, empty when the graph is well-formed."""
+    """All invariant violations, empty when the graph is well-formed.
+
+    Node ids map to positions once (a repeated id keeps its first); one pass
+    over the edges reports their problems and fills the position-indexed
+    out-edge, link and in-degree lists that the later checks read."""
     problems: list[str] = []
-    ids = {n.id for n in g.nodes}
-    if len(ids) != len(g.nodes):
+    at = dict.fromkeys(map(_ID, g.nodes))
+    n = len(at)
+    at = dict(zip(at, range(n)))
+    if n != len(g.nodes):
         problems.append("duplicate node ids")
-    if g.root not in ids:
+    root = at.get(g.root)
+    if root is None:
         problems.append(f"root {g.root} is not a node")
+    out, links, indegree = [[] for _ in at], [[] for _ in at], [0] * n
     seen_triples: set[tuple[int, str, int]] = set()
     for e in g.edges:
-        if e.source not in ids or e.target not in ids:
+        s, t = at.get(e.source), at.get(e.target)
+        if s is None or t is None:
             problems.append(f"edge {e} has a dangling endpoint")
+        else:
+            out[s].append(t)
+            links[s].append(t)
+            links[t].append(s)
+            indegree[t] += 1
         if e.label.endswith("-of"):
             problems.append(f"edge {e} stores an inverse label")
         triple = (e.source, e.label, e.target)
         if triple in seen_triples:
             problems.append(f"duplicate edge triple {triple}")
         seen_triples.add(triple)
-    free = {n.id for n in g.nodes if n.is_free}
-    listed = list(g.fv)
-    if len(set(listed)) != len(listed):
+    free = {node.id for node in g.nodes if node.concept is None}
+    listed = set(g.fv)
+    if len(listed) != len(g.fv):
         problems.append("fv list contains repeats")
-    for x in listed:
-        if x not in free:
-            problems.append(f"fv entry {x} is not a free-variable node")
-    for x in free - set(listed):
-        problems.append(f"free variable {x} missing from fv list")
-    # connectivity over undirected links
-    if g.root in ids and ids:
-        adj: dict[int, set[int]] = {i: set() for i in ids}
-        for e in g.edges:
-            if e.source in ids and e.target in ids:
-                adj[e.source].add(e.target)
-                adj[e.target].add(e.source)
-        seen = {g.root}
-        stack = [g.root]
+    if free != listed:
+        problems += [f"fv entry {x} is not a free-variable node" for x in g.fv if x not in free]
+        problems += [f"free variable {x} missing from fv list" for x in free - listed]
+    if root is not None:  # connectivity over undirected links
+        reached = [False] * n
+        reached[root] = True
+        stack = [root]
         while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if seen != ids:
-            missing = sorted(ids - seen)
+            for v in links[stack.pop()]:
+                if not reached[v]:
+                    reached[v] = True
+                    stack.append(v)
+        if not all(reached):
+            missing = sorted(i for i, k in at.items() if not reached[k])
             problems.append(f"graph is disconnected; unreachable nodes {missing}")
     # acyclicity in stored direction: Kahn's algorithm over out-edges
-    out: dict[int, list[int]] = {i: [] for i in ids}
-    indegree = dict.fromkeys(ids, 0)
-    for e in g.edges:
-        if e.source in ids and e.target in ids:
-            out[e.source].append(e.target)
-            indegree[e.target] += 1
-    ready = [i for i in ids if indegree[i] == 0]
+    ready = [k for k, d in enumerate(indegree) if not d]
     done = 0
     while ready:
         done += 1
         for v in out[ready.pop()]:
             indegree[v] -= 1
-            if indegree[v] == 0:
+            if not indegree[v]:
                 ready.append(v)
-    if done != len(ids):
+    if done != n:
         problems.append("graph has a directed cycle")
     return problems
 

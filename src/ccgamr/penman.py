@@ -74,7 +74,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.tokens = [*_tokenize(text), (None, "", len(text))]  # ends with an end-of-input token
         self.i = 0
         self.concepts: list[str | None] = []
         self.edges: list[tuple[int, str, int] | None] = []
@@ -83,12 +83,12 @@ class _Parser:
         self.fvs: dict[int, int] = {}  # fv index -> node id
 
     def _peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", -1)
+        return self.tokens[self.i]
 
     def _next(self):
-        tok = self._peek()
+        tok = self.tokens[self.i]
         if tok[0] is None:
-            raise PenmanSyntaxError("unexpected end of input", len(self.tokens))
+            raise PenmanSyntaxError("unexpected end of input", tok[2])
         self.i += 1
         return tok
 

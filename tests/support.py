@@ -79,6 +79,23 @@ def graphs(draw, max_nodes: int = 8, max_fv: int = 3, labels=tuple(LABELS), min_
 
 
 @st.composite
+def raw_graphs(draw, max_nodes: int = 8, max_edges: int = 10):
+    """Any AmrSubgraph value, well-formed or not: node ids with repeats,
+    gaps and negatives; edges among them, some with a dangling endpoint, an
+    inverse label or a repeated triple, which makes cycles and disconnected
+    parts; a root and fv entries that may repeat, name a constant or no node
+    at all."""
+    ids = draw(st.lists(st.integers(-3, 12), max_size=max_nodes))
+    nodes = tuple(Node(i, draw(st.sampled_from([None, *CONCEPTS[:3]]))) for i in ids)
+    strays = st.integers(-4, 14)
+    endpoints = st.one_of(st.sampled_from(ids), strays) if ids else strays
+    labels = st.sampled_from([":ARG0", ":ARG1", ":mod", ":ARG0-of"])
+    edges = draw(st.lists(st.builds(Edge, endpoints, labels, endpoints), max_size=max_edges))
+    fv = draw(st.lists(endpoints, max_size=4))
+    return AmrSubgraph(nodes, tuple(edges), draw(endpoints), tuple(fv))
+
+
+@st.composite
 def categories(draw, max_depth: int = 3):
     if max_depth == 0 or draw(st.booleans()):
         base = draw(st.sampled_from(["S", "NP", "N", "PP"]))
@@ -273,6 +290,72 @@ def reference_coordinate(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgrap
         ws.merge(lmap[lx], rmap[rx])
     graph, _ = ws.freeze(root, [lmap[x] for x in left.fv] + [rmap[x] for x in right.fv])
     return graph
+
+
+def reference_validate(g: AmrSubgraph) -> list[str]:
+    """Reference for ``graph.validate``: the set- and dict-keyed version that
+    the one-pass, position-indexed one replaced, kept as it was.  Both must
+    return the same problems in the same order."""
+    problems: list[str] = []
+    ids = {n.id for n in g.nodes}
+    if len(ids) != len(g.nodes):
+        problems.append("duplicate node ids")
+    if g.root not in ids:
+        problems.append(f"root {g.root} is not a node")
+    seen_triples: set[tuple[int, str, int]] = set()
+    for e in g.edges:
+        if e.source not in ids or e.target not in ids:
+            problems.append(f"edge {e} has a dangling endpoint")
+        if e.label.endswith("-of"):
+            problems.append(f"edge {e} stores an inverse label")
+        triple = (e.source, e.label, e.target)
+        if triple in seen_triples:
+            problems.append(f"duplicate edge triple {triple}")
+        seen_triples.add(triple)
+    free = {n.id for n in g.nodes if n.is_free}
+    listed = list(g.fv)
+    if len(set(listed)) != len(listed):
+        problems.append("fv list contains repeats")
+    for x in listed:
+        if x not in free:
+            problems.append(f"fv entry {x} is not a free-variable node")
+    for x in free - set(listed):
+        problems.append(f"free variable {x} missing from fv list")
+    # connectivity over undirected links
+    if g.root in ids and ids:
+        adj: dict[int, set[int]] = {i: set() for i in ids}
+        for e in g.edges:
+            if e.source in ids and e.target in ids:
+                adj[e.source].add(e.target)
+                adj[e.target].add(e.source)
+        seen = {g.root}
+        stack = [g.root]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if seen != ids:
+            missing = sorted(ids - seen)
+            problems.append(f"graph is disconnected; unreachable nodes {missing}")
+    # acyclicity in stored direction: Kahn's algorithm over out-edges
+    out: dict[int, list[int]] = {i: [] for i in ids}
+    indegree = dict.fromkeys(ids, 0)
+    for e in g.edges:
+        if e.source in ids and e.target in ids:
+            out[e.source].append(e.target)
+            indegree[e.target] += 1
+    ready = [i for i in ids if indegree[i] == 0]
+    done = 0
+    while ready:
+        done += 1
+        for v in out[ready.pop()]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                ready.append(v)
+    if done != len(ids):
+        problems.append("graph has a directed cycle")
+    return problems
 
 
 def forced_variant(

@@ -238,7 +238,7 @@ def test_relation_wise_application_inverse_role_keeps_variable_root():
     out = combine_application("forward", who, teach_math)
     assert out.rule == ">R"
     sem = out.constituent.semantics
-    assert sem.is_free(sem.root)
+    assert sem.concept(sem.root) is None
     assert ":ARG0-of" in serialize(sem)
 
 

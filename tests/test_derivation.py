@@ -588,6 +588,34 @@ def test_the_goal_pass_skips_graph_steps_off_every_goal_derivation(lexicon, monk
     assert _graph_steps(monkeypatch, tokens, lexicon, ParserConfig()) == 0
 
 
+def _coordinations(monkeypatch, tokens, lexicon, config) -> list[tuple]:
+    """(span, category) of the result of every ``coordinate`` call that
+    ``cky_parse`` makes, whether or not the graph step succeeds."""
+    calls = []
+    original = derivation.coordinate
+
+    def spy(conj, left, right, *rest):
+        calls.append(((left.start, right.end), unify(left.category, right.category)))
+        return original(conj, left, right, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(derivation, "coordinate", spy)
+        cky_parse(tokens, lexicon, config)
+    return calls
+
+
+@pytest.mark.parametrize("raising", [(), NP_TO_S], ids=["plain", "raised"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_coordination_runs_its_graph_step_only_for_wanted_categories(lexicon, monkeypatch, k, raising):
+    tokens, config = coordination_chain(k), ParserConfig(type_raising=raising)
+    wanted = derivation._goal_categories(tokens, lexicon, config, raising)
+    gated = _coordinations(monkeypatch, tokens, lexicon, config)
+    assert gated and all(cat in wanted[span] for span, cat in gated)
+    monkeypatch.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())
+    # k = 4 makes 124 calls gated, 210 (248 raised) ungated
+    assert len(gated) < len(_coordinations(monkeypatch, tokens, lexicon, config))
+
+
 def test_chart_overflow_counts_only_the_items_the_goal_pass_lets_in(lexicon, monkeypatch):
     tokens = "What did you decide to eat yesterday".split()
     small = cky_parse(tokens, lexicon, ParserConfig(max_cell_items=3))

@@ -30,10 +30,12 @@ from support import (
     LABELS,
     graphs,
     iso_oracle,
+    raw_graphs,
     reference_coordinate,
     reference_relation_wise,
     reference_substitute,
     reference_type_raise,
+    reference_validate,
     relabeled,
 )
 
@@ -146,6 +148,12 @@ def test_merge_conflicting_constants_fails():
 def test_validate_accepts_figure_shaped_graph():
     g = parse("(p/pred :ARG0 (a/alpha) :ARG1 ?1 :ARG2 ?2)")
     assert validate(g) == []
+
+
+@given(g=st.one_of(raw_graphs(), graphs()))
+@settings(max_examples=400, deadline=None)
+def test_validate_matches_the_reference(g):
+    assert validate(g) == reference_validate(g)
 
 
 def test_validate_flags_variable_missing_from_fv():

@@ -79,6 +79,14 @@ def test_parse_syntax_error_carries_position():
     assert err.value.position == 16
 
 
+@pytest.mark.parametrize("text, offset", [("(p/person :name", 15), ("(a / b", 6), ("x /", 3)])
+def test_parse_reports_end_of_input_at_the_text_length(text, offset):
+    with pytest.raises(PenmanSyntaxError) as err:
+        parse(text)
+    assert err.value.position == offset
+    assert str(err.value) == f"unexpected end of input (at offset {offset})"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
