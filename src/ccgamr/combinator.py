@@ -152,17 +152,17 @@ def relation_wise_combine(
     fe = f.edges[match.f_edge_pos]
     ae = a.edges[match.a_edge_pos]
     ws = Workspace()
-    fmap = ws.add(f)
-    s, t = fmap[fe.source], fmap[fe.target]
+    ws.add(f)
+    s, t = fe.source, fe.target
     amap = ws.add(a, {ae.source: s, ae.target: t})
     if fe.label != match.label:  # an underspecified edge takes the resolved label
         ws.edges[match.f_edge_pos] = Edge(s, match.label, t)
     partner = ae.source if match.f_side == "source" else ae.target
-    root = fmap[f.root]
+    root = f.root
     if f.root == f.fv[0] and partner != a.root:
         root = amap[a.root]
     a_rest = [amap[x] for i, x in enumerate(a.fv) if i != order]
-    f_all = [fmap[x] for x in f.fv]
+    f_all = list(f.fv)
     slots = a_rest + f_all if order else f_all + a_rest
     graph = ws.freeze(root, slots)
     notes = ()

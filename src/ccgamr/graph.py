@@ -3,6 +3,7 @@
 An :class:`AmrSubgraph` is the semantic value of every constituent in a
 derivation: a connected, labeled, directed acyclic graph with a designated
 root plus an ordered list of free-variable nodes still waiting to be filled.
+Node i has id i, so an id is also a position in the node tuple.
 Free-variable order is meaningful (position 1 is consumed next), and so is
 edge insertion order (it drives deterministic serialization and tie-breaking
 when several shared-edge candidates exist).
@@ -10,9 +11,9 @@ when several shared-edge candidates exist).
 :func:`substitute` (identify a free variable with the root of another
 subgraph) is the step of the regular variants.  Every other combinator
 builds its result in a :class:`Workspace`: the input graphs are appended
-one after another with the first keeping its node ids, each node that
-merges into an earlier one folds into it and the rest close up, and the
-caller may add or relabel edges before it freezes the result.
+one after another, each node that merges into an earlier one folds into it
+and the rest close up, and the caller may add or relabel edges before it
+freezes the result.
 :func:`raised` (type raising: a fresh root variable over the old root) and
 :func:`conjoined` (coordination: a conjunction root over two conjuncts
 whose free variables merge pairwise) build this way, and so does
@@ -36,7 +37,7 @@ free-variable counts before its search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from operator import attrgetter
 
 #: Role label of an underspecified edge, resolved later by a shared-edge match.
@@ -75,19 +76,18 @@ _edge = lru_cache(maxsize=4096)(Edge)
 
 @dataclass(frozen=True)
 class AmrSubgraph:
-    """Immutable graph value; all operations return new instances."""
+    """Immutable graph value; all operations return new instances.
+
+    Node i has id i.  The builders and :func:`iso_map` take graphs that
+    :func:`validate` accepts."""
 
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]  # insertion order preserved; triples are a set
     root: int
     fv: tuple[int, ...]  # 1-based positions: fv[0] is consumed next
 
-    @cached_property
-    def _by_id(self) -> dict[int, Node]:
-        return {n.id: n for n in self.nodes}
-
     def concept(self, node_id: int) -> str | None:
-        return self._by_id[node_id].concept
+        return self.nodes[node_id].concept
 
     def incoming(self, node_id: int) -> list[Edge]:
         return [e for e in self.edges if e.target == node_id]
@@ -102,51 +102,45 @@ class Workspace:
     some of their nodes folded into nodes already built.
 
     ``nodes`` and ``edges`` are plain lists that a caller may also extend or
-    edit between :meth:`add` and :meth:`freeze`; a node's id is its position.
+    edit between :meth:`add` and :meth:`freeze`.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self.edges: list[Edge] = []
 
-    def add(self, g: AmrSubgraph, folds: dict[int, int] | None = None) -> list[int] | dict[int, int]:
-        """Append g.
+    def add(self, g: AmrSubgraph, folds: dict[int, int] | None = None) -> list[int]:
+        """Append g and return a list indexed by g's node ids: each node's
+        new id.
 
-        g's nodes take the next ids in order, except that a node whose old id
-        is a key of ``folds`` is identified with the already-built node whose
-        id it maps to (constant beats free variable; two different constants
-        raise :class:`UnificationError`) and the rest close up.  Returns g's
-        old-id -> new-id map: a list indexed by id when g numbers its nodes
-        0..len-1 in order, as the graphs the engine builds do.  Nodes and
-        edges whose values did not change are the input objects themselves.
+        g's nodes take the next ids in order, except that a node that is a
+        key of ``folds`` is identified with the already-built node it maps to
+        (constant beats free variable; two different constants raise
+        :class:`UnificationError`) and the rest close up.  Nodes and edges
+        whose values did not change are the input objects themselves.
         """
         nodes, base = self.nodes, len(self.nodes)
-        ids = list(map(_ID, g.nodes))
-        positions = list(range(base, base + len(ids) - len(folds or ())))
+        positions = list(range(base, base + len(g.nodes) - len(folds or ())))
         if folds:
-            at: list[tuple[int, int]] = []  # (position in g.nodes, id it folds into)
-            for x, i in folds.items():
-                k = ids.index(x)
+            for k, i in folds.items():
                 concept, kept = g.nodes[k].concept, nodes[i].concept
                 if concept is not None and concept != kept:
                     if kept is not None:
                         raise UnificationError(f"cannot merge constants {kept!r} and {concept!r}")
                     nodes[i] = _node(i, concept)
-                at.append((k, i))
-            for k, i in sorted(at):
+            for k, i in sorted(folds.items()):
                 positions.insert(k, i)
-        ids_map = _id_map(ids, positions)
-        if ids_map is positions and not base and not folds:  # g keeps every id
+        elif not base:  # g keeps every id
             nodes += g.nodes
             self.edges += g.edges
-        else:
-            nodes += [
-                node if node.id == i else _node(i, node.concept)
-                for i, node in zip(positions, g.nodes)
-                if i >= base  # a folded node is already in place as its partner
-            ]
-            self.edges += _moved(g.edges, ids_map)
-        return ids_map
+            return positions
+        nodes += [
+            node if node.id == i else _node(i, node.concept)
+            for i, node in zip(positions, g.nodes)
+            if i >= base  # a folded node is already in place as its partner
+        ]
+        self.edges += _moved(g.edges, positions)
+        return positions
 
     def freeze(self, root: int, slots: list[int]) -> AmrSubgraph:
         """The built graph rooted at ``root``, with repeated edge triples
@@ -175,7 +169,7 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
     was one.  If h is rooted at a free variable the merged node stays free
     and keeps h's fv-list position.
 
-    The result is built in one pass: g's nodes keep their positions, h's root
+    The result is built in one pass: g's nodes keep their ids, h's root
     folds into the filled variable and h's other nodes follow in order.
     Edges are g's, then h's, with repeated triples collapsed (first
     occurrence wins).  Nodes and edges whose values did not change are the
@@ -183,22 +177,12 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
     """
     if not 1 <= pos <= len(g.fv):
         raise ValueError(f"fv position {pos} out of range 1..{len(g.fv)}")
-    n, m = len(g.nodes), len(h.nodes)
-    same = list(range(n))
-    gmap = _id_map(list(map(_ID, g.nodes)), same)
-    slot = gmap[g.fv[pos - 1]]
-    h_ids = list(map(_ID, h.nodes))
-    r = h_ids.index(h.root)
+    n, m, slot, r = len(g.nodes), len(h.nodes), g.fv[pos - 1], h.root
     positions = [*range(n, n + r), slot, *range(n + r, n + m - 1)]
-    hmap = _id_map(h_ids, positions)
     ca, cb = g.nodes[slot].concept, h.nodes[r].concept
     if ca is not None and cb is not None and ca != cb:
         raise UnificationError(f"cannot merge constants {ca!r} and {cb!r}")
-    if gmap is same:
-        nodes, edges = list(g.nodes), list(g.edges)
-    else:
-        nodes = [node if node.id == i else _node(i, node.concept) for i, node in enumerate(g.nodes)]
-        edges = _moved(g.edges, gmap)
+    nodes, edges = list(g.nodes), list(g.edges)
     if ca is None and cb is not None:
         nodes[slot] = _node(slot, cb)
     nodes += [
@@ -206,14 +190,13 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
         for i, node in zip(positions, h.nodes)
         if i >= n  # h's root is already in place as the filled variable
     ]
-    edges += _moved(h.edges, hmap)
+    edges += _moved(h.edges, positions)
     # Each side's remaining variables drop constants; the graph's fv list
     # also keeps a merged variable only in its first slot.
-    g_rest = [gmap[x] for x in g.fv[: pos - 1] + g.fv[pos:]]
-    g_rem = tuple([i for i in g_rest if nodes[i].concept is None])
-    h_rem = tuple([i for i in [hmap[x] for x in h.fv] if nodes[i].concept is None])
+    g_rem = tuple([i for i in g.fv[: pos - 1] + g.fv[pos:] if nodes[i].concept is None])
+    h_rem = tuple([i for i in [positions[x] for x in h.fv] if nodes[i].concept is None])
     fv = tuple(dict.fromkeys(g_rem + h_rem))
-    return Substitution(AmrSubgraph(tuple(nodes), _unique(edges), gmap[g.root], fv), g_rem, h_rem)
+    return Substitution(AmrSubgraph(tuple(nodes), _unique(edges), g.root, fv), g_rem, h_rem)
 
 
 def raised(g: AmrSubgraph) -> AmrSubgraph:
@@ -224,11 +207,11 @@ def raised(g: AmrSubgraph) -> AmrSubgraph:
     edges whose values did not change are the input objects themselves.
     """
     ws = Workspace()
-    gmap = ws.add(g)
+    ws.add(g)
     fresh = len(ws.nodes)
     ws.nodes.append(_node(fresh, None))
-    ws.edges.append(_edge(fresh, UNDERSPECIFIED, gmap[g.root]))
-    return ws.freeze(fresh, [fresh, *[gmap[x] for x in g.fv]])
+    ws.edges.append(_edge(fresh, UNDERSPECIFIED, g.root))
+    return ws.freeze(fresh, [fresh, *g.fv])
 
 
 def conjoined(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSubgraph:
@@ -238,32 +221,22 @@ def conjoined(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSu
     Nodes are numbered ``left``'s, then ``conj``'s, then ``right``'s, where a
     free variable of ``right`` folds into its partner in ``left`` (a constant
     beats a free variable; two different constants raise
-    :class:`UnificationError`) and the rest close up, so a ``left`` numbered
-    0..n-1 keeps every node and edge.  Edges are the three graphs' in that
-    order, then the two ``:op`` edges, with repeated triples collapsed (first
-    occurrence wins).  Nodes and edges whose values did not change are the
-    input objects themselves.  ``right`` must list each free variable once,
-    as :func:`validate` requires.
+    :class:`UnificationError`) and the rest close up, so ``left`` keeps every
+    node and edge.  Edges are the three graphs' in that order, then the two
+    ``:op`` edges, with repeated triples collapsed (first occurrence wins).
+    Nodes and edges whose values did not change are the input objects
+    themselves.  ``right`` must list each free variable once, as
+    :func:`validate` requires.
     """
     ws = Workspace()
-    lmap = ws.add(left)
-    cmap = ws.add(conj)
-    rmap = ws.add(right, {rx: lmap[lx] for lx, rx in zip(left.fv, right.fv)})
-    root = cmap[conj.root]
-    ws.edges += [_edge(root, ":op1", lmap[left.root]), _edge(root, ":op2", rmap[right.root])]
-    return ws.freeze(root, [*[lmap[x] for x in left.fv], *[rmap[x] for x in right.fv]])
+    ws.add(left)
+    root = ws.add(conj)[conj.root]
+    rmap = ws.add(right, dict(zip(right.fv, left.fv)))
+    ws.edges += [_edge(root, ":op1", left.root), _edge(root, ":op2", rmap[right.root])]
+    return ws.freeze(root, [*left.fv, *[rmap[x] for x in right.fv]])
 
 
-def _id_map(ids: list[int], positions: list[int]) -> list[int] | dict[int, int]:
-    """Old id -> new id, from each node's old id and new id in node order.
-
-    A list indexed by id serves when the old ids are 0..len-1 in order, as
-    in the graphs the engine builds; ``positions`` itself is returned then.
-    """
-    return positions if ids == list(range(len(ids))) else dict(zip(ids, positions))
-
-
-def _moved(edges: tuple[Edge, ...], ids) -> list[Edge]:
+def _moved(edges: tuple[Edge, ...], ids: list[int]) -> list[Edge]:
     """``edges`` with their endpoints renamed by ``ids``; an edge whose
     endpoints keep their ids stays the same object."""
     out = []
@@ -307,6 +280,8 @@ def validate(g: AmrSubgraph) -> list[str]:
     at = dict(zip(at, range(n)))
     if n != len(g.nodes):
         problems.append("duplicate node ids")
+    elif list(at) != list(range(n)):
+        problems.append("node ids are not 0..n-1 in node order")
     root = at.get(g.root)
     if root is None:
         problems.append(f"root {g.root} is not a node")
@@ -333,7 +308,7 @@ def validate(g: AmrSubgraph) -> list[str]:
         problems.append("fv list contains repeats")
     if free != listed:
         problems += [f"fv entry {x} is not a free-variable node" for x in g.fv if x not in free]
-        problems += [f"free variable {x} missing from fv list" for x in free - listed]
+        problems += [f"free variable {x} missing from fv list" for x in sorted(free - listed)]
     if root is not None:  # connectivity over undirected links
         reached = [False] * n
         reached[root] = True
@@ -367,7 +342,7 @@ def invariant(g: AmrSubgraph) -> tuple[int, int, str, int]:
     a hash of the sorted (source concept, label, target concept) edge
     triples, with free variables counted as concept ``""``.
     """
-    concept = {n.id: n.concept or "" for n in g.nodes}
+    concept = [n.concept or "" for n in g.nodes]
     triples = sorted((concept[e.source], e.label, concept[e.target]) for e in g.edges)
     return (len(g.nodes), len(g.fv), concept[g.root], hash(tuple(triples)))
 
@@ -395,7 +370,7 @@ def iso_map(g1: AmrSubgraph, g2: AmrSubgraph) -> dict[int, int] | None:
             return mapping[a] == b
         if b in used:
             return False
-        if g1.concept(a) != g2.concept(b):
+        if g1.nodes[a].concept != g2.nodes[b].concept:
             return False
         mapping[a] = b
         used.add(b)
@@ -408,7 +383,7 @@ def iso_map(g1: AmrSubgraph, g2: AmrSubgraph) -> dict[int, int] | None:
         return None
 
     e2 = {(e.source, e.label, e.target) for e in g2.edges}
-    incident: dict[int, list[Edge]] = {n.id: [] for n in g1.nodes}
+    incident: list[list[Edge]] = [[] for _ in g1.nodes]
     for e in g1.edges:
         if e.source in mapping and e.target in mapping:
             if (mapping[e.source], e.label, mapping[e.target]) not in e2:

@@ -193,7 +193,7 @@ class _Serializer:
         self.taken: set[str] = set()
         self.visited_nodes: set[int] = set()
         self.visited_edges: set[int] = set()
-        self.incident: dict[int, list[int]] = {n.id: [] for n in g.nodes}
+        self.incident: list[list[int]] = [[] for _ in g.nodes]
         for i, e in enumerate(g.edges):
             self.incident[e.source].append(i)
             if e.target != e.source:

@@ -27,11 +27,12 @@ from ccgamr.combinator import (
     conj_attach,
     coordinate,
     match_categories,
+    raise_rule_name,
     relation_wise_combine,
     relation_wise_match,
     type_raise,
 )
-from ccgamr.derivation import ParserConfig, finalize_check
+from ccgamr.derivation import NP_TO_S, ParserConfig, finalize_check
 from ccgamr.graph import (
     UNDERSPECIFIED,
     AmrSubgraph,
@@ -46,6 +47,28 @@ from ccgamr.graph import (
 
 CONCEPTS = ["eat-01", "person", "cat", "give-01", "and", "math", "idea"]
 LABELS = [":ARG0", ":ARG1", ":ARG2", ":mod", ":time", ":op1"]
+
+#: The 15 scripted fixture sentences (goal, NP_TO_S raising), plus the two
+#: coordinations again without raising.
+FIXTURE_PARSES = [
+    ("John likes the cat", "S", ()),
+    ("John likes and Mary hates cats", "S", NP_TO_S),
+    ("John was eaten by bears", "S", ()),
+    ("What did you decide to eat yesterday", "S", ()),
+    ("math teachers", "NP", ()),
+    ("people who teach math", "NP", ()),
+    ("John made a decision on his major", "S", ()),
+    ("Mary seems to practice guitar often", "S", ()),
+    ("Mary wants to practice guitar", "S", ()),
+    ("Mary persuaded John to practice guitar", "S", ()),
+    ("Who did you persuade to smile", "S", ()),
+    ("Mary bought a ticket to see the movie", "S", ()),
+    ("Tomorrow John may eat rice", "S", ()),
+    ("John arrived to eat and to party", "S", ()),
+    ("I should and you may eat", "S", NP_TO_S),
+    ("John likes and Mary hates cats", "S", ()),
+    ("I should and you may eat", "S", ()),
+]
 
 
 @st.composite
@@ -300,6 +323,8 @@ def reference_validate(g: AmrSubgraph) -> list[str]:
     ids = {n.id for n in g.nodes}
     if len(ids) != len(g.nodes):
         problems.append("duplicate node ids")
+    elif [n.id for n in g.nodes] != list(range(len(g.nodes))):
+        problems.append("node ids are not 0..n-1 in node order")
     if g.root not in ids:
         problems.append(f"root {g.root} is not a node")
     seen_triples: set[tuple[int, str, int]] = set()
@@ -319,7 +344,7 @@ def reference_validate(g: AmrSubgraph) -> list[str]:
     for x in listed:
         if x not in free:
             problems.append(f"fv entry {x} is not a free-variable node")
-    for x in free - set(listed):
+    for x in sorted(free - set(listed)):
         problems.append(f"free variable {x} missing from fv list")
     # connectivity over undirected links
     if g.root in ids and ids:
@@ -437,7 +462,8 @@ def _exact_key(c: Constituent) -> str:
 def try_every_combinator(left: Constituent, right: Constituent, config: ParserConfig) -> list[Combined]:
     """Every binary outcome for two adjacent constituents, found by calling
     each public combinator in the chart's order and dropping the ones that
-    raise ``CombinationError``."""
+    raise ``CombinationError`` or whose rule the config's whitelist leaves
+    out."""
     out = []
     attempts = [
         lambda: combine_application("forward", left, right),
@@ -458,7 +484,7 @@ def try_every_combinator(left: Constituent, right: Constituent, config: ParserCo
             out.append(attempt())
         except CombinationError:
             pass
-    return out
+    return out if config.enabled is None else [o for o in out if o.rule in config.enabled]
 
 
 def brute_force_forest(tokens, lexicon, config: ParserConfig) -> list[tuple[Constituent, int]]:
@@ -473,6 +499,10 @@ def brute_force_forest(tokens, lexicon, config: ParserConfig) -> list[tuple[Cons
     """
     n = len(tokens)
     memo: dict[tuple[int, int], list[tuple[Constituent, int]]] = {}
+    raisings = [
+        rule for rule in config.type_raising
+        if config.enabled is None or raise_rule_name(rule.target, rule.direction) in config.enabled
+    ]
 
     def closure(items: list[tuple[Constituent, int]]) -> list[tuple[Constituent, int]]:
         reps: dict[str, Constituent] = {}
@@ -486,7 +516,7 @@ def brute_force_forest(tokens, lexicon, config: ParserConfig) -> list[tuple[Cons
         while frontier:
             k = frontier.pop(0)
             c = reps[k]
-            for rule in config.type_raising:
+            for rule in raisings:
                 if unify(rule.source, c.category) is None:
                     continue
                 if not isinstance(c.semantics, AmrSubgraph):

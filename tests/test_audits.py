@@ -5,13 +5,12 @@ import re
 import pytest
 
 from ccgamr.category import arity
-from ccgamr.combinator import CombinationError
-from ccgamr.derivation import Binary, Leaf, Unary, parse_script, replay
+from ccgamr.combinator import CombinationError, ConjPartial, Identity, is_graph
+from ccgamr.derivation import Binary, Leaf, ParserConfig, Unary, cky_parse, parse_script, replay
 from ccgamr.fixtures import script
-from ccgamr.graph import iso_equal
-from ccgamr.combinator import ConjPartial, Identity
+from ccgamr.graph import iso_equal, validate
 
-from support import forced_variant
+from support import FIXTURE_PARSES, forced_variant
 
 ALL_FIXTURES = [
     "like_cat",
@@ -113,3 +112,25 @@ def test_replay_semantics_match_recorded_steps(derivation):
     tree, d, by_path = derivation
     final = by_path[()].constituent
     assert final == d.final
+
+
+def _invalid_step_graphs(d) -> list:
+    """(path, problems) of each step whose graph :func:`validate` rejects."""
+    graphs = [(s.path, s.constituent.semantics) for s in d.steps if is_graph(s.constituent.semantics)]
+    return [(path, validate(g)) for path, g in graphs if validate(g)]
+
+
+def test_every_replayed_step_graph_is_valid(derivation):
+    tree, d, by_path = derivation
+    assert _invalid_step_graphs(d) == []
+
+
+def test_every_cky_step_graph_is_valid(lexicon):
+    """A builder that broke a graph invariant, the node numbering included,
+    would otherwise only make ``finalize_check`` drop a result silently."""
+    results = 0
+    for sentence, goal, raising in FIXTURE_PARSES:
+        for d in cky_parse(sentence.split(), lexicon, ParserConfig(goal=goal, type_raising=raising)):
+            assert _invalid_step_graphs(d) == [], sentence
+            results += 1
+    assert results >= len(FIXTURE_PARSES)

@@ -36,7 +36,15 @@ from ccgamr.lexicon import Lexicon, loads
 from ccgamr.penman import parse
 from ccgamr.fixtures import script as script_path
 
-from support import _exact_key, constituent, deep_lexicon_text, relabeled, try_every_combinator
+from support import (
+    FIXTURE_PARSES,
+    _exact_key,
+    brute_force_forest,
+    constituent,
+    deep_lexicon_text,
+    relabeled,
+    try_every_combinator,
+)
 
 ALL_SCRIPTS = [
     "like_cat",
@@ -252,29 +260,6 @@ def test_cky_results_replay_their_own_scripts(lexicon):
         for d in cky_parse(sentence.split(), lexicon, ParserConfig(goal=goal)):
             again = replay(parse_script(d.to_script()), lexicon)
             assert iso_equal(again.final.semantics, d.final.semantics)
-
-
-#: The 15 scripted fixture sentences (goal, NP_TO_S raising), plus the two
-#: coordinations again without raising.
-FIXTURE_PARSES = [
-    ("John likes the cat", "S", ()),
-    ("John likes and Mary hates cats", "S", NP_TO_S),
-    ("John was eaten by bears", "S", ()),
-    ("What did you decide to eat yesterday", "S", ()),
-    ("math teachers", "NP", ()),
-    ("people who teach math", "NP", ()),
-    ("John made a decision on his major", "S", ()),
-    ("Mary seems to practice guitar often", "S", ()),
-    ("Mary wants to practice guitar", "S", ()),
-    ("Mary persuaded John to practice guitar", "S", ()),
-    ("Who did you persuade to smile", "S", ()),
-    ("Mary bought a ticket to see the movie", "S", ()),
-    ("Tomorrow John may eat rice", "S", ()),
-    ("John arrived to eat and to party", "S", ()),
-    ("I should and you may eat", "S", NP_TO_S),
-    ("John likes and Mary hates cats", "S", ()),
-    ("I should and you may eat", "S", ()),
-]
 
 
 def _assert_chart_steps_equal_replay(results, lexicon) -> int:
@@ -506,12 +491,21 @@ class _WantsEverything(dict):
         return None
 
 
+_COMPOSITION_R = [f"{d}RB{o}{x}" for d in "><" for o in ("", "2") for x in ("", "x")]
+
+#: Whitelists that name only the relation-wise spelling of application, of
+#: composition, or of both (the last one without backward rules, so that '&'
+#: alone coordinates), each with '&' and NP > S raising.
+WHITELISTS = [
+    frozenset([*names, "&", ">T[S]"])
+    for names in ([">R", "<R"], [">R", "<R", *_COMPOSITION_R], [">", "<", *_COMPOSITION_R], [">", ">RB"])
+]
+
+
 def _gate_cases(lexicon):
     """(tokens, config) of every pinned parse; of seeded random strings over
     the lexicon, under each goal, raising on and off and both composition
-    orders; and of the fixture sentences under whitelists that name only the
-    relation-wise spelling of application, of composition, or of both (the
-    last one without backward rules, so that '&' alone coordinates); and of
+    orders; and of the fixture sentences under each of ``WHITELISTS``; and of
     atomic conjuncts under forward rules only, where paper.lex's live NP\\NP
     (from 'who') holds two equal but distinct NP atoms."""
     yield from _pinned_parses()
@@ -523,15 +517,36 @@ def _gate_cases(lexicon):
             for raising in ((), NP_TO_S):
                 for order in (1, 2):
                     yield tokens, ParserConfig(goal=goal, type_raising=raising, max_composition_order=order)
-    composition = [f"{d}RB{o}{x}" for d in "><" for o in ("", "2") for x in ("", "x")]
-    for names in ([">R", "<R"], [">R", "<R", *composition], [">", "<", *composition], [">", ">RB"]):
-        enabled = frozenset([*names, "&", ">T[S]"])
+    for enabled in WHITELISTS:
         for sentence, goal, raising in FIXTURE_PARSES:
             yield sentence.split(), ParserConfig(goal=goal, type_raising=raising, enabled=enabled)
     forward = frozenset([">", ">R", "&", ">T[S]"])
     for sentence in ("John and Mary", "cats and bears and rice", "John likes cats and bears"):
         for goal in ATOM_BASES:
             yield sentence.split(), ParserConfig(goal=goal, type_raising=NP_TO_S, enabled=forward)
+
+
+def test_the_oracle_agrees_with_cky_under_each_whitelist(lexicon):
+    """The brute-force oracle and CKY find the same (category, iso-class)
+    finals on every fixture parse of up to 7 tokens under each of
+    ``WHITELISTS``, with the same forest counts where raising is off (with
+    it on, ``_raise_closure`` counts a second raise twice)."""
+    parsed = 0
+    for enabled in WHITELISTS:
+        for sentence, goal, raising in FIXTURE_PARSES:
+            tokens = sentence.split()
+            if len(tokens) > 7:
+                continue
+            config = ParserConfig(goal=goal, type_raising=raising, enabled=enabled)
+            chart = [(d.final, d.forest_count) for d in cky_parse(tokens, lexicon, config)]
+            oracle = brute_force_forest(tokens, lexicon, config)
+            assert len(chart) == len(oracle), (sentence, enabled)
+            for c, count in oracle:
+                same = [n for final, n in chart
+                        if final.category == c.category and iso_equal(final.semantics, c.semantics)]
+                assert same == [count] if not raising else len(same) == 1, (sentence, enabled)
+            parsed += bool(chart)
+    assert parsed == 8
 
 
 def test_the_goal_pass_leaves_every_output_unchanged(lexicon, monkeypatch):

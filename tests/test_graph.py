@@ -156,6 +156,41 @@ def test_validate_matches_the_reference(g):
     assert validate(g) == reference_validate(g)
 
 
+def _renumbered(g: AmrSubgraph, by: int, reverse: bool) -> AmrSubgraph:
+    """g with every node id raised by ``by`` and, if ``reverse``, its nodes
+    listed last to first."""
+    nodes = tuple(Node(n.id + by, n.concept) for n in g.nodes)
+    edges = tuple(Edge(e.source + by, e.label, e.target + by) for e in g.edges)
+    return AmrSubgraph(nodes[::-1] if reverse else nodes, edges, g.root + by, tuple(x + by for x in g.fv))
+
+
+NOT_POSITIONAL = "node ids are not 0..n-1 in node order"
+
+
+@given(g=graphs(max_nodes=6, max_fv=2), by=st.integers(0, 3), reverse=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_validate_flags_every_renumbered_copy_that_is_not_positional(g, by, reverse):
+    copy = _renumbered(g, by, reverse)
+    positional = [n.id for n in copy.nodes] == list(range(len(copy.nodes)))
+    assert validate(copy) == ([] if positional else [NOT_POSITIONAL])
+
+
+@pytest.mark.parametrize("ids", [(1,), (0, 2), (1, 0)])
+def test_validate_flags_ids_that_are_not_positions(ids):
+    nodes = tuple(Node(i, "x") for i in ids)
+    edges = tuple(Edge(ids[0], ":mod", i) for i in ids[1:])
+    assert validate(AmrSubgraph(nodes, edges, ids[0], ())) == [NOT_POSITIONAL]
+
+
+def test_validate_lists_missing_free_variables_in_id_order():
+    nodes = tuple(Node(i, None if i in (2, 9) else "x") for i in range(10))
+    edges = tuple(Edge(0, ":mod", i) for i in range(1, 10))
+    assert validate(AmrSubgraph(nodes, edges, 0, ())) == [
+        "free variable 2 missing from fv list",
+        "free variable 9 missing from fv list",
+    ]
+
+
 def test_validate_flags_variable_missing_from_fv():
     g = AmrSubgraph((Node(0, "x"), Node(1, None)), (Edge(0, ":mod", 1),), 0, ())
     assert any("missing from fv" in p for p in validate(g))
@@ -294,22 +329,11 @@ def test_validate_long_chain_and_three_cycle():
     assert "graph has a directed cycle" in validate(cycle)
 
 
-def _renumbered(g: AmrSubgraph, by: int, reverse: bool) -> AmrSubgraph:
-    """g with every node id raised by ``by`` and, if ``reverse``, its nodes
-    listed last to first: ids that are not 0..len-1 in order."""
-    nodes = tuple(Node(n.id + by, n.concept) for n in g.nodes)
-    edges = tuple(Edge(e.source + by, e.label, e.target + by) for e in g.edges)
-    return AmrSubgraph(nodes[::-1] if reverse else nodes, edges, g.root + by, tuple(x + by for x in g.fv))
-
-
 @st.composite
 def _renumbering(draw, g: AmrSubgraph) -> AmrSubgraph:
-    """g as it is, with shuffled ids, or renumbered by :func:`_renumbered`."""
-    how = draw(st.sampled_from(["as is", "shuffled", "renumbered"]))
-    if how == "shuffled":
+    """g as it is or with shuffled ids."""
+    if draw(st.booleans()):
         return relabeled(g, draw(st.integers(0, 99)))
-    if how == "renumbered":
-        return _renumbered(g, draw(st.integers(0, 3)), draw(st.booleans()))
     return g
 
 
@@ -478,8 +502,7 @@ def test_conjoined_agrees_with_the_workspace_reference(data):
     k = data.draw(st.integers(0, 2))
     left = data.draw(graphs(max_nodes=6, max_fv=k, min_fv=k))
     right = data.draw(graphs(max_nodes=6, max_fv=k, min_fv=k))
-    c = data.draw(st.integers(0, 2))
-    conj = AmrSubgraph((Node(c, "and"),), (), c, ())
+    conj = parse("(a/and)")
     if k and data.draw(st.booleans()):  # a constant in one conjunct's slot: it may clash
         side = data.draw(st.sampled_from(["left", "right"]))
         g = left if side == "left" else right
