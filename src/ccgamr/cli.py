@@ -49,7 +49,7 @@ class _Exit(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise _Exit(USAGE, f"error: cannot read {path}: {err}")
 

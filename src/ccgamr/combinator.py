@@ -44,7 +44,6 @@ from .graph import (
     conjoined,
     raised,
     substitute,
-    with_fv_order,
 )
 
 
@@ -138,7 +137,7 @@ def relation_wise_combine(
     a: AmrSubgraph,
     match: SharedEdgeMatch,
     order: int,
-) -> tuple[AmrSubgraph, tuple[str, ...]]:
+) -> AmrSubgraph:
     """Append the argument to the function and identify the shared edge.
 
     Source unifies with source and target with target (the argument's
@@ -149,8 +148,7 @@ def relation_wise_combine(
     first free variable and that variable lands somewhere other than the
     argument's root, in which case the argument's root wins.
     """
-    fe = f.edges[match.f_edge_pos]
-    ae = a.edges[match.a_edge_pos]
+    fe, ae = f.edges[match.f_edge_pos], a.edges[match.a_edge_pos]
     ws = Workspace()
     ws.add(f)
     s, t = fe.source, fe.target
@@ -158,17 +156,9 @@ def relation_wise_combine(
     if fe.label != match.label:  # an underspecified edge takes the resolved label
         ws.edges[match.f_edge_pos] = Edge(s, match.label, t)
     partner = ae.source if match.f_side == "source" else ae.target
-    root = f.root
-    if f.root == f.fv[0] and partner != a.root:
-        root = amap[a.root]
+    root = amap[a.root] if f.root == f.fv[0] and partner != a.root else f.root
     a_rest = [amap[x] for i, x in enumerate(a.fv) if i != order]
-    f_all = list(f.fv)
-    slots = a_rest + f_all if order else f_all + a_rest
-    graph = ws.freeze(root, slots)
-    notes = ()
-    if match.ambiguous:
-        notes = (f"several shared-edge candidates for {match.label}; picked first by insertion order",)
-    return graph, notes
+    return ws.freeze(root, [*a_rest, *f.fv] if order else [*f.fv, *a_rest])
 
 
 def _check_result(category: Category, semantics: object) -> None:
@@ -269,7 +259,9 @@ def combine_matched(
 ) -> Combined:
     """Graph step for adjacent, non-pending constituents whose categories
     match: the identity shortcut, else the relation-wise variant when a shared
-    edge unifies, else regular substitution."""
+    edge unifies, else regular substitution.  Both graph builders return the
+    finished graph; the choice between them, and every note on it, is made
+    here."""
     result_cat, crossed = match
     left, right = (function, argument) if direction == "forward" else (argument, function)
     relation_wise = False
@@ -282,19 +274,19 @@ def combine_matched(
         shared = relation_wise_match(f, a, order + 1)
         if shared is not None:
             try:
-                graph, notes = relation_wise_combine(f, a, shared, order)
-                relation_wise = True
+                graph = relation_wise_combine(f, a, shared, order)
             except UnificationError as err:
                 notes = (f"shared-edge unification failed ({err}); fell back to the regular variant",)
+            else:
+                relation_wise = True
+                if shared.ambiguous:
+                    notes = (f"several shared-edge candidates for {shared.label}; picked first by insertion order",)
     if graph is None:
         if not f.fv:
             raise CombinationError("function semantics has no free variable to fill")
         if a.root in a.fv:
             notes += ("argument is rooted at a free variable; the merged variable keeps the argument's slot",)
-        sub = substitute(f, 1, a)
-        graph = sub.graph  # order 0 keeps f-remaining then a-remaining already
-        if order and (fv := sub.h_remaining + sub.g_remaining) != graph.fv:
-            graph = with_fv_order(graph, fv)
+        graph = substitute(f, a, order)
     _check_result(result_cat, graph)
     rule = RULE_NAMES[direction, order, crossed, relation_wise]
     return Combined(Constituent(left.start, right.end, result_cat, graph), rule, notes)

@@ -307,7 +307,7 @@ def replay(script: ScriptNode, lexicon: Lexicon) -> Derivation:
             try:
                 entry = lexicon.entry(node.entry_id)
             except KeyError as err:
-                raise ReplayError(path, str(err)) from err
+                raise ReplayError(path, err.args[0]) from err
             c = Constituent(node.token_index, node.token_index + 1, entry.category, entry.semantics)
             return _Item(c, node.entry_id)
         if isinstance(node, Unary):
@@ -392,6 +392,8 @@ class ParserConfig:
             raise ValueError("goal must not be empty")
         if self.goal not in ATOM_BASES:
             raise ValueError(f"goal must be one of {', '.join(ATOM_BASES)}, found {self.goal!r}")
+        if self.enabled is not None and not self.enabled:
+            raise ValueError("combinators must name at least one combinator")
         for name in sorted(self.enabled or ()):
             raising = read_raise(name)
             if name != "&" and name not in RULES and not raising:
@@ -415,8 +417,9 @@ class ParserConfig:
     @classmethod
     def from_text(cls, text: str, source: str = "<string>") -> "ParserConfig":
         """Read ``key = value`` lines (``#`` starts a comment); every error
-        starts with ``source:line:``."""
+        starts with ``source:line:``.  Only ``type_raise`` may repeat."""
         kwargs: dict = {}
+        seen: set[str] = set()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             key, eq, value = (part.strip() for part in raw.split("#", 1)[0].partition("="))
             if not (key or eq):
@@ -424,6 +427,9 @@ class ParserConfig:
             try:
                 if not eq:
                     raise ValueError("expected 'key = value'")
+                if key in seen and key != "type_raise":
+                    raise ValueError(f"duplicate key {key!r}")
+                seen.add(key)
                 if key in ("max_composition_order", "max_cell_items"):
                     kwargs[key] = read_int(key, value)
                 elif key == "strict_conjunction":

@@ -8,8 +8,8 @@ Free-variable order is meaningful (position 1 is consumed next), and so is
 edge insertion order (it drives deterministic serialization and tie-breaking
 when several shared-edge candidates exist).
 
-:func:`substitute` (identify a free variable with the root of another
-subgraph) is the step of the regular variants.  Every other combinator
+:func:`substitute` (fill the first free variable with another subgraph's
+root) builds the result of the regular variants.  Every other combinator
 builds its result in a :class:`Workspace`: the input graphs are appended
 one after another, each node that merges into an earlier one folds into it
 and the rest close up, and the caller may add or relabel edges before it
@@ -144,30 +144,18 @@ class Workspace:
 
     def freeze(self, root: int, slots: list[int]) -> AmrSubgraph:
         """The built graph rooted at ``root``, with repeated edge triples
-        collapsed (first occurrence wins).  Its fv list is the ordered
-        ``slots`` where constants drop out and a variable keeps only its
-        first slot."""
-        fv = dict.fromkeys([i for i in slots if self.nodes[i].concept is None])
-        return AmrSubgraph(tuple(self.nodes), _unique(self.edges), root, tuple(fv))
+        collapsed (first occurrence wins) and :func:`_free_slots` of ``slots``."""
+        return AmrSubgraph(tuple(self.nodes), _unique(self.edges), root, _free_slots(self.nodes, slots))
 
 
-@dataclass(frozen=True)
-class Substitution:
-    """Result of :func:`substitute`; remaining fv sublists let the caller
-    decide the final ordering (graph.fv defaults to g_remaining + h_remaining).
-    """
-
-    graph: AmrSubgraph
-    g_remaining: tuple[int, ...]
-    h_remaining: tuple[int, ...]
-
-
-def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
-    """Fill g's free variable at 1-based position ``pos`` with h's root.
+def substitute(g: AmrSubgraph, h: AmrSubgraph, order: int = 0) -> AmrSubgraph:
+    """Fill g's first free variable with h's root: the regular variant of an
+    order-``order`` composition (order 0 is application) of g with h.
 
     The two nodes are identified; the merged node is a constant iff h's root
     was one.  If h is rooted at a free variable the merged node stays free
-    and keeps h's fv-list position.
+    and keeps h's fv-list position.  The fv list holds g's remaining
+    variables, then h's; composition (``order`` > 0) puts h's first.
 
     The result is built in one pass: g's nodes keep their ids, h's root
     folds into the filled variable and h's other nodes follow in order.
@@ -175,9 +163,9 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
     occurrence wins).  Nodes and edges whose values did not change are the
     input objects themselves.
     """
-    if not 1 <= pos <= len(g.fv):
-        raise ValueError(f"fv position {pos} out of range 1..{len(g.fv)}")
-    n, m, slot, r = len(g.nodes), len(h.nodes), g.fv[pos - 1], h.root
+    if not g.fv:
+        raise ValueError("no free variable to fill")
+    n, m, slot, r = len(g.nodes), len(h.nodes), g.fv[0], h.root
     positions = [*range(n, n + r), slot, *range(n + r, n + m - 1)]
     ca, cb = g.nodes[slot].concept, h.nodes[r].concept
     if ca is not None and cb is not None and ca != cb:
@@ -191,12 +179,9 @@ def substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
         if i >= n  # h's root is already in place as the filled variable
     ]
     edges += _moved(h.edges, positions)
-    # Each side's remaining variables drop constants; the graph's fv list
-    # also keeps a merged variable only in its first slot.
-    g_rem = tuple([i for i in g.fv[: pos - 1] + g.fv[pos:] if nodes[i].concept is None])
-    h_rem = tuple([i for i in [positions[x] for x in h.fv] if nodes[i].concept is None])
-    fv = tuple(dict.fromkeys(g_rem + h_rem))
-    return Substitution(AmrSubgraph(tuple(nodes), _unique(edges), g.root, fv), g_rem, h_rem)
+    g_rest, h_rest = g.fv[1:], [positions[x] for x in h.fv]
+    fv = _free_slots(nodes, [*h_rest, *g_rest] if order else [*g_rest, *h_rest])
+    return AmrSubgraph(tuple(nodes), _unique(edges), g.root, fv)
 
 
 def raised(g: AmrSubgraph) -> AmrSubgraph:
@@ -246,6 +231,12 @@ def _moved(edges: tuple[Edge, ...], ids: list[int]) -> list[Edge]:
     return out
 
 
+def _free_slots(nodes: list[Node], slots: list[int]) -> tuple[int, ...]:
+    """The fv list of ordered ``slots``: constants drop out and a variable
+    keeps only its first slot."""
+    return tuple(dict.fromkeys([i for i in slots if nodes[i].concept is None]))
+
+
 def _unique(edges: list[Edge]) -> tuple[Edge, ...]:
     """``edges`` with repeated triples collapsed, first occurrence winning.
 
@@ -259,13 +250,6 @@ def _unique(edges: list[Edge]) -> tuple[Edge, ...]:
     for e in edges:
         unique.setdefault(_TRIPLE(e), e)
     return tuple(unique.values())
-
-
-def with_fv_order(g: AmrSubgraph, fv: tuple[int, ...]) -> AmrSubgraph:
-    """Same graph with its free variables reordered."""
-    if sorted(fv) != sorted(g.fv):
-        raise ValueError("new fv order must be a permutation of the old")
-    return AmrSubgraph(g.nodes, g.edges, g.root, tuple(fv))
 
 
 def validate(g: AmrSubgraph) -> list[str]:

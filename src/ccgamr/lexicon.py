@@ -118,4 +118,4 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
 
 def load(path: str | Path) -> Lexicon:
     path = Path(path)
-    return loads(path.read_text(encoding="utf-8"), source=path.name)
+    return loads(path.read_text(encoding="utf-8-sig"), source=path.name)

@@ -38,11 +38,9 @@ from ccgamr.graph import (
     AmrSubgraph,
     Edge,
     Node,
-    Substitution,
     UnificationError,
     iso_equal,
     substitute,
-    with_fv_order,
 )
 
 CONCEPTS = ["eat-01", "person", "cat", "give-01", "and", "math", "idea"]
@@ -243,22 +241,21 @@ class DictWorkspace:
         return graph, relabel
 
 
-def reference_substitute(g: AmrSubgraph, pos: int, h: AmrSubgraph) -> Substitution:
+def reference_substitute(g: AmrSubgraph, h: AmrSubgraph, order: int = 0) -> AmrSubgraph:
     """Reference for ``graph.substitute``: the workspace steps it replaced, on
-    a ``DictWorkspace``.  Both graphs are copied in, g's free variable at
-    ``pos`` merges with h's root and the result is frozen."""
-    if not 1 <= pos <= len(g.fv):
-        raise ValueError(f"fv position {pos} out of range 1..{len(g.fv)}")
+    a ``DictWorkspace``.  Both graphs are copied in, g's first free variable
+    merges with h's root and the result is frozen with g's remaining
+    variables, then h's, or h's first when ``order`` > 0."""
+    if not g.fv:
+        raise ValueError("no free variable to fill")
     ws = DictWorkspace()
     gmap, _ = ws.add_graph(g)
     hmap, _ = ws.add_graph(h)
-    ws.merge(gmap[g.fv[pos - 1]], hmap[h.root])
-    g_rem = [gmap[x] for i, x in enumerate(g.fv) if i != pos - 1]
+    ws.merge(gmap[g.fv[0]], hmap[h.root])
+    g_rem = [gmap[x] for x in g.fv[1:]]
     h_rem = [hmap[x] for x in h.fv]
-    graph, relabel = ws.freeze(gmap[g.root], g_rem + h_rem)
-    final = lambda x: relabel[ws.find(x)]
-    free = lambda ids: tuple(final(x) for x in ids if graph.nodes[final(x)].concept is None)
-    return Substitution(graph, free(g_rem), free(h_rem))
+    graph, _ = ws.freeze(gmap[g.root], h_rem + g_rem if order else g_rem + h_rem)
+    return graph
 
 
 def reference_relation_wise(f: AmrSubgraph, a: AmrSubgraph, match, order: int) -> AmrSubgraph:
@@ -401,16 +398,13 @@ def forced_variant(
         if shared is None:
             raise CombinationError("forced relation-wise combination, but no shared edge exists")
         try:
-            graph, _ = relation_wise_combine(fsem, asem, shared, order)
+            graph = relation_wise_combine(fsem, asem, shared, order)
         except UnificationError as err:
             raise CombinationError(f"shared-edge unification failed: {err}") from err
     else:
         if not fsem.fv:
             raise CombinationError("function semantics has no free variable to fill")
-        sub = substitute(fsem, 1, asem)
-        graph = sub.graph
-        if order:
-            graph = with_fv_order(graph, sub.h_remaining + sub.g_remaining)
+        graph = substitute(fsem, asem, order)
     problems = check_iso_principle(match[0], graph)
     if problems:
         raise CombinationError("result breaks the functional-isomorphism principle: " + "; ".join(problems))

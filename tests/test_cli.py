@@ -177,6 +177,8 @@ def test_parse_all_prints_scripts_and_forest_counts(tmp_path, capsys):
         ("combinators = &, >, >RB, >T[(S)]", "combinator '>T[(S)]' is spelled '>T[S]'"),
         ("max_composition_order = 1\ncombinators = >B2", "combinator '>B2' needs max_composition_order = 2"),
         ("combinators = <RB2x\nmax_composition_order = 1", "combinator '<RB2x' needs max_composition_order = 2"),
+        ("combinators = >\ncombinators = <", "duplicate key 'combinators'"),
+        ("combinators =", "combinators must name at least one combinator"),
     ],
 )
 def test_config_error_is_one_line_with_its_source_line(tmp_path, capsys, setting, message):
@@ -256,6 +258,15 @@ def test_replay_of_a_coordination_whose_conjuncts_are_not_adjacent_is_invalid(tm
     assert err.splitlines() == [
         "replay failed: step root: '&' failed: left conjunct and conjunction are not adjacent"
     ]
+
+
+def test_replay_of_an_unknown_entry_names_it_once_quoted(tmp_path, capsys):
+    bad = tmp_path / "unknown.ccg"
+    bad.write_text("(> (leaf 0 nosuch.1) (leaf 1 john.1))\n")
+    code, out, err = run(capsys, "replay", "--lexicon", LEX, "--derivation", str(bad))
+    assert (code, out, err) == (4, "", "replay failed: step 0: no lexical entry with id 'nosuch.1'\n")
+    code, out, err = run(capsys, "render", "--input", str(bad), "--lexicon", LEX)
+    assert (code, out, err) == (1, "", "error: step 0: no lexical entry with id 'nosuch.1'\n")
 
 
 def test_replay_missing_file(capsys):
@@ -630,3 +641,29 @@ def test_parse_deep_categories_without_traceback(tmp_path, sentence, code, out):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stdout == out
+
+
+SMALL_LEXICON = "john | NP | (j/john)\nsleeps | S\\NP | (s/sleep-01 :ARG0 ?1)\n"
+
+
+def test_parse_reads_a_lexicon_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    lex = tmp_path / "bom.lex"
+    lex.write_text(SMALL_LEXICON, encoding="utf-8-sig")
+    code, out, err = run(capsys, "parse", "--lexicon", str(lex), "--sentence", "john sleeps")
+    assert (code, out, err) == (0, "(s/sleep-01 :ARG0 j/john)\n", "")
+
+
+def test_compare_reads_a_graph_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    bom, plain = tmp_path / "bom.amr", tmp_path / "plain.amr"
+    bom.write_text("(j/john)\n", encoding="utf-8-sig")
+    plain.write_text("(j/john)\n")
+    code, out, err = run(capsys, "compare", str(bom), str(plain))
+    assert (code, out, err) == (0, "isomorphic\n", "")
+
+
+def test_parse_reads_a_config_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    lex, cfg = tmp_path / "small.lex", tmp_path / "bom.cfg"
+    lex.write_text(SMALL_LEXICON)
+    cfg.write_text("goal = NP\n", encoding="utf-8-sig")
+    code, out, err = run(capsys, "parse", "--lexicon", str(lex), "--sentence", "john", "--config", str(cfg))
+    assert (code, out, err) == (0, "(j/john)\n", "")

@@ -23,7 +23,7 @@ from ccgamr.combinator import (
     type_raise,
 )
 from ccgamr.derivation import ReplayError, parse_script, replay
-from ccgamr.graph import UNDERSPECIFIED, UnificationError, iso_equal
+from ccgamr.graph import UNDERSPECIFIED, AmrSubgraph, UnificationError, iso_equal
 from ccgamr.lexicon import loads
 from ccgamr.penman import parse, serialize
 
@@ -183,7 +183,7 @@ def test_relation_wise_combine_builds_the_resolved_edge_anew():
     raised = parse('(?1 :? (p/person :name (n/name :op1 "John")))')
     likes = parse("(l/like-01 :ARG0 ?2 :ARG1 ?1)")
     match = relation_wise_match(raised, likes, k=2)
-    graph, _ = relation_wise_combine(raised, likes, match, order=1)
+    graph = relation_wise_combine(raised, likes, match, order=1)
     [resolved] = [e for e in graph.edges if e.label == ":ARG0"]
     assert not any(resolved is e for e in raised.edges + likes.edges)
     assert UNDERSPECIFIED not in {e.label for e in graph.edges}
@@ -315,6 +315,25 @@ def test_combine_matched_picks_relation_wise_iff_a_shared_edge_unifies(f_sem, a_
         return
     assert ("R" in out.rule) == relation
     assert out.constituent.semantics == forced_variant(direction, order, f, a, variant)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: relation_wise_match takes the first qualifying edge pair in "
+    "insertion order, which is not part of a graph's iso-class",
+)
+def test_relation_wise_choice_does_not_depend_on_edge_order():
+    # "I should and you may eat" with NP > S raising: two edges of f qualify
+    f = parse("(a/and :op1 (r/recommend-01 :ARG1 (?1 :ARG0 (i/i) :? (y/you))) :op2 ?1)")
+    a = Constituent(1, 2, parse_category("(S\\NP)/NP"), parse("(p/permit-01 :ARG1 (?1 :ARG0 ?2))"))
+    fcat = parse_category("S/(S\\NP)")
+    match = match_categories("forward", 1, fcat, a.category)
+    outcomes = [
+        combine_matched("forward", 1, Constituent(0, 1, fcat, sem), a, match)
+        for sem in (f, AmrSubgraph(f.nodes, f.edges[::-1], f.root, f.fv))
+    ]
+    assert [out.rule for out in outcomes] == [">RB", ">RB"]
+    assert iso_equal(*(out.constituent.semantics for out in outcomes))
 
 
 def test_relation_wise_falls_back_on_constant_clash():

@@ -851,11 +851,15 @@ def test_a_type_raising_rule_rejects_an_unknown_direction(direction):
         ("type_raise = NP > S\ntype_raise = none", "type_raise = none must be the only type_raise line"),
         ("type_raise = none\ngoal = S\ntype_raise = NP < S", "type_raise = none must be the only type_raise line"),
         ("type_raise = NONE\ntype_raise = none", "type_raise = none must be the only type_raise line"),
+        ("combinators = >\ncombinators = <", "duplicate key 'combinators'"),
+        ("goal = S\ntype_raise = NP > S\ngoal = NP", "duplicate key 'goal'"),
+        ("combinators =", "combinators must name at least one combinator"),
+        ("combinators = ,", "combinators must name at least one combinator"),
     ],
 )
 def test_parser_config_errors_name_source_and_line(setting, message):
     with pytest.raises(ValueError) as err:
-        ParserConfig.from_text(f"# header\ngoal = S\n{setting}\n", "parser.cfg")
+        ParserConfig.from_text(f"# header\n\n{setting}\n", "parser.cfg")
     # the setting's last line is the one that fails
     assert str(err.value) == f"parser.cfg:{3 + setting.count(chr(10))}: {message}"
 

@@ -22,7 +22,6 @@ from ccgamr.graph import (
     raised,
     substitute,
     validate,
-    with_fv_order,
 )
 from ccgamr.penman import parse
 
@@ -42,40 +41,43 @@ from support import (
 
 def test_substitute_fills_first_variable():
     g = parse("(l/like-01 :ARG0 ?2 :ARG1 ?1)")
-    result = substitute(g, 1, parse("(c/cat)"))
-    assert iso_equal(result.graph, parse("(l/like-01 :ARG0 ?1 :ARG1 c/cat)"))
-    assert len(result.g_remaining) == 1
-    assert result.h_remaining == ()
+    result = substitute(g, parse("(c/cat)"))
+    assert iso_equal(result, parse("(l/like-01 :ARG0 ?1 :ARG1 c/cat)"))
+    assert result.fv == g.fv[1:]
 
 
 def test_substitute_into_bare_variable_is_identity_shaped():
     g = parse("?1")
     h = parse("(c/cat)")
-    assert iso_equal(substitute(g, 1, h).graph, h)
+    assert iso_equal(substitute(g, h), h)
 
 
 def test_substitute_attaches_whole_subgraph():
     g = parse("(d/decide-01 :ARG1 ?1)")
     h = parse("(m/major :poss (h/he))")
-    assert iso_equal(substitute(g, 1, h).graph, parse("(d/decide-01 :ARG1 (m/major :poss he))"))
+    assert iso_equal(substitute(g, h), parse("(d/decide-01 :ARG1 (m/major :poss he))"))
 
 
 def test_substitute_keeps_free_root_in_argument_position():
     # argument rooted at a free variable: the merged node stays free
     g = parse("?1")
     h = parse("(?1 :mod (y/yellow))")
-    result = substitute(g, 1, h)
-    assert result.g_remaining == ()
-    assert len(result.h_remaining) == 1
-    assert iso_equal(result.graph, h)
+    result = substitute(g, h)
+    assert result.fv == (g.fv[0],)
+    assert iso_equal(result, h)
 
 
-def test_substitute_position_out_of_range():
+def test_substitute_orders_the_remaining_variables_by_the_composition_order():
     g = parse("(l/like-01 :ARG0 ?2 :ARG1 ?1)")
-    with pytest.raises(ValueError):
-        substitute(g, 3, parse("(c/cat)"))
-    with pytest.raises(ValueError):
-        substitute(g, 0, parse("(c/cat)"))
+    h = parse("(c/cat :mod ?1)")
+    cat_mod = 3  # g's three nodes keep their ids, h's variable comes next
+    assert substitute(g, h).fv == (g.fv[1], cat_mod)
+    assert substitute(g, h, order=1).fv == substitute(g, h, order=2).fv == (cat_mod, g.fv[1])
+
+
+def test_substitute_without_a_free_variable_raises():
+    with pytest.raises(ValueError, match="^no free variable to fill$"):
+        substitute(parse("(l/like-01 :ARG0 (c/cat))"), parse("(d/dog)"))
 
 
 def test_merge_two_free_variables_shares_incoming_edges():
@@ -92,7 +94,7 @@ def test_merge_two_free_variables_shares_incoming_edges():
 def _relation_wise(f: AmrSubgraph, a: AmrSubgraph) -> AmrSubgraph:
     match = relation_wise_match(f, a, 1)
     assert match is not None
-    graph, _ = relation_wise_combine(f, a, match, 0)
+    graph = relation_wise_combine(f, a, match, 0)
     assert graph == reference_relation_wise(f, a, match, 0)
     return graph
 
@@ -128,7 +130,7 @@ def test_self_loop_argument_edge_is_not_shared():
     a = AmrSubgraph((Node(0),), (Edge(0, ":ARG0", 0),), 0, (0,))
     assert relation_wise_match(f, a, 1) is None
     out = combine_application("forward", *_one_slot(f, a))
-    assert out.rule == ">" and out.constituent.semantics == substitute(f, 1, a).graph
+    assert out.rule == ">" and out.constituent.semantics == substitute(f, a)
 
 
 def test_merge_conflicting_constants_fails():
@@ -138,7 +140,7 @@ def test_merge_conflicting_constants_fails():
     with pytest.raises(UnificationError, match="^cannot merge constants 'big' and 'small'$"):
         relation_wise_combine(f, a, match, 0)
     out = combine_application("forward", *_one_slot(f, a))
-    assert out.rule == ">" and out.constituent.semantics == substitute(f, 1, a).graph
+    assert out.rule == ">" and out.constituent.semantics == substitute(f, a)
     assert out.notes[0] == (
         "shared-edge unification failed (cannot merge constants 'big' and 'small');"
         " fell back to the regular variant"
@@ -211,14 +213,6 @@ def test_validate_flags_disconnected_graph():
     assert any("disconnected" in p for p in validate(g))
 
 
-def test_with_fv_order_requires_permutation():
-    g = parse("(l/like-01 :ARG0 ?2 :ARG1 ?1)")
-    swapped = with_fv_order(g, (g.fv[1], g.fv[0]))
-    assert swapped.fv == (g.fv[1], g.fv[0])
-    with pytest.raises(ValueError):
-        with_fv_order(g, (g.fv[0], g.fv[0]))
-
-
 def test_iso_equal_ignores_node_identity():
     g = parse('(e/eat-01 :ARG0 (p/person :name (n/name :op1 "John")) :ARG1 ?1)')
     assert iso_equal(g, relabeled(g, seed=5))
@@ -243,7 +237,7 @@ def test_iso_equal_pins_variables_to_positions():
     a = parse("(g/go-01 :ARG0 ?1 :ARG1 ?2)")
     b = parse("(g/go-01 :ARG0 ?2 :ARG1 ?1)")
     assert not iso_equal(a, b)
-    assert iso_equal(a, with_fv_order(b, (b.fv[1], b.fv[0])))
+    assert iso_equal(a, AmrSubgraph(b.nodes, b.edges, b.root, (b.fv[1], b.fv[0])))
 
 
 @given(g=graphs(max_fv=2, min_fv=1), h=graphs(max_fv=2))
@@ -252,7 +246,7 @@ def test_substitute_counting_laws(g, h):
     constants = lambda graph: sum(1 for n in graph.nodes if not n.is_free)
     before_constants = constants(g) + constants(h)
     before_free = len(g.fv) + len(h.fv)
-    result = substitute(g, 1, h).graph
+    result = substitute(g, h)
     assert constants(result) == before_constants
     assert len([n for n in result.nodes if n.is_free]) == before_free - 1
     assert validate(result) == []
@@ -261,24 +255,24 @@ def test_substitute_counting_laws(g, h):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_substitute_of_valid_graphs_is_valid(data):
-    """Whatever the slot, and whether h's root is a constant or a listed free
-    variable, substitution keeps valid graphs valid.  A valid g lists only
-    free variables, so filling one never raises a UnificationError."""
+    """Whatever the order, and whether h's root is a constant or a listed
+    free variable, substitution keeps valid graphs valid.  A valid g lists
+    only free variables, so filling one never raises a UnificationError."""
     g = data.draw(graphs(max_nodes=6, max_fv=3, min_fv=1))
     h = data.draw(graphs(max_nodes=6, max_fv=2))
-    pos = data.draw(st.integers(1, len(g.fv)))
+    order = data.draw(st.integers(0, 2))
     if data.draw(st.booleans()):  # h rooted at a free variable listed first
         nodes = (Node(h.root, None),) + h.nodes[1:]
         h = AmrSubgraph(nodes, h.edges, h.root, (h.root,) + tuple(x for x in h.fv if x != h.root))
     assert validate(g) == [] and validate(h) == []
-    assert validate(substitute(g, pos, h).graph) == []
+    assert validate(substitute(g, h, order)) == []
 
 
 @given(h=graphs(max_fv=2))
 @settings(max_examples=60, deadline=None)
 def test_substitute_into_lone_variable_yields_argument(h):
     lone = parse("?1")
-    assert iso_equal(substitute(lone, 1, h).graph, h)
+    assert iso_equal(substitute(lone, h), h)
 
 
 @given(g=graphs(max_nodes=6, max_fv=2), seed=st.integers(0, 999))
@@ -340,7 +334,7 @@ def _renumbering(draw, g: AmrSubgraph) -> AmrSubgraph:
 def test_substitute_reuses_the_untouched_nodes_and_edges_of_g():
     g = parse("(l/like-01 :ARG0 (j/john :mod (o/old)) :ARG1 ?1)")
     h = parse("(c/cat :mod (b/big))")
-    result = substitute(g, 1, h).graph
+    result = substitute(g, h)
     assert iso_equal(result, parse("(l/like-01 :ARG0 (j/john :mod (o/old)) :ARG1 (c/cat :mod (b/big)))"))
     slot = g.fv[0]
     # both graphs number their nodes 0..n-1 in order, so nodes[i] has id i
@@ -357,9 +351,9 @@ def test_substitute_reuses_the_untouched_nodes_and_edges_of_g():
     assert not any(e is h_edge for e in result.edges for h_edge in h.edges)
 
 
-def _substitution_or_error(g, pos, h):
+def _substitution_or_error(g, h, order):
     try:
-        return substitute(g, pos, h)
+        return substitute(g, h, order)
     except UnificationError as err:
         return str(err)
 
@@ -367,11 +361,11 @@ def _substitution_or_error(g, pos, h):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_substitute_agrees_with_the_workspace_reference(data):
-    """Same graph, remaining lists and errors as the workspace steps it
-    replaced, with every unchanged input Node and Edge reused."""
+    """Same graph, fv order and errors as the workspace steps it replaced,
+    with every unchanged input Node and Edge reused."""
     g = data.draw(graphs(max_nodes=6, max_fv=3, min_fv=1))
     h = data.draw(graphs(max_nodes=6, max_fv=2))
-    pos = data.draw(st.integers(1, len(g.fv)))
+    order = data.draw(st.integers(0, 2))
     if data.draw(st.booleans()):  # h rooted at a free variable listed in its fv
         nodes = (Node(h.root, None),) + h.nodes[1:]
         fv = (h.root,) + tuple(x for x in h.fv if x != h.root)
@@ -380,10 +374,10 @@ def test_substitute_agrees_with_the_workspace_reference(data):
         constants = [n.id for n in g.nodes if n.concept is not None]
         if constants:
             fv = list(g.fv)
-            fv[pos - 1] = data.draw(st.sampled_from(constants))
+            fv[0] = data.draw(st.sampled_from(constants))
             g = AmrSubgraph(g.nodes, g.edges, g.root, tuple(fv))
     if data.draw(st.booleans()):  # fv lists that repeat g's slot and h's first variable
-        g = AmrSubgraph(g.nodes, g.edges, g.root, g.fv + (g.fv[pos - 1],))
+        g = AmrSubgraph(g.nodes, g.edges, g.root, g.fv + (g.fv[0],))
         h = AmrSubgraph(h.nodes, h.edges, h.root, h.fv + h.fv[:1])
     if g.edges and data.draw(st.booleans()):  # g repeats one of its triples
         e = data.draw(st.sampled_from(g.edges))
@@ -393,27 +387,27 @@ def test_substitute_agrees_with_the_workspace_reference(data):
     if data.draw(st.booleans()):  # self-loops on h's root and on g's slot
         label = data.draw(st.sampled_from(LABELS))
         h = AmrSubgraph(h.nodes, (Edge(h.root, label, h.root),) + h.edges, h.root, h.fv)
-        slot = g.fv[pos - 1]
+        slot = g.fv[0]
         g = AmrSubgraph(g.nodes, g.edges + (Edge(slot, label, slot),), g.root, g.fv)
     g, h = data.draw(_renumbering(g)), data.draw(_renumbering(h))
     try:
-        want = reference_substitute(g, pos, h)
+        want = reference_substitute(g, h, order)
     except UnificationError as err:
-        assert _substitution_or_error(g, pos, h) == str(err)
+        assert _substitution_or_error(g, h, order) == str(err)
         return
-    got = substitute(g, pos, h)
+    got = substitute(g, h, order)
     assert got == want
     gnew = {n.id: k for k, n in enumerate(g.nodes)}
-    _assert_reuse(got.graph, *_appended((g, {}), (h, {h.root: gnew[g.fv[pos - 1]]})))
+    _assert_reuse(got, *_appended((g, {}), (h, {h.root: gnew[g.fv[0]]})))
 
 
 def test_substitute_of_a_constant_slot_raises_the_reference_message():
     g = AmrSubgraph((Node(0, "go-01"), Node(1, "cat")), (Edge(0, ":ARG0", 1),), 0, (1,))
     h = parse("(d/dog)")
     with pytest.raises(UnificationError) as want:
-        reference_substitute(g, 1, h)
+        reference_substitute(g, h)
     with pytest.raises(UnificationError, match="^cannot merge constants 'cat' and 'dog'$") as got:
-        substitute(g, 1, h)
+        substitute(g, h)
     assert str(got.value) == str(want.value)
 
 
@@ -421,10 +415,10 @@ def test_substitute_collapses_a_repeated_triple_to_its_first_occurrence():
     slot_loop = Edge(1, ":mod", 1)
     g = AmrSubgraph((Node(0, "go-01"), Node(1, None)), (Edge(0, ":ARG0", 1), slot_loop), 0, (1,))
     h = AmrSubgraph((Node(0, "cat"),), (Edge(0, ":mod", 0),), 0, ())
-    result = substitute(g, 1, h)
-    assert result == reference_substitute(g, 1, h)
-    assert result.graph.edges == (Edge(0, ":ARG0", 1), Edge(1, ":mod", 1))
-    assert result.graph.edges[1] is slot_loop
+    result = substitute(g, h)
+    assert result == reference_substitute(g, h)
+    assert result.edges == (Edge(0, ":ARG0", 1), Edge(1, ":mod", 1))
+    assert result.edges[1] is slot_loop
 
 
 def _assert_reuse(result: AmrSubgraph, placed, moved) -> None:
@@ -574,7 +568,7 @@ def test_relation_wise_combine_agrees_with_the_workspace_reference(data):
             relation_wise_combine(f, a, match, order)
         assert str(got_err.value) == str(err)
         return
-    got, _ = relation_wise_combine(f, a, match, order)
+    got = relation_wise_combine(f, a, match, order)
     assert got == want
     fnew = {n.id: k for k, n in enumerate(f.nodes)}
     folds = {ae.source: fnew[fe.source], ae.target: fnew[fe.target]}

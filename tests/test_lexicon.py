@@ -103,6 +103,12 @@ def test_load_from_path_matches_loads(lexicon):
     assert [e.entry_id for e in again.entries] == [e.entry_id for e in lexicon.entries]
 
 
+def test_load_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.lex"
+    path.write_text("john | NP | (j/john)\n", encoding="utf-8-sig")
+    assert load(path).tokens() == ["john"]
+
+
 def test_hash_inside_quotes_is_literal():
     lex = loads('q | NP | (h/hashtag :op1 "#ccg")  # a trailing comment\n# a whole-line comment')
     [entry] = lex.entries
