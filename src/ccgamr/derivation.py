@@ -341,9 +341,10 @@ def finalize_check(c: Constituent) -> list[str]:
     if isinstance(sem, ConjPartial):
         return ["pending conjunction is missing its left conjunct"]
     problems = [f"unfilled free variable ?{i}" for i in range(1, len(sem.fv) + 1)]
-    for e in sem.edges:
-        if e.label == UNDERSPECIFIED:
-            problems.append("underspecified edge was never resolved")
+    problems += [
+        f"underspecified edge {(e.source, e.label, e.target)} was never resolved"
+        for e in sem.edges if e.label == UNDERSPECIFIED
+    ]
     problems.extend(validate(sem))
     return problems
 
@@ -551,7 +552,8 @@ def _binary_candidates(
     """Every enabled rule's outcome on two adjacent constituents; graph work
     runs only where ``_category_rules`` allows it and, given ``wanted``, an
     application, composition or coordination only for a result category in
-    it (attaching a conjunction builds no graph and is not gated)."""
+    it.  Attaching a conjunction builds no graph, so it is tried for every
+    pair and only a pending conjunction of a wanted category is kept."""
     matches, attach, coordinated, _ = _category_rules(
         left.category, right.category, config.max_composition_order, config.enabled
     )
@@ -568,9 +570,12 @@ def _binary_candidates(
                 pass
     if attach:
         try:
-            out.append(conj_attach(left, right))
+            attached = conj_attach(left, right)
         except CombinationError:
             pass
+        else:
+            if wanted is None or attached.constituent.category in wanted:
+                out.append(attached)
     if rpartial and not lpartial and coordinated is not None and (wanted is None or coordinated in wanted):
         partial: ConjPartial = right.semantics
         try:

@@ -9,19 +9,17 @@ edge insertion order (it drives deterministic serialization and tie-breaking
 when several shared-edge candidates exist).
 
 :func:`substitute` (fill the first free variable with another subgraph's
-root) builds the result of the regular variants.  Every other combinator
-builds its result in a :class:`Workspace`: the input graphs are appended
-one after another, each node that merges into an earlier one folds into it
-and the rest close up, and the caller may add or relabel edges before it
-freezes the result.
-:func:`raised` (type raising: a fresh root variable over the old root) and
-:func:`conjoined` (coordination: a conjunction root over two conjuncts
-whose free variables merge pairwise) build this way, and so does
-relation-wise combination, which folds the two endpoint pairs of a shared
-edge together and relabels the edge.  :func:`substitute` does its single
-fold in its own one-pass code, which is faster.  Either way a result
-shares the immutable :class:`Node` and :class:`Edge` objects of its inputs
-wherever their values did not change, and the builders here take every
+root: the regular variants) and :func:`raised` (type raising: a fresh root
+variable over the old root) build their result in one pass.  They identify
+at most one node pair, so inputs that list distinct free variables and
+repeat no triple and have no self-loop, as chart items do, leave nothing
+to collapse.  :func:`conjoined` (coordination) and relation-wise
+combination fold two or more node pairs, which can repeat a triple, in a
+:class:`Workspace`: the input graphs are appended one after another, each
+node that merges into an earlier one folds into it and the rest close up,
+and the caller may add or relabel edges before it freezes the result.  A
+result shares the immutable :class:`Node` and :class:`Edge` objects of its
+inputs wherever their values did not change, and the builders take every
 node and edge they make from a bounded by-value cache, so equal values
 built by different steps are one object (relation-wise combination builds
 its relabeled edge itself).
@@ -144,8 +142,11 @@ class Workspace:
 
     def freeze(self, root: int, slots: list[int]) -> AmrSubgraph:
         """The built graph rooted at ``root``, with repeated edge triples
-        collapsed (first occurrence wins) and :func:`_free_slots` of ``slots``."""
-        return AmrSubgraph(tuple(self.nodes), _unique(self.edges), root, _free_slots(self.nodes, slots))
+        collapsed (first occurrence wins) and the fv list of ordered
+        ``slots``, where constants drop out and a variable keeps only its
+        first slot."""
+        fv = tuple(dict.fromkeys([i for i in slots if self.nodes[i].concept is None]))
+        return AmrSubgraph(tuple(self.nodes), _unique(self.edges), root, fv)
 
 
 def substitute(g: AmrSubgraph, h: AmrSubgraph, order: int = 0) -> AmrSubgraph:
@@ -159,9 +160,11 @@ def substitute(g: AmrSubgraph, h: AmrSubgraph, order: int = 0) -> AmrSubgraph:
 
     The result is built in one pass: g's nodes keep their ids, h's root
     folds into the filled variable and h's other nodes follow in order.
-    Edges are g's, then h's, with repeated triples collapsed (first
-    occurrence wins).  Nodes and edges whose values did not change are the
-    input objects themselves.
+    Edges are g's, then h's.  Nodes and edges whose values did not change
+    are the input objects themselves.  Both graphs must list distinct free
+    variables and have no repeated triple or self-loop (a cycle is allowed);
+    then, as only h's root merges, no edge repeats, and the result meets
+    this condition too.
     """
     if not g.fv:
         raise ValueError("no free variable to fill")
@@ -170,7 +173,7 @@ def substitute(g: AmrSubgraph, h: AmrSubgraph, order: int = 0) -> AmrSubgraph:
     ca, cb = g.nodes[slot].concept, h.nodes[r].concept
     if ca is not None and cb is not None and ca != cb:
         raise UnificationError(f"cannot merge constants {ca!r} and {cb!r}")
-    nodes, edges = list(g.nodes), list(g.edges)
+    nodes = list(g.nodes)
     if ca is None and cb is not None:
         nodes[slot] = _node(slot, cb)
     nodes += [
@@ -178,25 +181,22 @@ def substitute(g: AmrSubgraph, h: AmrSubgraph, order: int = 0) -> AmrSubgraph:
         for i, node in zip(positions, h.nodes)
         if i >= n  # h's root is already in place as the filled variable
     ]
-    edges += _moved(h.edges, positions)
     g_rest, h_rest = g.fv[1:], [positions[x] for x in h.fv]
-    fv = _free_slots(nodes, [*h_rest, *g_rest] if order else [*g_rest, *h_rest])
-    return AmrSubgraph(tuple(nodes), _unique(edges), g.root, fv)
+    fv = (*h_rest, *g_rest) if order else (*g_rest, *h_rest)
+    return AmrSubgraph(tuple(nodes), (*g.edges, *_moved(h.edges, positions)), g.root, fv)
 
 
 def raised(g: AmrSubgraph) -> AmrSubgraph:
     """g under a fresh free variable: the variable is the new root and the
     first free variable, with an underspecified edge to g's root.
 
-    g's nodes keep their positions and the variable comes last.  Nodes and
-    edges whose values did not change are the input objects themselves.
+    g's nodes and edges are the input objects, and the variable and its edge
+    come last.  g must meet :func:`substitute`'s condition, and the result
+    then meets it too.
     """
-    ws = Workspace()
-    ws.add(g)
-    fresh = len(ws.nodes)
-    ws.nodes.append(_node(fresh, None))
-    ws.edges.append(_edge(fresh, UNDERSPECIFIED, g.root))
-    return ws.freeze(fresh, [fresh, *g.fv])
+    fresh = len(g.nodes)
+    nodes, edges = (*g.nodes, _node(fresh, None)), (*g.edges, _edge(fresh, UNDERSPECIFIED, g.root))
+    return AmrSubgraph(nodes, edges, fresh, (fresh, *g.fv))
 
 
 def conjoined(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSubgraph:
@@ -229,12 +229,6 @@ def _moved(edges: tuple[Edge, ...], ids: list[int]) -> list[Edge]:
         s, t = ids[e.source], ids[e.target]
         out.append(e if s == e.source and t == e.target else _edge(s, e.label, t))
     return out
-
-
-def _free_slots(nodes: list[Node], slots: list[int]) -> tuple[int, ...]:
-    """The fv list of ordered ``slots``: constants drop out and a variable
-    keeps only its first slot."""
-    return tuple(dict.fromkeys([i for i in slots if nodes[i].concept is None]))
 
 
 def _unique(edges: list[Edge]) -> tuple[Edge, ...]:

@@ -100,6 +100,17 @@ def graphs(draw, max_nodes: int = 8, max_fv: int = 3, labels=tuple(LABELS), min_
 
 
 @st.composite
+def cyclic_graphs(draw, **kwargs):
+    """A graph from :func:`graphs` plus one or two edges back to its root,
+    node 0, which reaches every node: :func:`validate` finds a directed
+    cycle and nothing else.  No edge is a self-loop or repeats a triple."""
+    g = draw(graphs(**kwargs).filter(lambda g: len(g.nodes) > 1))
+    sources = draw(st.lists(st.integers(1, len(g.nodes) - 1), min_size=1, max_size=2, unique=True))
+    back = tuple(Edge(s, draw(st.sampled_from(LABELS)), 0) for s in sources)
+    return AmrSubgraph(g.nodes, g.edges + back, g.root, g.fv)
+
+
+@st.composite
 def raw_graphs(draw, max_nodes: int = 8, max_edges: int = 10):
     """Any AmrSubgraph value, well-formed or not: node ids with repeats,
     gaps and negatives; edges among them, some with a dangling endpoint, an

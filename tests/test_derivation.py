@@ -11,7 +11,7 @@ import pytest
 
 from ccgamr import combinator, derivation, graph, penman
 from ccgamr.category import ATOM_BASES, Atom, format_category, unify
-from ccgamr.combinator import CombinationError, Constituent, conj_attach, is_graph, raise_rule_name, type_raise
+from ccgamr.combinator import CombinationError, ConjPartial, Constituent, conj_attach, is_graph, raise_rule_name, type_raise
 from ccgamr.derivation import (
     Binary,
     ChartOverflowError,
@@ -218,6 +218,14 @@ def test_finalize_flags_leftover_variable():
 def test_finalize_flags_undischarged_raised_edge():
     c = constituent("S", "(?1 :? (c/cat))")
     assert any("underspecified" in p.lower() for p in finalize_check(c))
+
+
+def test_finalize_names_each_unresolved_edge():
+    c = constituent("S", "(?1 :? (c/cat :? (d/dog)))")
+    assert [p for p in finalize_check(c) if "underspecified" in p] == [
+        "underspecified edge (0, ':?', 1) was never resolved",
+        "underspecified edge (1, ':?', 2) was never resolved",
+    ]
 
 
 # --- chart ------------------------------------------------------------------
@@ -629,6 +637,31 @@ def test_coordination_runs_its_graph_step_only_for_wanted_categories(lexicon, mo
     monkeypatch.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())
     # k = 4 makes 124 calls gated, 210 (248 raised) ungated
     assert len(gated) < len(_coordinations(monkeypatch, tokens, lexicon, config))
+
+
+def _pending_conjunctions(monkeypatch, tokens, lexicon, config) -> tuple[list, list[str]]:
+    """(span, category) of every pending conjunction in the chart of a
+    ``cky_parse`` run, and the records of its results."""
+    charts = []
+    with monkeypatch.context() as m:
+        m.setattr(derivation, "_Chart", lambda *a, cls=derivation._Chart: charts.append(cls(*a)) or charts[-1])
+        results = [_record(d) for d in cky_parse(tokens, lexicon, config)]
+    cells = charts[0].cells.items()
+    return [(span, i.constituent.category) for span, items in cells for i in items
+            if isinstance(i.constituent.semantics, ConjPartial)], results
+
+
+@pytest.mark.parametrize("raising", [(), NP_TO_S], ids=["plain", "raised"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_the_chart_holds_no_pending_conjunction_off_every_goal_derivation(lexicon, monkeypatch, k, raising):
+    tokens, config = coordination_chain(k), ParserConfig(type_raising=raising)
+    wanted = derivation._goal_categories(tokens, lexicon, config, raising)
+    gated, results = _pending_conjunctions(monkeypatch, tokens, lexicon, config)
+    assert gated and all(cat in wanted[span] for span, cat in gated)
+    monkeypatch.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())
+    ungated, ungated_results = _pending_conjunctions(monkeypatch, tokens, lexicon, config)
+    assert results and results == ungated_results
+    assert set(gated) < set(ungated)
 
 
 def test_chart_overflow_counts_only_the_items_the_goal_pass_lets_in(lexicon, monkeypatch):

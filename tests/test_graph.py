@@ -27,6 +27,7 @@ from ccgamr.penman import parse
 
 from support import (
     LABELS,
+    cyclic_graphs,
     graphs,
     iso_oracle,
     raw_graphs,
@@ -351,54 +352,64 @@ def test_substitute_reuses_the_untouched_nodes_and_edges_of_g():
     assert not any(e is h_edge for e in result.edges for h_edge in h.edges)
 
 
-def _substitution_or_error(g, h, order):
-    try:
-        return substitute(g, h, order)
-    except UnificationError as err:
-        return str(err)
+@st.composite
+def _in_format(draw, free_root: bool = False, **kwargs) -> AmrSubgraph:
+    """A graph that :func:`validate` accepts or finds only a directed cycle
+    in, as it is or with shuffled ids; with ``free_root``, maybe rooted at a
+    free variable listed first."""
+    g = draw(st.one_of(graphs(**kwargs), cyclic_graphs(**kwargs)))
+    if free_root and draw(st.booleans()):
+        nodes = (Node(g.root, None),) + g.nodes[1:]
+        g = AmrSubgraph(nodes, g.edges, g.root, (g.root,) + tuple(x for x in g.fv if x != g.root))
+    return draw(_renumbering(g))
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_substitute_agrees_with_the_workspace_reference(data):
-    """Same graph, fv order and errors as the workspace steps it replaced,
-    with every unchanged input Node and Edge reused."""
-    g = data.draw(graphs(max_nodes=6, max_fv=3, min_fv=1))
-    h = data.draw(graphs(max_nodes=6, max_fv=2))
+    """Same graph and fv order as the workspace steps it replaced, on valid
+    and cyclic graphs, with every unchanged input Node and Edge reused."""
+    g = data.draw(_in_format(max_nodes=6, max_fv=3, min_fv=1))
+    h = data.draw(_in_format(free_root=True, max_nodes=6, max_fv=2))
     order = data.draw(st.integers(0, 2))
-    if data.draw(st.booleans()):  # h rooted at a free variable listed in its fv
-        nodes = (Node(h.root, None),) + h.nodes[1:]
-        fv = (h.root,) + tuple(x for x in h.fv if x != h.root)
-        h = AmrSubgraph(nodes, h.edges, h.root, fv[: len(h.fv) + 1])
-    if data.draw(st.booleans()):  # a constant in g's slot: it may clash with h's root
-        constants = [n.id for n in g.nodes if n.concept is not None]
-        if constants:
-            fv = list(g.fv)
-            fv[0] = data.draw(st.sampled_from(constants))
-            g = AmrSubgraph(g.nodes, g.edges, g.root, tuple(fv))
-    if data.draw(st.booleans()):  # fv lists that repeat g's slot and h's first variable
-        g = AmrSubgraph(g.nodes, g.edges, g.root, g.fv + (g.fv[0],))
-        h = AmrSubgraph(h.nodes, h.edges, h.root, h.fv + h.fv[:1])
-    if g.edges and data.draw(st.booleans()):  # g repeats one of its triples
-        e = data.draw(st.sampled_from(g.edges))
-        g = AmrSubgraph(g.nodes, g.edges + (Edge(e.source, e.label, e.target),), g.root, g.fv)
-    if h.edges and data.draw(st.booleans()):  # h repeats an edge object
-        h = AmrSubgraph(h.nodes, h.edges + (data.draw(st.sampled_from(h.edges)),), h.root, h.fv)
-    if data.draw(st.booleans()):  # self-loops on h's root and on g's slot
-        label = data.draw(st.sampled_from(LABELS))
-        h = AmrSubgraph(h.nodes, (Edge(h.root, label, h.root),) + h.edges, h.root, h.fv)
-        slot = g.fv[0]
-        g = AmrSubgraph(g.nodes, g.edges + (Edge(slot, label, slot),), g.root, g.fv)
-    g, h = data.draw(_renumbering(g)), data.draw(_renumbering(h))
-    try:
-        want = reference_substitute(g, h, order)
-    except UnificationError as err:
-        assert _substitution_or_error(g, h, order) == str(err)
-        return
     got = substitute(g, h, order)
-    assert got == want
-    gnew = {n.id: k for k, n in enumerate(g.nodes)}
-    _assert_reuse(got, *_appended((g, {}), (h, {h.root: gnew[g.fv[0]]})))
+    assert got == reference_substitute(g, h, order)
+    _assert_reuse(got, *_appended((g, {}), (h, {h.root: g.fv[0]})))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_substitute_and_raised_keep_the_builders_condition(data):
+    """On inputs that meet it, cyclic ones too, each result again has no
+    self-loop, and ``validate`` finds at most a cycle: no repeated triple
+    and an fv list of distinct free nodes.  So every chart item these steps
+    build from valid lexical graphs meets it."""
+    g = data.draw(_in_format(max_nodes=6, max_fv=3, min_fv=1))
+    h = data.draw(_in_format(free_root=True, max_nodes=6, max_fv=2))
+    for graph in (g, h, substitute(g, h, data.draw(st.integers(0, 2))), raised(g), raised(h)):
+        assert validate(graph) in ([], ["graph has a directed cycle"])
+        assert all(e.source != e.target for e in graph.edges)
+
+
+@given(g=graphs(max_nodes=6, max_fv=3, min_fv=1), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_validate_rejects_every_input_outside_the_builders_condition(g, data):
+    """The inputs the builders need not serve: an fv list that repeats a
+    variable or names a constant, a repeated triple and a self-loop."""
+    slot, label = g.fv[0], data.draw(st.sampled_from(LABELS))
+    outside = {
+        "fv list contains repeats": AmrSubgraph(g.nodes, g.edges, g.root, g.fv + g.fv[:1]),
+        "graph has a directed cycle": AmrSubgraph(g.nodes, g.edges + (Edge(slot, label, slot),), g.root, g.fv),
+    }
+    constants = [n.id for n in g.nodes if n.concept is not None]
+    if constants:
+        c = data.draw(st.sampled_from(constants))
+        outside[f"fv entry {c} is not a free-variable node"] = AmrSubgraph(g.nodes, g.edges, g.root, (c, *g.fv[1:]))
+    if g.edges:
+        e = data.draw(st.sampled_from(g.edges))
+        outside[f"duplicate edge triple {(e.source, e.label, e.target)}"] = AmrSubgraph(g.nodes, g.edges + (e,), g.root, g.fv)
+    for problem, bad in outside.items():
+        assert problem in validate(bad)
 
 
 def test_substitute_of_a_constant_slot_raises_the_reference_message():
@@ -411,14 +422,11 @@ def test_substitute_of_a_constant_slot_raises_the_reference_message():
     assert str(got.value) == str(want.value)
 
 
-def test_substitute_collapses_a_repeated_triple_to_its_first_occurrence():
-    slot_loop = Edge(1, ":mod", 1)
-    g = AmrSubgraph((Node(0, "go-01"), Node(1, None)), (Edge(0, ":ARG0", 1), slot_loop), 0, (1,))
+def test_validate_rejects_the_self_loops_that_made_a_substitution_repeat_a_triple():
+    g = AmrSubgraph((Node(0, "go-01"), Node(1, None)), (Edge(0, ":ARG0", 1), Edge(1, ":mod", 1)), 0, (1,))
     h = AmrSubgraph((Node(0, "cat"),), (Edge(0, ":mod", 0),), 0, ())
-    result = substitute(g, h)
-    assert result == reference_substitute(g, h)
-    assert result.edges == (Edge(0, ":ARG0", 1), Edge(1, ":mod", 1))
-    assert result.edges[1] is slot_loop
+    # filling g's slot with h's root would put the ':mod' loop in twice
+    assert validate(g) == validate(h) == ["graph has a directed cycle"]
 
 
 def _assert_reuse(result: AmrSubgraph, placed, moved) -> None:
@@ -457,19 +465,11 @@ def _appended(*parts) -> tuple[list, list]:
     return placed, moved
 
 
-@given(data=st.data())
+@given(g=_in_format(free_root=True, max_nodes=6, max_fv=3))
 @settings(max_examples=200, deadline=None)
-def test_raised_agrees_with_the_workspace_reference(data):
-    """Same graph as the workspace steps type raising took before, with every
-    unchanged input Node and Edge reused."""
-    g = data.draw(graphs(max_nodes=6, max_fv=3))
-    if g.edges and data.draw(st.booleans()):  # g repeats one of its triples
-        e = data.draw(st.sampled_from(g.edges))
-        g = AmrSubgraph(g.nodes, g.edges + (Edge(e.source, e.label, e.target),), g.root, g.fv)
-    if data.draw(st.booleans()):  # the fv list repeats a variable or lists a constant
-        extra = data.draw(st.sampled_from([n.id for n in g.nodes]))
-        g = AmrSubgraph(g.nodes, g.edges, g.root, g.fv + (extra,))
-    g = data.draw(_renumbering(g))
+def test_raised_agrees_with_the_workspace_reference(g):
+    """Same graph as the workspace steps type raising took before, on valid
+    and cyclic graphs, with every input Node and Edge reused."""
     got = raised(g)
     assert got == reference_type_raise(g)
     _assert_reuse(got, *_appended((g, {})))
