@@ -14,11 +14,11 @@ isomorphism search, and the isomorphism invariant is computed only for
 unequal graphs of one span, category, node count and free-variable count
 (``_Chart``).  What the binary rules can do with a pair of adjacent
 categories comes from one bounded cache (``_category_rules``), which both
-passes read.  A category-only pass (``_goal_categories``) runs first, and an
-application, composition or coordination does its graph step only when its
-result category lies on some category-level derivation of the goal (words,
-raising and attaching a conjunction are not gated).  Step names are read
-only through ``combinator.RULES`` and ``combinator.read_raise``.
+passes read.  A category-only pass on bit masks (``_goal_categories``) runs
+first, and an application, composition or coordination does its graph step
+only when its result category lies on some category-level derivation of the
+goal (words, raising and attaching a conjunction are not gated).  Step names
+are read only through ``combinator.RULES`` and ``combinator.read_raise``.
 
 Both modes record a derivation the same way: as items that keep only
 back-pointers to the items they were built from.  A ``Derivation`` builds
@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import islice
 
 from . import penman
 from .category import (
@@ -108,7 +108,8 @@ class Binary:
 
 ScriptNode = Leaf | Unary | Binary
 
-_SCRIPT_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
+# a raise name is one token, parentheses and all: >T[S/(S\NP)], <T[S[dcl]\(S[dcl]/NP)]
+_SCRIPT_TOKEN_RE = re.compile(r"[()]|[<>]T\[(?:[^\[\]\s]|\[[^\[\]\s]*\])*\](?=[\s()]|$)|[^\s()]+")
 
 
 def looks_like_script(text: str) -> bool:
@@ -605,58 +606,95 @@ def _raise_closure(chart: _Chart, span: tuple[int, int], raisings: tuple[TypeRai
 
 def _goal_categories(
     tokens: list[str], lexicon: Lexicon, config: ParserConfig, raisings: tuple[TypeRaisingRule, ...]
-) -> dict[tuple[int, int], set[Category]]:
+) -> dict[tuple[int, int], frozenset[Category]]:
     """Per span, the categories on some category-level derivation of the goal
     over the whole sentence; empty if there is none.
 
     An inside pass over categories alone, then an outside pass down from the
     goal atoms at (0, n).  A graph step succeeds only where its categories
     match, so every chart item that can feed a result has its (span,
-    category) here.
+    category) here.  Category sets are int masks (a union is one OR); the
+    tables live for one call and have int keys: ``rows`` per pair of
+    categories, ``pairs`` per pair of cells, ``feeds`` per such pair and want.
     """
-    n = len(tokens)
-    raised: dict[Category, list[Category]] = {}  # what type_raise makes of each category
+    n, rules = len(tokens), (config.max_composition_order, config.enabled)
+    cats, up, bit = [], [], {}  # per bit: its category, what raising makes of it; category -> bit
+    ids, members = {}, []  # span mask -> id -> the bits of the mask
+    rows, pairs, feeds, sets, wanted = {}, {}, {}, {}, {}
+    size = n * (n + 1) + 1  # more than the ids of all inside and wanted masks
 
-    def closed(cats: set[Category]) -> frozenset[Category]:
-        todo = list(cats) if raisings else []
-        while todo:
-            cat = todo.pop()
-            if cat not in raised:
-                raised[cat] = [
-                    raised_category(cat, r.target, r.direction) for r in raisings if unify(r.source, cat) is not None
-                ]
-            todo += [up for up in raised[cat] if up not in cats]
-            cats.update(raised[cat])
-        return frozenset(cats)
+    def mask(group) -> int:
+        m = 0
+        for cat in group:
+            b = bit.get(cat)
+            if b is None:
+                b = bit[cat] = len(cats)
+                cats.append(cat)
+            m |= 1 << b
+        return m
 
-    inside = {(i, i + 1): closed({e.category for e in lexicon.lookup(t)}) for i, t in enumerate(tokens)}
-    rules = (config.max_composition_order, config.enabled)
-    results: dict[tuple, set[Category]] = {}  # per pair of cells, which often repeat
-    for width in range(2, n + 1):
+    def intern(m: int) -> int:
+        ids[m], rest, out = len(members), m, []
+        while rest:  # one lowest set bit at a time
+            out.append((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
+        members.append(out)
+        return ids[m]
+
+    # span (i, j) has its id times size at cells[i][j], its id at cells[j][i], and what is wanted of it at wants[i][j]
+    cells, wants = [[0] * (n + 1) for _ in range(n + 1)], [[0] * (n + 1) for _ in range(n + 1)]
+    for width in range(1, n + 1):
         for i in range(n - width + 1):
-            cats: set[Category] = set()
-            for split in range(i + 1, i + width):
-                cells = (inside[i, split], inside[split, i + width])
-                if cells not in results:
-                    results[cells] = {c for l, r in product(*cells) for c in _category_rules(l, r, *rules)[-1]}
-                cats |= results[cells]
-            inside[i, i + width] = closed(cats)
-    goal = {c for c in inside[0, n] if isinstance(c, Atom) and c.base == config.goal}
-    wanted = {(0, n): goal} if goal else {}
-    for width in range(n, 0, -1):
+            j = i + width
+            m = 0 if width > 1 else mask([e.category for e in lexicon.lookup(tokens[i])])
+            for left, right in zip(cells[i][i + 1:j], cells[j][i + 1:j]):
+                union = pairs.get(left + right)
+                if union is None:
+                    union = 0
+                    for bl in members[left // size]:
+                        for br in members[right]:
+                            key = (bl + br) * (bl + br + 1) // 2 + br  # Cantor pairing: one int per pair of bits
+                            if key not in rows:
+                                rows[key] = mask(_category_rules(cats[bl], cats[br], *rules)[-1])
+                            union |= rows[key]
+                    pairs[left + right] = union
+                m |= union
+            new = m if raisings else 0
+            while new:  # type raising to a fixpoint
+                for cat in cats[len(up):]:
+                    up.append(mask(raised_category(cat, r.target, r.direction) for r in raisings
+                                   if unify(r.source, cat) is not None))
+                add, rest = 0, new
+                while rest:
+                    add |= up[(rest & -rest).bit_length() - 1]
+                    rest &= rest - 1
+                new, m = add & ~m, m | add
+            cells[j][i] = ids[m] if m in ids else intern(m)
+            cells[i][j] = cells[j][i] * size
+    wants[0][n] = sum(1 << b for b in members[cells[n][0]]
+                      if isinstance(cats[b], Atom) and cats[b].base == config.goal)
+    shift = len(cats)  # a feed is the right child's wanted mask | the left child's << shift
+    for width in range(n if wants[0][n] else 0, 0, -1):
         for i in range(n - width + 1):
-            want = wanted.get((i, i + width))
-            if want is None:
+            j = i + width
+            want = wants[i][j] & (1 << shift) - 1  # as a right child it got whole feeds
+            while raisings and (sources := sum(1 << b for b in members[cells[j][i]] if up[b] & want) & ~want):
+                want |= sources  # a wanted raised category wants its source
+            if not want:
                 continue
-            size = 0
-            while raisings and size != len(want):  # a wanted raised category wants its source
-                size = len(want)
-                want.update([c for c in inside[i, i + width] if not want.isdisjoint(raised[c])])
-            for split in range(i + 1, i + width):
-                for lcat, rcat in product(inside[i, split], inside[split, i + width]):
-                    if not want.isdisjoint(_category_rules(lcat, rcat, *rules)[-1]):
-                        wanted.setdefault((i, split), set()).add(lcat)
-                        wanted.setdefault((split, i + width), set()).add(rcat)
+            wid = ids[want] if want in ids else intern(want)
+            wanted[i, j] = sets.get(wid) or sets.setdefault(wid, frozenset(map(cats.__getitem__, members[wid])))
+            for split, left, right in zip(range(i + 1, j), cells[i][i + 1:j], cells[j][i + 1:j]):
+                feed = feeds.get((left + right) * size + wid)
+                if feed is None:
+                    feed = 0
+                    for bl in members[left // size]:
+                        for br in members[right]:
+                            if rows[(bl + br) * (bl + br + 1) // 2 + br] & want:
+                                feed |= 1 << bl + shift | 1 << br
+                    feeds[(left + right) * size + wid] = feed
+                wants[i][split] |= feed >> shift
+                wants[split][j] |= feed
     return wanted
 
 

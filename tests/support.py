@@ -15,7 +15,7 @@ from itertools import permutations, product
 from hypothesis import strategies as st
 
 from ccgamr import penman
-from ccgamr.category import Atom, Functor, check_iso_principle, format_category, unify
+from ccgamr.category import Atom, Category, Functor, check_iso_principle, format_category, unify
 from ccgamr.combinator import (
     Combined,
     CombinationError,
@@ -28,11 +28,12 @@ from ccgamr.combinator import (
     coordinate,
     match_categories,
     raise_rule_name,
+    raised_category,
     relation_wise_combine,
     relation_wise_match,
     type_raise,
 )
-from ccgamr.derivation import NP_TO_S, ParserConfig, finalize_check
+from ccgamr.derivation import NP_TO_S, ParserConfig, TypeRaisingRule, _category_rules, finalize_check
 from ccgamr.graph import (
     UNDERSPECIFIED,
     AmrSubgraph,
@@ -42,6 +43,7 @@ from ccgamr.graph import (
     iso_equal,
     substitute,
 )
+from ccgamr.lexicon import Lexicon
 
 CONCEPTS = ["eat-01", "person", "cat", "give-01", "and", "math", "idea"]
 LABELS = [":ARG0", ":ARG1", ":ARG2", ":mod", ":time", ":op1"]
@@ -613,3 +615,63 @@ def deep_lexicon_text(slashes: int = 1000) -> str:
         "and | Conj | (a/and)\n"
         f"wide | S/({deep}) | (w/wide :mod ?1)\n"
     )
+
+
+def reference_goal_categories(
+    tokens: list[str], lexicon: Lexicon, config: ParserConfig, raisings: tuple[TypeRaisingRule, ...]
+) -> dict[tuple[int, int], set[Category]]:
+    """Reference for ``derivation._goal_categories``: the set-based pass that
+    the bit-mask one replaced, kept as it was.  Both must return equal maps.
+
+    Per span, the categories on some category-level derivation of the goal
+    over the whole sentence; empty if there is none.
+
+    An inside pass over categories alone, then an outside pass down from the
+    goal atoms at (0, n).  A graph step succeeds only where its categories
+    match, so every chart item that can feed a result has its (span,
+    category) here.
+    """
+    n = len(tokens)
+    raised: dict[Category, list[Category]] = {}  # what type_raise makes of each category
+
+    def closed(cats: set[Category]) -> frozenset[Category]:
+        todo = list(cats) if raisings else []
+        while todo:
+            cat = todo.pop()
+            if cat not in raised:
+                raised[cat] = [
+                    raised_category(cat, r.target, r.direction) for r in raisings if unify(r.source, cat) is not None
+                ]
+            todo += [up for up in raised[cat] if up not in cats]
+            cats.update(raised[cat])
+        return frozenset(cats)
+
+    inside = {(i, i + 1): closed({e.category for e in lexicon.lookup(t)}) for i, t in enumerate(tokens)}
+    rules = (config.max_composition_order, config.enabled)
+    results: dict[tuple, set[Category]] = {}  # per pair of cells, which often repeat
+    for width in range(2, n + 1):
+        for i in range(n - width + 1):
+            cats: set[Category] = set()
+            for split in range(i + 1, i + width):
+                cells = (inside[i, split], inside[split, i + width])
+                if cells not in results:
+                    results[cells] = {c for l, r in product(*cells) for c in _category_rules(l, r, *rules)[-1]}
+                cats |= results[cells]
+            inside[i, i + width] = closed(cats)
+    goal = {c for c in inside[0, n] if isinstance(c, Atom) and c.base == config.goal}
+    wanted = {(0, n): goal} if goal else {}
+    for width in range(n, 0, -1):
+        for i in range(n - width + 1):
+            want = wanted.get((i, i + width))
+            if want is None:
+                continue
+            size = 0
+            while raisings and size != len(want):  # a wanted raised category wants its source
+                size = len(want)
+                want.update([c for c in inside[i, i + width] if not want.isdisjoint(raised[c])])
+            for split in range(i + 1, i + width):
+                for lcat, rcat in product(inside[i, split], inside[split, i + width]):
+                    if not want.isdisjoint(_category_rules(lcat, rcat, *rules)[-1]):
+                        wanted.setdefault((i, split), set()).add(lcat)
+                        wanted.setdefault((split, i + width), set()).add(rcat)
+    return wanted

@@ -224,6 +224,15 @@ def test_replay_trace_ends_with_final_graph(capsys):
     assert "decide-01" in out.splitlines()[-2]
 
 
+def test_replay_of_a_raise_to_a_functor_category(tmp_path, capsys):
+    """The raise name '>T[S/(S\\NP)]' has parentheses in its target."""
+    path = tmp_path / "raised.ccg"
+    path.write_text("(>T[S/(S\\NP)] (leaf 0 john.1))")
+    code, out, err = run(capsys, "replay", "--lexicon", LEX, "--derivation", str(path), "--trace")
+    assert (code, err) == (0, "")
+    assert ">T[S/(S\\NP)]" in out
+
+
 def test_replay_empty_script_is_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty.ccg"
     empty.write_text("")

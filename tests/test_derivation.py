@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ccgamr import combinator, derivation, graph, penman
-from ccgamr.category import ATOM_BASES, Atom, format_category, unify
+from ccgamr.category import ATOM_BASES, Atom, format_category, parse_category, unify
 from ccgamr.combinator import CombinationError, ConjPartial, Constituent, conj_attach, is_graph, raise_rule_name, type_raise
 from ccgamr.derivation import (
     Binary,
@@ -42,6 +42,7 @@ from support import (
     brute_force_forest,
     constituent,
     deep_lexicon_text,
+    reference_goal_categories,
     relabeled,
     try_every_combinator,
 )
@@ -111,6 +112,17 @@ def test_scripts_round_trip_bit_compatibly(lexicon, name):
     assert parse_script(emitted) == node
     assert format_script(parse_script(emitted)) == emitted
     assert replay(node, lexicon).script == node  # rebuilt from the replayed items
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("target", ["S/(S\\NP)", "S[dcl]\\(S[dcl]/NP)", "S"])
+def test_a_raise_name_is_one_script_token_whatever_its_target(target, direction):
+    """A raise to a functor is spelled with parentheses, e.g. '>T[S/(S\\NP)]';
+    the script reader takes the whole name as one token."""
+    node = Unary(raise_rule_name(parse_category(target), direction), Leaf(0, "john.1"))
+    text = format_script(node)
+    assert parse_script(text) == node
+    assert derivation.looks_like_script(text)
 
 
 # --- replay -----------------------------------------------------------------
@@ -575,6 +587,76 @@ def test_the_goal_pass_leaves_every_output_unchanged(lexicon, monkeypatch):
             assert [_record(d) for d in cky_parse(tokens, lexicon, config)] == want, (tokens, config)
             parsed += bool(want)
     assert parsed == 41 + 16 + 8 + 3  # pinned, random, whitelisted and forward-only parses with a result
+
+
+def _enabled_raisings(config: ParserConfig) -> tuple[TypeRaisingRule, ...]:
+    """The raising rules ``cky_parse`` hands the goal pass: those a whitelist names."""
+    return tuple(r for r in config.type_raising
+                 if config.enabled is None or raise_rule_name(r.target, r.direction) in config.enabled)
+
+
+def _goal_pass_cases(lexicon):
+    """(tokens, config) of every fixture sentence; of adjunct chains with 1 to
+    14 adjuncts; of coordination chains of 2 to 4 clauses, raising off and
+    on; and of seeded random strings of 2 to 8 words under each of
+    ``WHITELISTS`` and under both composition orders, raising off and on.
+    Half the strings draw their words from the whole lexicon, under a drawn
+    goal; these rarely parse.  The other half are windows of the sentences
+    above, under every goal, and a third of them parse under some goal."""
+    sentences = [sentence.split() for sentence, _, _ in FIXTURE_PARSES]
+    sentences += ["John likes the cat".split() + ["yesterday"] * k for k in range(1, 15)]
+    sentences += [coordination_chain(k) for k in range(2, 5)]
+    for (_, goal, raising), tokens in zip(FIXTURE_PARSES, sentences):
+        yield tokens, ParserConfig(goal=goal, type_raising=raising)
+    for tokens in sentences[len(FIXTURE_PARSES):]:
+        for raising in ((), NP_TO_S):
+            yield tokens, ParserConfig(type_raising=raising)
+    rng = random.Random(2004)
+    words = lexicon.tokens()
+    for _ in range(100):
+        window = rng.choice(sentences)
+        start, k = rng.randrange(len(window) - 1), rng.randint(2, 8)
+        drawn = (rng.choices(words, k=k), [rng.choice(ATOM_BASES)]), (window[start:start + k], ATOM_BASES)
+        for tokens, goals in drawn:
+            for goal in goals:
+                for raising in ((), NP_TO_S):
+                    for enabled in WHITELISTS:
+                        yield tokens, ParserConfig(goal=goal, type_raising=raising, enabled=enabled)
+                    for order in (1, 2):
+                        yield tokens, ParserConfig(goal=goal, type_raising=raising, max_composition_order=order)
+
+
+def _assert_goal_pass_equals_reference(tokens, lexicon, config) -> dict:
+    raisings = _enabled_raisings(config)
+    wanted = derivation._goal_categories(tokens, lexicon, config, raisings)
+    reference = reference_goal_categories(tokens, lexicon, config, raisings)
+    assert sorted(wanted) == sorted(reference), (tokens, config)
+    for span, cats in reference.items():
+        assert wanted[span] == cats, (tokens, config, span)
+    return wanted
+
+
+def test_the_goal_pass_equals_its_set_based_reference(lexicon):
+    """The bit-mask goal pass wants, span by span, exactly the categories the
+    set-based pass it replaced wants."""
+    cases = list(_goal_pass_cases(lexicon))
+    found = [_assert_goal_pass_equals_reference(tokens, lexicon, config) for tokens, config in cases]
+    # cases: fixtures, chains raising off and on, 100 draws of (1 + 5 goals) x 12 configs;
+    # non-empty maps: fixtures, adjunct and coordination chains, random strings
+    assert (len(cases), sum(map(bool, found))) == (17 + 2 * 17 + 100 * 6 * 12, 15 + 2 * 14 + 2 * 3 + 229)
+
+
+def test_the_goal_pass_equals_its_reference_on_masks_wider_than_a_machine_word():
+    """25 feature values give a parse of 100 categories (126 with raising),
+    so a span's mask is wider than 64 bits."""
+    lines = []
+    for k in range(1, 26):
+        lines += [f"a | NP[f{k}] | (x/thing)", f"b | S[f{k}]\\NP[f{k}] | (v/act :ARG0 ?1)",
+                  f"c | S[f{k}]\\S[f{k}] | (?1 :mod (c/c))"]
+    lexicon = loads("\n".join(lines))
+    for raising, count in (((), 100), (NP_TO_S, 126)):
+        wanted = _assert_goal_pass_equals_reference("a b c".split(), lexicon, ParserConfig(type_raising=raising))
+        assert len(set().union(*wanted.values())) == count
 
 
 def test_every_result_step_lies_on_a_goal_derivation_by_categories(lexicon):
