@@ -61,7 +61,7 @@ from .combinator import (
     read_raise,
     type_raise,
 )
-from .graph import UNDERSPECIFIED, invariant, iso_equal, validate
+from .graph import UNDERSPECIFIED, has_cycle, invariant, iso_equal, validate  # noqa: F401 (bench/tracing.py wraps it)
 from .lexicon import Lexicon
 
 
@@ -335,7 +335,9 @@ def replay(script: ScriptNode, lexicon: Lexicon) -> Derivation:
 
 
 def finalize_check(c: Constituent) -> list[str]:
-    """Violations that keep a constituent from completing a sentence."""
+    """Violations that keep a constituent the engine built from completing a
+    sentence: a pending step, an unfilled variable, an unresolved ``:?`` edge
+    or a directed cycle, the one graph defect a step (coordination) can make."""
     sem = c.semantics
     if isinstance(sem, Identity):
         return ["identity semantics cannot complete a derivation"]
@@ -346,7 +348,8 @@ def finalize_check(c: Constituent) -> list[str]:
         f"underspecified edge {(e.source, e.label, e.target)} was never resolved"
         for e in sem.edges if e.label == UNDERSPECIFIED
     ]
-    problems.extend(validate(sem))
+    if has_cycle(sem):
+        problems.append("graph has a directed cycle")
     return problems
 
 

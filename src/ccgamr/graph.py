@@ -1,12 +1,15 @@
 """Rooted AMR subgraphs with an ordered list of free variables.
 
 An :class:`AmrSubgraph` is the semantic value of every constituent in a
-derivation: a connected, labeled, directed acyclic graph with a designated
-root plus an ordered list of free-variable nodes still waiting to be filled.
+derivation: a connected, labeled, directed graph with a designated root
+plus an ordered list of free-variable nodes still waiting to be filled.
 Node i has id i, so an id is also a position in the node tuple.
 Free-variable order is meaningful (position 1 is consumed next), and so is
 edge insertion order (it drives deterministic serialization and tie-breaking
-when several shared-edge candidates exist).
+when several shared-edge candidates exist).  A chart item may hold a
+directed cycle: a coordination fold makes one when the conjuncts link two
+free variables in opposite directions.  Only a finished result must be
+acyclic, which :func:`has_cycle` tests.
 
 :func:`substitute` (fill the first free variable with another subgraph's
 root: the regular variants) and :func:`raised` (type raising: a fresh root
@@ -77,7 +80,7 @@ class AmrSubgraph:
     """Immutable graph value; all operations return new instances.
 
     Node i has id i.  The builders and :func:`iso_map` take graphs that
-    :func:`validate` accepts."""
+    :func:`validate` accepts or finds only a directed cycle in."""
 
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]  # insertion order preserved; triples are a set
@@ -161,10 +164,8 @@ def substitute(g: AmrSubgraph, h: AmrSubgraph, order: int = 0) -> AmrSubgraph:
     The result is built in one pass: g's nodes keep their ids, h's root
     folds into the filled variable and h's other nodes follow in order.
     Edges are g's, then h's.  Nodes and edges whose values did not change
-    are the input objects themselves.  Both graphs must list distinct free
-    variables and have no repeated triple or self-loop (a cycle is allowed);
-    then, as only h's root merges, no edge repeats, and the result meets
-    this condition too.
+    are the input objects themselves.  Both graphs must meet the condition
+    the module docstring names, and the result then meets it too.
     """
     if not g.fv:
         raise ValueError("no free variable to fill")
@@ -299,18 +300,29 @@ def validate(g: AmrSubgraph) -> list[str]:
         if not all(reached):
             missing = sorted(i for i, k in at.items() if not reached[k])
             problems.append(f"graph is disconnected; unreachable nodes {missing}")
-    # acyclicity in stored direction: Kahn's algorithm over out-edges
+    if _cyclic(out, indegree):
+        problems.append("graph has a directed cycle")
+    return problems
+
+
+def has_cycle(g: AmrSubgraph) -> bool:
+    """Whether g, with node i at id i and no dangling edge, has a directed cycle."""
+    out, indegree = [[] for _ in g.nodes], [0] * len(g.nodes)
+    for e in g.edges:
+        out[e.source].append(e.target)
+        indegree[e.target] += 1
+    return _cyclic(out, indegree)
+
+
+def _cyclic(out: list[list[int]], indegree: list[int]) -> bool:
+    """Kahn's (1962) sort over position-indexed lists; it uses up ``indegree``."""
     ready = [k for k, d in enumerate(indegree) if not d]
-    done = 0
-    while ready:
-        done += 1
-        for v in out[ready.pop()]:
+    for u in ready:  # the list grows while it is read
+        for v in out[u]:
             indegree[v] -= 1
             if not indegree[v]:
                 ready.append(v)
-    if done != n:
-        problems.append("graph has a directed cycle")
-    return problems
+    return len(ready) != len(indegree)
 
 
 def invariant(g: AmrSubgraph) -> tuple[int, int, str, int]:

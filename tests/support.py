@@ -33,7 +33,7 @@ from ccgamr.combinator import (
     relation_wise_match,
     type_raise,
 )
-from ccgamr.derivation import NP_TO_S, ParserConfig, TypeRaisingRule, _category_rules, finalize_check
+from ccgamr.derivation import NP_TO_S, ParserConfig, TypeRaisingRule, _category_rules
 from ccgamr.graph import (
     UNDERSPECIFIED,
     AmrSubgraph,
@@ -42,6 +42,7 @@ from ccgamr.graph import (
     UnificationError,
     iso_equal,
     substitute,
+    validate,
 )
 from ccgamr.lexicon import Lexicon
 
@@ -393,6 +394,24 @@ def reference_validate(g: AmrSubgraph) -> list[str]:
     return problems
 
 
+def reference_finalize_check(c: Constituent) -> list[str]:
+    """Reference for ``derivation.finalize_check``: the version that ran the
+    whole of ``validate`` on a final graph, kept as it was.  On every graph
+    a step builds from valid lexical graphs the two find the same problems."""
+    sem = c.semantics
+    if isinstance(sem, Identity):
+        return ["identity semantics cannot complete a derivation"]
+    if isinstance(sem, ConjPartial):
+        return ["pending conjunction is missing its left conjunct"]
+    problems = [f"unfilled free variable ?{i}" for i in range(1, len(sem.fv) + 1)]
+    problems += [
+        f"underspecified edge {(e.source, e.label, e.target)} was never resolved"
+        for e in sem.edges if e.label == UNDERSPECIFIED
+    ]
+    problems.extend(validate(sem))
+    return problems
+
+
 def forced_variant(
     direction: str, order: int, f: Constituent, a: Constituent, variant: str
 ) -> AmrSubgraph:
@@ -502,7 +521,8 @@ def brute_force_forest(tokens, lexicon, config: ParserConfig) -> list[tuple[Cons
     for an exact item is the number of ways to build it there, and raising
     an item passes its count on to the raised item, once per rule.
     Iso-classes are formed at the very end, so this is independent of the
-    chart's pruning and of its counting.
+    chart's pruning and of its counting, and finals are checked by
+    :func:`reference_finalize_check`, which runs the whole of ``validate``.
     """
     n = len(tokens)
     memo: dict[tuple[int, int], list[tuple[Constituent, int]]] = {}
@@ -571,7 +591,7 @@ def brute_force_forest(tokens, lexicon, config: ParserConfig) -> list[tuple[Cons
         for c, count in span(0, n)
         if isinstance(c.category, Atom)
         and c.category.base == config.goal
-        and not finalize_check(c)
+        and not reference_finalize_check(c)
     ]
     reps: list[Constituent] = []
     counts: list[int] = []

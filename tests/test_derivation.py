@@ -42,6 +42,7 @@ from support import (
     brute_force_forest,
     constituent,
     deep_lexicon_text,
+    reference_finalize_check,
     reference_goal_categories,
     relabeled,
     try_every_combinator,
@@ -238,6 +239,26 @@ def test_finalize_names_each_unresolved_edge():
         "underspecified edge (0, ':?', 1) was never resolved",
         "underspecified edge (1, ':?', 2) was never resolved",
     ]
+
+
+def test_the_chart_drops_a_final_that_coordination_made_cyclic():
+    # coordination identifies the conjuncts' free variables pairwise: p and r
+    # link them in one direction, q in the other
+    lexicon = loads("""\
+p   | (S/NP)/NP | (?1 :mod ?2) | p.1
+q   | (S/NP)/NP | (?2 :mod ?1) | q.1
+r   | (S/NP)/NP | (?1 :mod ?2) | r.1
+and | Conj      | (a/and)      | and.1
+x   | NP        | (x/apple)    | x.1
+y   | NP        | (y/bear)     | y.1
+""")
+    script = "(> (> (& (leaf 0 {}.1) (& (leaf 1 and.1) (leaf 2 {}.1))) (leaf 3 x.1)) (leaf 4 y.1))"
+    assert cky_parse("p and q x y".split(), lexicon) == []
+    final = replay(parse_script(script.format("p", "q")), lexicon).final
+    assert finalize_check(final) == reference_finalize_check(final) == ["graph has a directed cycle"]
+    # the same conjuncts linked in one direction parse by that script
+    [d] = cky_parse("p and r x y".split(), lexicon)
+    assert d.to_script() == script.format("p", "r")
 
 
 # --- chart ------------------------------------------------------------------
@@ -522,17 +543,20 @@ WHITELISTS = [
 ]
 
 
-def _gate_cases(lexicon):
-    """(tokens, config) of every pinned parse; of seeded random strings over
-    the lexicon, under each goal, raising on and off and both composition
-    orders; and of the fixture sentences under each of ``WHITELISTS``; and of
-    atomic conjuncts under forward rules only, where paper.lex's live NP\\NP
-    (from 'who') holds two equal but distinct NP atoms."""
+def _gate_cases():
+    """(tokens, config) of every pinned parse; of seeded random windows of 2
+    to 6 words of the fixture sentences, under each goal, raising on and off
+    and both composition orders; and of the fixture sentences under each of
+    ``WHITELISTS``; and of atomic conjuncts under forward rules only, where
+    paper.lex's live NP\\NP (from 'who') holds two equal but distinct NP
+    atoms."""
     yield from _pinned_parses()
     rng = random.Random(1997)
-    words = lexicon.tokens()
+    sentences = [sentence.split() for sentence, _, _ in FIXTURE_PARSES]
     for _ in range(300):
-        tokens = rng.choices(words, k=rng.randint(2, 6))
+        window = rng.choice(sentences)
+        start = rng.randrange(len(window) - 1)
+        tokens = window[start:start + rng.randint(2, 6)]
         for goal in ATOM_BASES:
             for raising in ((), NP_TO_S):
                 for order in (1, 2):
@@ -570,7 +594,7 @@ def test_the_oracle_agrees_with_cky_under_each_whitelist(lexicon):
 
 
 def test_the_goal_pass_leaves_every_output_unchanged(lexicon, monkeypatch):
-    cases = list(_gate_cases(lexicon))
+    cases = list(_gate_cases())
     with monkeypatch.context() as m:
         m.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())
         ungated = []
@@ -586,7 +610,7 @@ def test_the_goal_pass_leaves_every_output_unchanged(lexicon, monkeypatch):
         if want is not None:
             assert [_record(d) for d in cky_parse(tokens, lexicon, config)] == want, (tokens, config)
             parsed += bool(want)
-    assert parsed == 41 + 16 + 8 + 3  # pinned, random, whitelisted and forward-only parses with a result
+    assert parsed == 41 + 294 + 8 + 3  # pinned, random, whitelisted and forward-only parses with a result
 
 
 def _enabled_raisings(config: ParserConfig) -> tuple[TypeRaisingRule, ...]:
@@ -624,6 +648,18 @@ def _goal_pass_cases(lexicon):
                         yield tokens, ParserConfig(goal=goal, type_raising=raising, enabled=enabled)
                     for order in (1, 2):
                         yield tokens, ParserConfig(goal=goal, type_raising=raising, max_composition_order=order)
+
+
+def test_the_narrowed_final_check_leaves_every_output_unchanged(lexicon, monkeypatch):
+    """``cky_parse`` keeps the same derivations when ``finalize_check`` is
+    the reference that ran the whole of ``validate`` on each final."""
+    cases = list(_goal_pass_cases(lexicon))
+    with monkeypatch.context() as m:
+        m.setattr(derivation, "finalize_check", reference_finalize_check)
+        want = [[_record(d) for d in cky_parse(tokens, lexicon, config)] for tokens, config in cases]
+    got = [[_record(d) for d in cky_parse(tokens, lexicon, config)] for tokens, config in cases]
+    assert got == want
+    assert sum(map(bool, got)) == 177  # cases with a parse
 
 
 def _assert_goal_pass_equals_reference(tokens, lexicon, config) -> dict:

@@ -17,6 +17,7 @@ from ccgamr.graph import (
     Node,
     UnificationError,
     conjoined,
+    has_cycle,
     invariant,
     iso_equal,
     raised,
@@ -383,12 +384,47 @@ def test_substitute_and_raised_keep_the_builders_condition(data):
     """On inputs that meet it, cyclic ones too, each result again has no
     self-loop, and ``validate`` finds at most a cycle: no repeated triple
     and an fv list of distinct free nodes.  So every chart item these steps
-    build from valid lexical graphs meets it."""
+    build from valid lexical graphs meets it.  ``has_cycle`` gives
+    ``validate``'s cycle verdict on each graph."""
     g = data.draw(_in_format(max_nodes=6, max_fv=3, min_fv=1))
     h = data.draw(_in_format(free_root=True, max_nodes=6, max_fv=2))
     for graph in (g, h, substitute(g, h, data.draw(st.integers(0, 2))), raised(g), raised(h)):
         assert validate(graph) in ([], ["graph has a directed cycle"])
+        assert has_cycle(graph) == bool(validate(graph))
         assert all(e.source != e.target for e in graph.edges)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_relation_wise_combine_keeps_acyclic_inputs_valid(data):
+    """From graphs that ``validate`` accepts, a relation-wise combination
+    gives one it accepts too: it folds the two ends of an edge that both
+    inputs carry in the same direction, which closes no cycle."""
+    order = data.draw(st.integers(0, 2))
+    f = data.draw(graphs(max_nodes=6, max_fv=2, min_fv=1, labels=(":ARG0", ":mod", UNDERSPECIFIED)))
+    a = data.draw(graphs(max_nodes=6, max_fv=order + 1, min_fv=order + 1, labels=(":ARG0", ":mod")))
+    f, a = data.draw(_renumbering(f)), data.draw(_renumbering(a))
+    match = relation_wise_match(f, a, order + 1)
+    if match is not None:
+        try:
+            graph = relation_wise_combine(f, a, match, order)
+        except UnificationError:
+            return
+        assert validate(graph) == [] and not has_cycle(graph)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_conjoined_makes_at_most_a_cycle_from_acyclic_inputs(data):
+    """From conjuncts that ``validate`` accepts, with as many free variables
+    each, coordination gives a graph in which it finds at most a directed
+    cycle, as when the conjuncts link two variables in opposite directions."""
+    k = data.draw(st.integers(0, 3))
+    left = data.draw(_renumbering(data.draw(graphs(max_nodes=6, max_fv=k, min_fv=k))))
+    right = data.draw(_renumbering(data.draw(graphs(max_nodes=6, max_fv=k, min_fv=k))))
+    graph = conjoined(parse("(a/and)"), left, right)
+    assert validate(graph) in ([], ["graph has a directed cycle"])
+    assert has_cycle(graph) == bool(validate(graph))
 
 
 @given(g=graphs(max_nodes=6, max_fv=3, min_fv=1), data=st.data())
