@@ -8,6 +8,7 @@ I/O error, 2 no derivation, 3 gold mismatch, 4 validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections import Counter
@@ -89,10 +90,14 @@ def _build_config(path: str | None, goal: str | None) -> ParserConfig:
         raise _Exit(USAGE, f"error: {err}")
 
 
-def _gold_verdict(path: str, graphs, mismatch_text: str) -> int:
-    """Print whether any of ``graphs`` is isomorphic to the gold graph at
-    ``path``; return OK or MISMATCH."""
-    gold = _graph(_read(path), "error: bad gold graph: ")
+def _gold(path: str | None) -> AmrSubgraph | None:  # read before any work that prints
+    return _graph(_read(path), "error: bad gold graph: ") if path else None
+
+
+def _gold_verdict(gold: AmrSubgraph | None, graphs, mismatch_text: str) -> int:
+    """OK without a gold graph, else print whether any of ``graphs`` matches it."""
+    if gold is None:
+        return OK
     if any(isinstance(g, AmrSubgraph) and iso_equal(g, gold) for g in graphs):
         print("gold: match")
         return OK
@@ -114,6 +119,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     tokens = args.sentence.split()
     if not tokens:
         raise _Exit(USAGE, "error: empty sentence")
+    gold = _gold(args.gold)
     try:
         results = cky_parse(tokens, lex, config)
     except UnknownTokenError as err:
@@ -124,9 +130,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
         raise _Exit(NO_DERIVATION, f"no derivation over goal category {config.goal!r}")
     for d in results:
         _print_derivation(d, args.all)
-    if args.gold:
-        return _gold_verdict(args.gold, (d.final.semantics for d in results), "no derivation matches")
-    return OK
+    return _gold_verdict(gold, (d.final.semantics for d in results), "no derivation matches")
 
 
 def _print_trace(d: Derivation) -> None:
@@ -145,6 +149,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         script = parse_script(text)
     except ScriptError as err:
         raise _Exit(USAGE, f"error: bad derivation script: {err}")
+    gold = _gold(args.gold)
     try:
         d = replay(script, lex)
     except ReplayError as err:
@@ -152,9 +157,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.trace:
         _print_trace(d)
     print(describe_semantics(d.final.semantics))
-    if args.gold:
-        return _gold_verdict(args.gold, [d.final.semantics], "mismatch")
-    return OK
+    return _gold_verdict(gold, [d.final.semantics], "mismatch")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -258,7 +261,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return MISMATCH
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a parser keeps no state between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="ccgamr",
         description="Derive AMR graphs compositionally with CCG combinators.",
@@ -300,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return USAGE if err.code not in (0, None) else 0
     try:

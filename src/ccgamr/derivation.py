@@ -110,6 +110,7 @@ ScriptNode = Leaf | Unary | Binary
 
 # a raise name is one token, parentheses and all: >T[S/(S\NP)], <T[S[dcl]\(S[dcl]/NP)]
 _SCRIPT_TOKEN_RE = re.compile(r"[()]|[<>]T\[(?:[^\[\]\s]|\[[^\[\]\s]*\])*\](?=[\s()]|$)|[^\s()]+")
+_INT_RE = re.compile(r"[+-]?[0-9]+")  # what read_int accepts
 
 
 def looks_like_script(text: str) -> bool:
@@ -373,7 +374,7 @@ NP_TO_S = (TypeRaisingRule(Atom("NP"), Atom("S"), "forward"),)
 def read_int(name: str, value: str) -> int:
     """``value`` as an integer setting: an optional sign and ASCII digits,
     else a ``ValueError`` that names the setting."""
-    if not re.fullmatch(r"[+-]?[0-9]+", value):
+    if not _INT_RE.fullmatch(value):
         raise ValueError(f"{name} must be an integer, found {value!r}")
     return int(value)
 

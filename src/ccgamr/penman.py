@@ -44,31 +44,29 @@ class PenmanSyntaxError(PenmanError):
 
 
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<lparen>\()
+    r"""\s*(?:
+      (?P<lparen>\()
     | (?P<rparen>\))
     | (?P<slash>/)
     | (?P<role>:[^\s()/]+)
     | (?P<string>"[^"]*")
     | (?P<fvar>\?[0-9]+)
     | (?P<atom>[^\s()/:?"][^\s()/:"]*)
-    """,
+    | (?P<bad>\S)
+    )""",
     re.VERBOSE,
 )
+_ROLE_RE = re.compile(r":[A-Za-z][A-Za-z0-9-]*")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PenmanSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):  # trailing whitespace matches nothing
         kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
+        pos = m.start(kind)
+        if kind == "bad":
+            raise PenmanSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append((kind, m[kind], pos))
     return tokens
 
 
@@ -116,7 +114,7 @@ class _Parser:
             _, role, rpos = self._next()
             inverse = role.endswith("-of")
             label = role[:-3] if inverse else role
-            if label != UNDERSPECIFIED and not re.fullmatch(r":[A-Za-z][A-Za-z0-9-]*", label):
+            if label != UNDERSPECIFIED and not _ROLE_RE.fullmatch(label):
                 raise PenmanSyntaxError(f"malformed role {role!r}", rpos)
             slot = len(self.edges)  # keep textual edge order despite recursion
             self.edges.append(None)

@@ -10,6 +10,7 @@ goes.
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations, product
 
 from hypothesis import strategies as st
@@ -324,6 +325,37 @@ def reference_coordinate(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgrap
         ws.merge(lmap[lx], rmap[rx])
     graph, _ = ws.freeze(root, [lmap[x] for x in left.fv] + [rmap[x] for x in right.fv])
     return graph
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<lparen>\()
+    | (?P<rparen>\))
+    | (?P<slash>/)
+    | (?P<role>:[^\s()/]+)
+    | (?P<string>"[^"]*")
+    | (?P<fvar>\?[0-9]+)
+    | (?P<atom>[^\s()/:?"][^\s()/:"]*)
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Reference for ``penman._tokenize``: one anchored ``match`` per token or
+    whitespace run, failing where no alternative matches."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise penman.PenmanSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    return tokens
 
 
 def reference_validate(g: AmrSubgraph) -> list[str]:

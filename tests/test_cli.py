@@ -1,6 +1,6 @@
 import pytest
 
-from ccgamr.cli import main
+from ccgamr.cli import build_parser, main
 from ccgamr.fixtures import LEXICON_PATH, gold, script
 
 from support import deep_lexicon_text, nested
@@ -281,6 +281,68 @@ def test_replay_of_an_unknown_entry_names_it_once_quoted(tmp_path, capsys):
 def test_replay_missing_file(capsys):
     code, _, err = run(capsys, "replay", "--lexicon", LEX, "--derivation", "/nonexistent.ccg")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--lexicon", LEX, "--sentence", "John likes the cat", "--all"],
+        ["replay", "--lexicon", LEX, "--derivation", str(script("wh_control")), "--trace"],
+    ],
+    ids=["parse", "replay"],
+)
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (None, "error: cannot read {path}: "),
+        ("(a / b", "error: bad gold graph: unexpected end of input (at offset 6)"),
+    ],
+    ids=["missing", "malformed"],
+)
+def test_a_bad_gold_file_stops_the_command_before_it_prints(tmp_path, capsys, argv, text, message):
+    path = tmp_path / "gold.amr"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, *argv, "--gold", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith(message.format(path=path))
+
+
+def test_repeated_main_calls_in_one_process_are_independent(capsys):
+    """``main`` reuses one parser per process, and each call gives what it
+    gives after ``build_parser.cache_clear()``, in either order."""
+    argvs = [
+        ["parse", "--lexicon", LEX, "--sentence", "John likes the cat", "--gold", str(gold("like_cat"))],
+        ["parse", "--lexicon", LEX, "--sentence", "John likes the cat", "--all"],
+        ["parse", "--lexicon", LEX, "--sentence", "John grok the cat"],
+        ["replay", "--lexicon", LEX, "--derivation", str(script("wh_control")), "--trace",
+         "--gold", str(gold("wh_control"))],
+        ["replay", "--lexicon", LEX, "--derivation", str(script("passive"))],
+        ["check", "--lexicon", LEX],
+        ["render", "--input", str(gold("passive")), "--format", "dot"],
+        ["render", "--input", str(script("passive")), "--lexicon", LEX],
+        ["compare", str(gold("right_node_raising")), str(gold("right_node_raising_correct"))],
+        ["--help"],
+        ["parse", "--help"],
+        [],
+        ["frobnicate"],
+        ["parse", "--lexicon", LEX],
+    ]
+
+    def call(argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 0, 0, 3, 0, 0, 1, 1, 1]
+    build_parser.cache_clear()
+    for argv, expected in [*zip(argvs, fresh), *reversed([*zip(argvs, fresh)])]:
+        assert call(argv) == expected, argv
+    assert build_parser.cache_info().misses == 1
 
 
 def test_render_text(capsys):

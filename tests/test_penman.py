@@ -3,9 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccgamr.graph import UNDERSPECIFIED, AmrSubgraph, Edge, Node, iso_equal, validate
-from ccgamr.penman import MAX_DEPTH, PenmanError, PenmanSyntaxError, parse, serialize
+from ccgamr.penman import MAX_DEPTH, PenmanError, PenmanSyntaxError, _tokenize, parse, serialize
 
-from support import LABELS, graphs, nested
+from support import LABELS, graphs, nested, reference_tokenize
 
 
 def test_parse_control_verb_entry():
@@ -188,6 +188,40 @@ def test_parse_never_leaks_foreign_exceptions(text):
         parse(text)
     except PenmanError:
         pass
+
+
+# PENMAN's alphabet in pieces: syntax characters, whole and broken roles,
+# free variables, literals (closed or not), atoms, and runs of whitespace,
+# Unicode whitespace included
+_PENMAN_PIECES = (
+    "(", ")", "/", ":", "?", '"', "-of", "0", "7", "12", "a", "e", "eat-01", "x_1",
+    ":ARG0", ":ARG1-of", ":?", ":op1", ":-of", ":1", "?1", "?23", '"John"', '"a b"',
+    " ", "  ", "\n", "\t", " \n\t ", "\u00a0", "\u3000", "#", "\u00e9",
+)
+_WHITESPACE = st.text(alphabet=" \t\n\r\u00a0", max_size=3)
+
+
+def _outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except PenmanSyntaxError as err:
+        return str(err), err.position
+
+
+@given(
+    lead=_WHITESPACE,
+    body=st.lists(st.sampled_from(_PENMAN_PIECES), max_size=16).map("".join),
+    trail=_WHITESPACE,
+)
+@settings(max_examples=400, deadline=None)
+def test_the_one_scan_tokenizer_matches_the_reference(lead, body, trail):
+    text = lead + body + trail
+    assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
+
+
+@pytest.mark.parametrize("text", ["", "  ", "(a) ", " \n(a / b)\t", "(a :b ?)", "(a :b \"c)", "( : )"])
+def test_the_one_scan_tokenizer_matches_the_reference_on_edges(text):
+    assert _outcome(_tokenize, text) == _outcome(reference_tokenize, text)
 
 
 @pytest.mark.parametrize("depth", [400, MAX_DEPTH])
