@@ -13,7 +13,6 @@ import os
 import sys
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 from . import penman
 from .category import format_category
@@ -50,7 +49,8 @@ class _Exit(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as f:  # not Path, as in lexicon.load
+            return f.read()
     except (OSError, UnicodeDecodeError) as err:
         raise _Exit(USAGE, f"error: cannot read {path}: {err}")
 

@@ -16,9 +16,9 @@ collected and reported together.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import penman
 from .category import Category, CategoryError, check_iso_principle, parse_category
@@ -116,6 +116,10 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
     return Lexicon(entries)
 
 
-def load(path: str | Path) -> Lexicon:
-    path = Path(path)
-    return loads(path.read_text(encoding="utf-8-sig"), source=path.name)
+def load(path: str | os.PathLike[str]) -> Lexicon:
+    # open, not Path: pathlib interns each part of the name, so every new file
+    # name adds to CPython's interned-string table, which then gets rebuilt
+    # (about 0.4 MB at once) every few thousand calls of an in-process caller
+    with open(path, encoding="utf-8-sig") as f:
+        text = f.read()
+    return loads(text, source=os.path.basename(path))
