@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .graph import AmrSubgraph
-
 ATOM_BASES = ("S", "NP", "N", "PP", "Conj")
 
 FORWARD = "/"
@@ -122,34 +120,28 @@ Category = Union[Atom, Functor]
 #: Deepest parenthesised nesting ``parse_category`` accepts.
 MAX_DEPTH = 500
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<feat>\[[A-Za-z0-9]+\])|(?P<punct>[()/\\]))")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z]+)|(?P<feat>\[[A-Za-z0-9]+\])|(?P<punct>[()/\\])|(?P<bad>\S))")
 
 
 @lru_cache(maxsize=1024)  # errors are not cached: each bad text reports its own
 def parse_category(text: str) -> Category:
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.lastgroup is None:
-            if text[pos:].strip() == "":
-                break
-            raise CategoryError(f"bad category syntax at offset {pos}: {text[pos:]!r}")
-        tokens.append((m.lastgroup, m.group().strip(), m.start()))
-        pos = m.end()
+    tokens: list[tuple[str | None, str, int]] = []
+    for m in _TOKEN_RE.finditer(text):  # trailing whitespace matches nothing
+        kind = m.lastgroup
+        at = m.start(kind)
+        if kind == "bad":
+            raise CategoryError(f"bad category syntax at offset {at}: {text[at:]!r}")
+        tokens.append((kind, m[kind], at))
+    tokens.append((None, "", len(text)))  # the end of input
 
     i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, "", len(text))
-
     # An explicit stack of the expressions that enclose each open '(': the
     # operand so far and the slash waiting for its argument.
     enclosing: list[tuple[Category | None, str | None]] = []
     cat: Category | None = None
     slash: str | None = None
     while True:
-        kind, value, at = peek()
+        kind, value, at = tokens[i]
         if kind == "punct" and value == "(":
             if len(enclosing) >= MAX_DEPTH:
                 raise CategoryError(f"nesting deeper than {MAX_DEPTH} levels at offset {at}")
@@ -163,20 +155,20 @@ def parse_category(text: str) -> Category:
         if value not in ATOM_BASES:
             raise CategoryError(f"unknown atomic category {value!r} at offset {at}")
         feature = None
-        kind, value2, _ = peek()
+        kind, value2, _ = tokens[i]
         if kind == "feat":
             feature = value2[1:-1]
             i += 1
         done: Category = Atom(value, feature)
         while True:  # attach the finished item, closing parentheses after it
             cat = done if cat is None else Functor(cat, slash, done)
-            kind, value, at = peek()
+            kind, value, at = tokens[i]
             if kind == "punct" and value in (FORWARD, BACKWARD):
                 slash = value
                 i += 1
                 break
             if not enclosing:
-                if i != len(tokens):
+                if kind is not None:
                     raise CategoryError(f"trailing category input at offset {at}")
                 return cat
             if not (kind == "punct" and value == ")"):
@@ -242,24 +234,3 @@ def unify(x: Category, y: Category) -> Category | None:
         else:
             todo += ((a, b, True), (a.argument, b.argument, False), (a.result, b.result, False))
     return done[0]
-
-
-def check_iso_principle(cat: Category, semantics: object) -> list[str]:
-    """Functional-isomorphism violations for a category/semantics pairing.
-
-    Identity semantics is always acceptable.  For graph semantics the number
-    of free variables may not exceed the category's arity, a functor category
-    needs at least one semantic argument, and an atomic category allows none.
-    """
-    if not isinstance(semantics, AmrSubgraph):
-        return []
-    n = len(semantics.fv)
-    a = arity(cat)
-    problems = []
-    if n > a:
-        problems.append(f"{n} free variables exceed arity {a} of {format_category(cat)}")
-    if a >= 1 and n == 0:
-        problems.append(f"functor category {format_category(cat)} needs at least one free variable")
-    if a == 0 and n > 0:
-        problems.append(f"atomic category {format_category(cat)} allows no free variables")
-    return problems

@@ -1,6 +1,7 @@
 """Combination rules over constituents: application, composition (plain,
 crossed, second order), their relation-wise variants, type raising, identity
-shortcuts, and conjunction.
+shortcuts, and conjunction; and the functional-isomorphism check that pairs a
+category with its semantics (``check_iso_principle``).
 
 Application is composition of order 0.  Category matching
 (``match_categories``) runs before any graph work (``combine_matched``).
@@ -31,7 +32,7 @@ from .category import (
     Category,
     FORWARD,
     Functor,
-    check_iso_principle,
+    arity,
     format_category,
     unify,
 )
@@ -159,6 +160,27 @@ def relation_wise_combine(
     root = amap[a.root] if f.root == f.fv[0] and partner != a.root else f.root
     a_rest = [amap[x] for i, x in enumerate(a.fv) if i != order]
     return ws.freeze(root, [*a_rest, *f.fv] if order else [*f.fv, *a_rest])
+
+
+def check_iso_principle(cat: Category, semantics: object) -> list[str]:
+    """Functional-isomorphism violations for a category/semantics pairing.
+
+    Identity semantics is always acceptable.  For graph semantics the number
+    of free variables may not exceed the category's arity, a functor category
+    needs at least one semantic argument, and an atomic category allows none.
+    """
+    if not isinstance(semantics, AmrSubgraph):
+        return []
+    n = len(semantics.fv)
+    a = arity(cat)
+    problems = []
+    if n > a:
+        problems.append(f"{n} free variables exceed arity {a} of {format_category(cat)}")
+    if a >= 1 and n == 0:
+        problems.append(f"functor category {format_category(cat)} needs at least one free variable")
+    if a == 0 and n > 0:
+        problems.append(f"atomic category {format_category(cat)} allows no free variables")
+    return problems
 
 
 def _check_result(category: Category, semantics: object) -> None:

@@ -21,8 +21,8 @@ import re
 from dataclasses import dataclass, field
 
 from . import penman
-from .category import Category, CategoryError, check_iso_principle, parse_category
-from .combinator import IDENTITY, Identity
+from .category import Category, CategoryError, parse_category
+from .combinator import IDENTITY, Identity, check_iso_principle
 # validate stays importable here: bench/tracing.py wraps lexicon.validate
 from .graph import AmrSubgraph, validate  # noqa: F401
 

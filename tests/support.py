@@ -16,13 +16,14 @@ from itertools import permutations, product
 from hypothesis import strategies as st
 
 from ccgamr import penman
-from ccgamr.category import Atom, Category, Functor, check_iso_principle, format_category, unify
+from ccgamr.category import Atom, Category, Functor, format_category, unify
 from ccgamr.combinator import (
     Combined,
     CombinationError,
     ConjPartial,
     Constituent,
     Identity,
+    check_iso_principle,
     combine_application,
     combine_composition,
     conj_attach,
@@ -34,7 +35,7 @@ from ccgamr.combinator import (
     relation_wise_match,
     type_raise,
 )
-from ccgamr.derivation import NP_TO_S, ParserConfig, TypeRaisingRule, _category_rules
+from ccgamr.derivation import NP_TO_S, Binary, Leaf, ParserConfig, TypeRaisingRule, Unary, _category_rules
 from ccgamr.graph import (
     UNDERSPECIFIED,
     AmrSubgraph,
@@ -70,6 +71,22 @@ FIXTURE_PARSES = [
     ("I should and you may eat", "S", NP_TO_S),
     ("John likes and Mary hates cats", "S", ()),
     ("I should and you may eat", "S", ()),
+]
+
+#: Paper-lexicon replays that fail at their root step, each with its own
+#: message; the first three as script text, which the CLI can run too.
+REPLAY_FAILURES = [
+    (
+        "(& (leaf 0 john.1) (leaf 1 likes.1))",
+        "step root: '&' failed: '&' needs a Conj word or a pending conjunction on the right",
+    ),
+    ("(>T[Foo] (leaf 0 john.1))", "step root: unknown atomic category 'Foo' at offset 0"),
+    ("(>T[S] (leaf 0 the.1))", "step root: only graph semantics can be type-raised"),
+    (
+        Binary("frob", Leaf(0, "john.1"), Leaf(1, "likes.1")),
+        "step root: 'frob' failed: unknown combinator name 'frob'",
+    ),
+    (Unary("frob", Leaf(0, "john.1")), "step root: unknown unary combinator 'frob'"),
 ]
 
 

@@ -3,13 +3,14 @@ import dataclasses
 import gc
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccgamr import category as category_module
@@ -19,12 +20,11 @@ from ccgamr.category import (
     CategoryError,
     Functor,
     arity,
-    check_iso_principle,
     format_category,
     parse_category,
     unify,
 )
-from ccgamr.combinator import IDENTITY, conj_attach, match_categories, type_raise
+from ccgamr.combinator import IDENTITY, check_iso_principle, conj_attach, match_categories, type_raise
 from ccgamr.penman import parse as parse_graph
 
 from support import categories, constituent
@@ -122,6 +122,51 @@ def test_parse_category_never_leaks_foreign_exceptions(text):
         parse_category(text)
     except CategoryError:
         pass
+
+
+_CATEGORY_TOKEN = re.compile(r"[A-Za-z]+|\[[A-Za-z0-9]+\]|[()/\\]")
+_OFFSET = re.compile(r"at offset (\d+)")
+
+
+@st.composite
+def spaced_categories(draw):
+    """(text, category): a printed category with a whitespace run, Unicode
+    whitespace included, before, between and after its tokens; or (text with
+    one stray character inserted, None)."""
+    cat = draw(categories())
+    tokens = _CATEGORY_TOKEN.findall(format_category(cat))
+    n = len(tokens) + 1
+    gaps = draw(st.lists(st.text(" \t\n\u00a0\u2003", max_size=3), min_size=n, max_size=n))
+    text = gaps[0] + "".join(token + gap for token, gap in zip(tokens, gaps[1:]))
+    if draw(st.booleans()):
+        return text, cat
+    k = draw(st.integers(0, len(text)))
+    return text[:k] + draw(st.sampled_from("]?:-1")) + text[k:], None
+
+
+@given(case=spaced_categories(), message=st.none())
+@example(case=("S / Foo", None), message="unknown atomic category 'Foo' at offset 4")
+@example(case=("S  ]", None), message="bad category syntax at offset 3: ']'")
+@example(case=("S /  NP x", None), message="trailing category input at offset 8")
+@example(case=("( S", None), message="expected ')' at offset 3")
+@example(case=("   ", None), message="expected a category at offset 3")
+@settings(max_examples=300, deadline=None)
+def test_whitespace_is_skipped_and_errors_give_the_offending_tokens_offset(case, message):
+    text, cat = case
+    if cat is not None:  # == is identity on functors
+        assert parse_category.__wrapped__(text) == cat
+        return
+    try:
+        parse_category.__wrapped__(text)
+    except CategoryError as err:
+        got = str(err)
+        k = int(_OFFSET.search(got)[1])
+        assert k == len(text) or not text[k].isspace()
+        if got.startswith("bad category syntax"):
+            assert got.endswith(f": {text[k:]!r}")
+        assert message in (None, got)
+    else:
+        assert message is None
 
 
 def test_parse_accepts_nesting_at_the_depth_limit():

@@ -3,7 +3,7 @@ import pytest
 from ccgamr.cli import build_parser, main
 from ccgamr.fixtures import LEXICON_PATH, gold, script
 
-from support import deep_lexicon_text, nested
+from support import REPLAY_FAILURES, deep_lexicon_text, nested
 
 LEX = str(LEXICON_PATH)
 
@@ -267,6 +267,27 @@ def test_replay_of_a_coordination_whose_conjuncts_are_not_adjacent_is_invalid(tm
     assert err.splitlines() == [
         "replay failed: step root: '&' failed: left conjunct and conjunction are not adjacent"
     ]
+
+
+@pytest.mark.parametrize("text,message", REPLAY_FAILURES[:3], ids=["and", "raise-foo", "raise-id"])
+def test_a_failed_replay_step_exits_4_with_its_cause(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.ccg"
+    bad.write_text(text)
+    code, out, err = run(capsys, "replay", "--lexicon", LEX, "--derivation", str(bad), "--trace")
+    assert (code, out, err) == (4, "", f"replay failed: {message}\n")
+
+
+def test_replay_of_a_script_with_trailing_input_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "trailing.ccg"
+    bad.write_text("(leaf 0 john.1) x")
+    code, out, err = run(capsys, "replay", "--lexicon", LEX, "--derivation", str(bad))
+    assert (code, out, err) == (1, "", "error: bad derivation script: trailing script input 'x'\n")
+
+
+def test_replay_trace_shows_a_pending_conjunction(capsys):
+    code, out, _ = run(capsys, "replay", "--lexicon", LEX, "--derivation", str(script("coordination")), "--trace")
+    inner, outer = [line for line in out.splitlines() if line.startswith("& ")]
+    assert code == 0 and inner.endswith(" <pending conjunction>") and "pending" not in outer
 
 
 def test_replay_of_an_unknown_entry_names_it_once_quoted(tmp_path, capsys):

@@ -484,6 +484,32 @@ def test_conj_attach_then_assemble():
         combine_application("backward", partial.constituent, c("NP", "(a/alpha)", 0, 1))
 
 
+@pytest.mark.parametrize(
+    "conj,right,message",
+    [
+        (("NP", "(a/and)", 0, 1), ("NP", "(b/beta)", 1, 2), "the conjunction word must have category Conj"),
+        (
+            ("Conj", "(a/and :op1 (x/x))", 0, 1),
+            ("NP", "(b/beta)", 1, 2),
+            "a conjunction word needs a single-concept semantics",
+        ),
+        (("Conj", "(a/and)", 0, 1), ("NP", "(b/beta)", 2, 3), "conjunction and right conjunct are not adjacent"),
+    ],
+    ids=["not-conj", "two-concepts", "apart"],
+)
+def test_conj_attach_rejects_each_bad_input_with_its_own_message(conj, right, message):
+    with pytest.raises(CombinationError) as err:
+        conj_attach(c(*conj), c(*right))
+    assert str(err.value) == message
+
+
+def test_application_needs_a_free_variable_in_the_function():
+    the = c("NP/N", "(t/the)", 0, 1)
+    with pytest.raises(CombinationError) as err:
+        combine_application("forward", the, c("N", "(c/cat)", 1, 2))
+    assert str(err.value) == "function semantics has no free variable to fill"
+
+
 # --- identity laws ----------------------------------------------------------
 
 def test_identity_absorption_both_sides():

@@ -198,3 +198,25 @@ def test_the_cache_audit_flags_every_unbounded_form(tmp_path):
         "    def j(self): return 1\n"
     )
     assert unbounded_caches(tmp_path) == ["mod:7", "mod:9", "mod:11", "mod:13", "mod:15", "mod:16"]
+
+
+#: The engine's modules, each importing only modules before it.
+LAYERS = ("graph", "category", "penman", "combinator", "lexicon", "derivation", "cli")
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules ``path`` imports: ``from .m import x`` gives
+    ``m`` and ``from . import m`` gives ``m``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module.split(".")[0]} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_modules_import_in_one_direction():
+    assert sorted(p.stem for p in SRC.glob("*.py")) == sorted({*LAYERS, "__init__", "__main__"})
+    imports = {name: package_imports(SRC / f"{name}.py") for name in LAYERS}
+    assert imports["graph"] == imports["category"] == set()
+    for i, name in enumerate(LAYERS):
+        assert imports[name] <= set(LAYERS[:i]), name

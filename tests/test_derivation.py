@@ -38,6 +38,7 @@ from ccgamr.fixtures import script as script_path
 
 from support import (
     FIXTURE_PARSES,
+    REPLAY_FAILURES,
     _exact_key,
     brute_force_forest,
     constituent,
@@ -96,6 +97,8 @@ def test_parse_script_errors():
         parse_script("(FLIP (leaf 0 a.1) (leaf 1 b.1))")
     with pytest.raises(ScriptError, match="missing"):
         parse_script("(> (leaf 0 a.1) (leaf 1 b.1)")
+    with pytest.raises(ScriptError, match="^trailing script input 'x'$"):
+        parse_script("(leaf 0 john.1) x")
 
 
 @pytest.mark.parametrize("index", ["\u00b2", "\u0661", "-1", "+1"])
@@ -210,6 +213,13 @@ def test_replay_rejects_a_left_conjunct_not_next_to_the_conjunction(lexicon, tex
     assert str(err.value) == "step root: '&' failed: left conjunct and conjunction are not adjacent"
 
 
+@pytest.mark.parametrize("script,message", REPLAY_FAILURES, ids=["and", "raise-foo", "raise-id", "binary", "unary"])
+def test_replay_failures_name_their_step_and_cause(lexicon, script, message):
+    with pytest.raises(ReplayError) as err:
+        replay(parse_script(script) if isinstance(script, str) else script, lexicon)
+    assert str(err.value) == message
+
+
 def test_replay_reports_step_path(lexicon):
     bad = Binary(">", Leaf(0, "cat.1"), Leaf(1, "cats.1"))
     with pytest.raises(ReplayError, match="step root"):
@@ -221,6 +231,14 @@ def test_replay_reports_step_path(lexicon):
 def test_finalize_accepts_completed_passive(lexicon):
     d = replay(parse_script(script_path("passive").read_text()), lexicon)
     assert finalize_check(d.final) == []
+
+
+def test_identity_semantics_neither_parses_nor_finalizes():
+    lexicon = loads("x | S | ID\n")
+    assert cky_parse(["x"], lexicon) == []
+    word = lexicon.lookup("x")[0]
+    c = Constituent(0, 1, word.category, word.semantics)
+    assert finalize_check(c) == ["identity semantics cannot complete a derivation"]
 
 
 def test_finalize_flags_leftover_variable():
@@ -446,6 +464,7 @@ def _added(*graphs) -> tuple[list[bool], list[int]]:
     return added, [item.forest_count for item in chart.cells[0, 1]]
 
 
+@pytest.mark.hash_seed
 def test_chart_add_computes_invariants_only_for_contested_buckets(monkeypatch):
     calls = _count_calls(monkeypatch, "invariant", "iso_equal")
     text = "(l / like-01 :ARG0 (p / person) :ARG1 (c / cat) :time ?1)"
@@ -468,6 +487,7 @@ def test_chart_add_computes_invariants_only_for_contested_buckets(monkeypatch):
     assert calls == {"invariant": 3, "iso_equal": 1}
 
 
+@pytest.mark.hash_seed
 def test_adjunct_chain_merges_without_an_iso_search(lexicon, monkeypatch):
     calls = _count_calls(monkeypatch, "invariant", "iso_equal")
     results = cky_parse("John likes the cat".split() + ["yesterday"] * 5, lexicon, ParserConfig())
@@ -517,6 +537,7 @@ def cky_digest(lexicon) -> str:
 CKY_DIGEST = "12d2ad7e879b3d740cee07b1eb4df24159b7107eff77db3cd88f84b2caa6ad34"
 
 
+@pytest.mark.hash_seed
 def test_cky_output_matches_the_pinned_digest(lexicon):
     assert cky_digest(lexicon) == CKY_DIGEST
 
@@ -593,6 +614,7 @@ def test_the_oracle_agrees_with_cky_under_each_whitelist(lexicon):
     assert parsed == 8
 
 
+@pytest.mark.hash_seed
 def test_the_goal_pass_leaves_every_output_unchanged(lexicon, monkeypatch):
     cases = list(_gate_cases())
     with monkeypatch.context() as m:
@@ -672,6 +694,7 @@ def _assert_goal_pass_equals_reference(tokens, lexicon, config) -> dict:
     return wanted
 
 
+@pytest.mark.hash_seed
 def test_the_goal_pass_equals_its_set_based_reference(lexicon):
     """The bit-mask goal pass wants, span by span, exactly the categories the
     set-based pass it replaced wants."""
@@ -682,6 +705,7 @@ def test_the_goal_pass_equals_its_set_based_reference(lexicon):
     assert (len(cases), sum(map(bool, found))) == (17 + 2 * 17 + 100 * 6 * 12, 15 + 2 * 14 + 2 * 3 + 229)
 
 
+@pytest.mark.hash_seed
 def test_the_goal_pass_equals_its_reference_on_masks_wider_than_a_machine_word():
     """25 feature values give a parse of 100 categories (126 with raising),
     so a span's mask is wider than 64 bits."""
@@ -745,6 +769,7 @@ def _coordinations(monkeypatch, tokens, lexicon, config) -> list[tuple]:
     return calls
 
 
+@pytest.mark.hash_seed
 @pytest.mark.parametrize("raising", [(), NP_TO_S], ids=["plain", "raised"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_coordination_runs_its_graph_step_only_for_wanted_categories(lexicon, monkeypatch, k, raising):
@@ -769,6 +794,7 @@ def _pending_conjunctions(monkeypatch, tokens, lexicon, config) -> tuple[list, l
             if isinstance(i.constituent.semantics, ConjPartial)], results
 
 
+@pytest.mark.hash_seed
 @pytest.mark.parametrize("raising", [(), NP_TO_S], ids=["plain", "raised"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_the_chart_holds_no_pending_conjunction_off_every_goal_derivation(lexicon, monkeypatch, k, raising):
@@ -879,6 +905,7 @@ def test_cky_results_are_pairwise_distinct_classes(lexicon, raising):
         )
 
 
+@pytest.mark.hash_seed
 def test_chart_compares_only_graphs_with_equal_invariants(lexicon, monkeypatch):
     calls = []
     original = derivation.iso_equal
