@@ -4,14 +4,21 @@ One entry per line::
 
     token | category | semantics-or-ID [| id]
 
-``#`` starts a comment, except inside a double-quoted literal such as
-``:op1 "#ccg"``.  The semantics field is either ``ID`` (identity) or a
+``#`` starts a comment and ``|`` separates fields, except inside a
+double-quoted literal such as ``:op1 "#ccg"`` or ``:op1 "a|b"``, where both
+are literal text.  The semantics field is either ``ID`` (identity) or a
 PENMAN-FV graph.  Entry ids default to ``token.N`` with N counting entries
 for the same token in file order; an id must be one derivation-script
 token (no whitespace or parentheses).  Categories are interned, so entries
 with equal category text share one object.  Every entry must satisfy the
 functional-isomorphism principle and its graph must validate; violations are
 collected and reported together.
+
+``loads`` memoises its last 8 texts in a bounded cache, so reloading an
+unchanged lexicon in one process returns the same immutable ``Lexicon``
+without parsing or checking it again.  Errors are not cached: a bad text
+reports its problems on every call.  ``load`` reads its file on every call,
+so an edited file is seen at once.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import penman
 from .category import Category, CategoryError, parse_category
@@ -28,6 +36,7 @@ from .graph import AmrSubgraph, validate  # noqa: F401
 
 
 _CODE_RE = re.compile(r'[^"#]*(?:"[^"]*"?[^"#]*)*')  # a line up to its first '#' outside quotes
+_FIELD_RE = re.compile(r'(?:^|\|)([^"|]*(?:"[^"]*"?[^"|]*)*)')  # each field; '|' in quotes is literal
 _ID_RE = re.compile(r"[^\s()]+")  # one derivation-script token
 
 
@@ -45,22 +54,25 @@ class LexEntry:
     semantics: AmrSubgraph | Identity
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lexicon:
-    entries: list[LexEntry] = field(default_factory=list)
+    """Immutable: ``loads`` hands one object to every caller of the same text."""
+
+    entries: tuple[LexEntry, ...] = ()
+    _by_token: dict[str, tuple[LexEntry, ...]] = field(init=False, repr=False, compare=False)
+    _by_id: dict[str, LexEntry] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._by_token: dict[str, list[LexEntry]] = {}
-        self._by_id: dict[str, LexEntry] = {}
-        for e in self.entries:
-            self._index(e)
-
-    def _index(self, entry: LexEntry) -> None:
-        self._by_token.setdefault(entry.token, []).append(entry)
-        self._by_id[entry.entry_id] = entry
+        entries = tuple(self.entries)  # a list passed in becomes a tuple
+        by_token: dict[str, list[LexEntry]] = {}
+        for e in entries:
+            by_token.setdefault(e.token, []).append(e)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_by_token", {t: tuple(es) for t, es in by_token.items()})
+        object.__setattr__(self, "_by_id", {e.entry_id: e for e in entries})
 
     def lookup(self, token: str) -> list[LexEntry]:
-        return list(self._by_token.get(token, []))
+        return list(self._by_token.get(token, ()))
 
     def entry(self, entry_id: str) -> LexEntry:
         if entry_id not in self._by_id:
@@ -71,6 +83,7 @@ class Lexicon:
         return sorted(self._by_token)
 
 
+@lru_cache(maxsize=8)  # errors are not cached: each bad text reports its own
 def loads(text: str, source: str = "<string>") -> Lexicon:
     entries: list[LexEntry] = []
     problems: list[str] = []
@@ -80,7 +93,7 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
         line = _CODE_RE.match(raw).group().strip()
         if not line:
             continue
-        parts = [p.strip() for p in line.split("|")]
+        parts = [p.strip() for p in _FIELD_RE.findall(line)]
         if len(parts) not in (3, 4):
             problems.append(f"{source}:{lineno}: expected 3 or 4 pipe-separated fields")
             continue

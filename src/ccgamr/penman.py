@@ -18,11 +18,16 @@ Accepted node forms::
 A bareword resolves to a previously defined variable of the same name when
 one exists, otherwise it is a fresh constant.  Repeated ``?k`` tokens are
 reentrant mentions of one node, never copies.
+
+``parse`` memoises its last 1,024 texts in a bounded cache, so an equal text
+parsed again is the same immutable graph, checked once.  Errors are not
+cached: a bad text reports its own error on every call.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .graph import UNDERSPECIFIED, AmrSubgraph, Edge, Node, validate
 
@@ -175,6 +180,7 @@ class _Parser:
         return graph
 
 
+@lru_cache(maxsize=1024)  # errors are not cached: each bad text reports its own
 def parse(text: str) -> AmrSubgraph:
     return _Parser(text).finish()
 

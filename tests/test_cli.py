@@ -551,6 +551,17 @@ def test_check_rejects_arity_overflow(tmp_path, capsys):
     assert "exceed" in out
 
 
+def test_repeated_check_sees_an_edited_lexicon(tmp_path, capsys):
+    path = tmp_path / "edit.lex"
+    path.write_text("john | NP | (j/john)\n")
+    assert run(capsys, "check", "--lexicon", str(path)) == (0, "ok: 1 entries, 1 distinct tokens\n", "")
+    path.write_text("john | NP | (j/john)\nmary | NP | (m/mary)\n")
+    assert run(capsys, "check", "--lexicon", str(path)) == (0, "ok: 2 entries, 2 distinct tokens\n", "")
+    path.write_text("bad | NP | (?1 :mod (b/bad))\n")
+    code, out, _ = run(capsys, "check", "--lexicon", str(path))
+    assert code == 4 and "atomic category" in out
+
+
 def test_parse_missing_lexicon_is_io_error(capsys):
     code, _, err = run(capsys, "parse", "--lexicon", "/nonexistent.lex", "--sentence", "hi")
     assert code == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from ccgamr.category import format_category, parse_category
 from ccgamr.combinator import IDENTITY
 from ccgamr.fixtures import LEXICON_PATH
 from ccgamr.graph import iso_equal
-from ccgamr.lexicon import LexiconError, load, loads
+from ccgamr.lexicon import Lexicon, LexiconError, load, loads
 from ccgamr.penman import parse, serialize
 
 
@@ -116,6 +117,7 @@ def test_hash_inside_quotes_is_literal():
 
 
 def test_equal_category_texts_share_one_parsed_category():
+    loads.cache_clear()  # a memoised load would parse no category at all
     parse_category.cache_clear()
     lex = load(LEXICON_PATH)
     info = parse_category.cache_info()
@@ -132,3 +134,53 @@ def test_every_line_with_a_bad_category_reports_its_own_error():
     with pytest.raises(LexiconError) as err:
         loads(text)
     assert [p.split(":")[1] for p in err.value.problems] == ["1", "2", "4"]
+
+
+@pytest.mark.parametrize("line, entry_id", [('q | NP | (h/hashtag :op1 "a|b")', "q.1"), ('q | NP | (h/hashtag :op1 "a|b") | q.x', "q.x")])
+def test_pipe_inside_quotes_is_literal(line, entry_id):
+    [entry] = loads(line).entries
+    assert entry.entry_id == entry_id
+    assert iso_equal(entry.semantics, parse('(h/hashtag :op1 "a|b")'))
+
+
+def test_loads_returns_one_object_per_text():
+    text = "john | NP | (j/john)\nthe | NP/N | ID"
+    assert loads(text) is loads(text)
+    assert loads(text) is not loads(text + "\n# a comment")
+
+
+def test_bad_lexicon_raises_on_every_call():
+    text = "ok | NP | (c/cat)\nbad | NP | (?1 :mod (b/bad))"
+    problems = []
+    for _ in range(3):
+        with pytest.raises(LexiconError) as err:
+            loads(text, source="t.lex")
+        problems.append(err.value.problems)
+    assert problems[0] == problems[1] == problems[2]
+    assert problems[0] and all(p.startswith("t.lex:2: entry 'bad.1': ") for p in problems[0])
+
+
+def test_cold_load_equals_warm_load():
+    warm = load(LEXICON_PATH)
+    loads.cache_clear()
+    parse.cache_clear()
+    cold = load(LEXICON_PATH)
+    assert cold is not warm and cold.entries == warm.entries  # equal entry for entry
+    for c, w in zip(cold.entries, warm.entries):
+        assert c.semantics is IDENTITY or c.semantics is not w.semantics  # parsed afresh
+
+
+def test_lexicon_is_an_immutable_value(lexicon):
+    assert isinstance(lexicon.entries, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lexicon.entries = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lexicon.extra = 1
+    found = lexicon.lookup("to")
+    found.clear()  # a fresh list each call
+    assert len(lexicon.lookup("to")) >= 2
+
+
+def test_a_list_of_entries_becomes_a_tuple(lexicon):
+    lex = Lexicon(list(lexicon.entries[:3]))
+    assert lex.entries == lexicon.entries[:3] and isinstance(lex.entries, tuple)

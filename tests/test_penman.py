@@ -308,3 +308,23 @@ def test_serialize_output_of_gold_fixtures_is_pinned():
         "            :time y2/yesterday))\n"
         "    :ARG1 e)"
     )
+
+
+def test_parse_returns_one_graph_per_text():
+    text = "(l/like-01 :ARG0 (p/person) :ARG1 ?1)"
+    warm = parse(text)
+    assert parse(text) is warm
+    parse.cache_clear()
+    cold = parse(text)
+    assert cold == warm and cold is not warm
+    assert parse(text) is cold
+
+
+@pytest.mark.parametrize("text", ["(a/x :ARG0 (b/y :ARG1 a))", "(a/x :ARG0", "(a/x :ARG0 ?2)"])
+def test_bad_text_raises_on_every_call(text):
+    messages = []
+    for _ in range(3):
+        with pytest.raises(PenmanError) as err:
+            parse(text)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == messages[2]
