@@ -58,24 +58,10 @@ class Functor:
         return self
 
     def __repr__(self) -> str:
-        # The dataclass's text, written from an explicit stack of literal
-        # text and functors still to expand, so deep trees never recurse.
-        parts: list[str] = []
-        stack: list[str | Functor] = [self]
-        while stack:
-            item = stack.pop()
-            if item.__class__ is not Functor:
-                parts.append(item)
-                continue
-            result, argument = item.result, item.argument
-            stack += (
-                ")",
-                argument if argument.__class__ is Functor else repr(argument),
-                f", slash={item.slash!r}, argument=",
-                result if result.__class__ is Functor else repr(result),
-                "Functor(result=",
-            )
-        return "".join(parts)
+        # the dataclass's text
+        return _printed(self, repr, lambda f: (
+            ")", f.argument, f", slash={f.slash!r}, argument=", f.result, "Functor(result="
+        ))
 
     def __reduce__(self):
         # Rebuilt through Functor() on unpickling, so the copy is the live
@@ -178,21 +164,36 @@ def parse_category(text: str) -> Category:
             cat, slash = enclosing.pop()
 
 
-def format_category(cat: Category) -> str:
+def _printed(cat: Category, atom, layout) -> str:
+    """The text of ``cat``: ``atom`` spells an atom and ``layout`` gives a
+    functor's pieces, literal text and subcategories, last first.  The
+    pieces wait on an explicit stack, so deep trees never recurse."""
     parts: list[str] = []
-    # categories still to print and literal text, innermost-leftmost on top
     stack: list[Category | str] = [cat]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if item.__class__ is str:
             parts.append(item)
-        elif isinstance(item, Atom):
-            parts.append(item.base if item.feature is None else f"{item.base}[{item.feature}]")
-        elif isinstance(item.argument, Functor):
-            stack += (")", item.argument, item.slash + "(", item.result)
+        elif item.__class__ is Functor:
+            stack += layout(item)
         else:
-            stack += (item.argument, item.slash, item.result)
+            parts.append(atom(item))
     return "".join(parts)
+
+
+def _spelled(atom: Atom) -> str:
+    return atom.base if atom.feature is None else f"{atom.base}[{atom.feature}]"
+
+
+def _laid_out(f: Functor) -> tuple:
+    # slashes associate to the left, so only a functor argument is bracketed
+    if f.argument.__class__ is Functor:
+        return ")", f.argument, f.slash + "(", f.result
+    return f.argument, f.slash, f.result
+
+
+def format_category(cat: Category) -> str:
+    return _printed(cat, _spelled, _laid_out)
 
 
 def arity(cat: Category) -> int:

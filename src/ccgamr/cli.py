@@ -179,14 +179,9 @@ def _dot_escape(label: str) -> str:
 def render_dot(g: AmrSubgraph) -> str:
     lines = ["digraph amr {", "  rankdir=TB;"]
     for node in g.nodes:
-        if node.is_free:
-            label = f"?{g.fv_index(node.id)}"
-            shape = "box"
-        else:
-            label = node.concept or ""
-            shape = "ellipse"
+        shape = "box" if node.is_free else "ellipse"
         extra = " peripheries=2" if node.id == g.root else ""
-        lines.append(f'  n{node.id} [label="{_dot_escape(label)}" shape={shape}{extra}];')
+        lines.append(f'  n{node.id} [label="{_dot_escape(_shown(g, node.id))}" shape={shape}{extra}];')
     for e in g.edges:
         label = "?" if e.label == UNDERSPECIFIED else e.label.lstrip(":")
         lines.append(f'  n{e.source} -> n{e.target} [label="{_dot_escape(label)}"];')

@@ -233,6 +233,11 @@ def raised_category(category: Category, target: Category, direction: str) -> Fun
     return Functor(target, BACKWARD, Functor(target, FORWARD, category))
 
 
+def is_conjunction(category: Category) -> bool:
+    """Whether ``category`` is a conjunction word's: Conj, with any feature."""
+    return isinstance(category, Atom) and category.base == "Conj"
+
+
 def pending_category(conjunct: Category) -> Functor:
     """X\\X: the category of a conjunction paired with a right conjunct X."""
     return Functor(conjunct, BACKWARD, conjunct)
@@ -365,7 +370,7 @@ def type_raise(c: Constituent, target: Category, direction: str) -> Combined:
 
 
 def _conj_concept_graph(conj: Constituent) -> AmrSubgraph:
-    if not (isinstance(conj.category, Atom) and conj.category.base == "Conj"):
+    if not is_conjunction(conj.category):
         raise CombinationError("the conjunction word must have category Conj")
     sem = conj.semantics
     if not is_graph(sem) or len(sem.nodes) != 1 or sem.edges or sem.fv:

@@ -52,6 +52,7 @@ from .combinator import (
     combine_matched,
     conj_attach,
     coordinate,
+    is_conjunction,
     is_graph,
     match_categories,
     pending_category,
@@ -62,7 +63,7 @@ from .combinator import (
     type_raise,
 )
 from .graph import UNDERSPECIFIED, has_cycle, invariant, iso_equal, validate  # noqa: F401 (bench/tracing.py wraps it)
-from .lexicon import Lexicon
+from .lexicon import LexEntry, Lexicon
 
 
 class ScriptError(ValueError):
@@ -278,7 +279,7 @@ def _binary_outcome(
             return combine_application(direction, f, a)
         return combine_composition(direction, order, f, a)
     if name == "&":
-        if isinstance(left.category, Atom) and left.category.base == "Conj":
+        if is_conjunction(left.category):
             return conj_attach(left, right)
         if isinstance(right.semantics, ConjPartial):
             partial: ConjPartial = right.semantics
@@ -290,7 +291,7 @@ def _binary_outcome(
 def _explain_variant_mismatch(scripted: str, outcome: Combined) -> str:
     got = outcome.rule
     lines = [f"script names {scripted!r} but the engine derives {got!r}"]
-    relation_wise = RULES[scripted][3], RULES[got][3]  # '&' always derives '&'
+    relation_wise = (RULES[scripted][3], RULES[got][3]) if scripted in RULES else None  # '&' or a raise
     if relation_wise == (False, True):
         lines.append(
             f"{scripted!r} fails: the constituents share a relation, and the "
@@ -328,8 +329,8 @@ def replay(script: ScriptNode, lexicon: Lexicon) -> Derivation:
                 outcome = _binary_outcome(node.name, *(kid.constituent for kid in children))
             except CombinationError as err:
                 raise ReplayError(path, f"{node.name!r} failed: {err}") from err
-            if outcome.rule != node.name:
-                raise ReplayError(path, _explain_variant_mismatch(node.name, outcome))
+        if outcome.rule != node.name:
+            raise ReplayError(path, _explain_variant_mismatch(node.name, outcome))
         return _Item(outcome.constituent, outcome.rule, outcome.notes, 1, children)
 
     return _derivation(walk(script, ()))
@@ -544,7 +545,7 @@ def _category_rules(lcat: Category, rcat: Category, max_order: int, enabled: fro
             )):
                 matches.append((direction, order, match))
     conj = enabled is None or "&" in enabled
-    attach = conj and isinstance(lcat, Atom) and lcat.base == "Conj"
+    attach = conj and is_conjunction(lcat)
     conjunct = pending_conjunct(rcat) if conj else None
     coordinated = None if conjunct is None else unify(lcat, conjunct)
     results = [cat for _, _, (cat, _) in matches] + [pending_category(rcat)] * attach + [coordinated]
@@ -552,13 +553,13 @@ def _category_rules(lcat: Category, rcat: Category, max_order: int, enabled: fro
 
 
 def _binary_candidates(
-    left: Constituent, right: Constituent, config: ParserConfig, wanted=None
+    left: Constituent, right: Constituent, config: ParserConfig, wanted
 ) -> list[Combined]:
     """Every enabled rule's outcome on two adjacent constituents; graph work
-    runs only where ``_category_rules`` allows it and, given ``wanted``, an
-    application, composition or coordination only for a result category in
-    it.  Attaching a conjunction builds no graph, so it is tried for every
-    pair and only a pending conjunction of a wanted category is kept."""
+    runs only where ``_category_rules`` allows it and, for an application,
+    composition or coordination, only for a result category in ``wanted``.
+    Attaching a conjunction builds no graph, so it is tried for every pair
+    and only a pending conjunction of a wanted category is kept."""
     matches, attach, coordinated, _ = _category_rules(
         left.category, right.category, config.max_composition_order, config.enabled
     )
@@ -566,7 +567,7 @@ def _binary_candidates(
     out: list[Combined] = []
     if not (lpartial or rpartial):
         for direction, order, match in matches:
-            if wanted is not None and match[0] not in wanted:
+            if match[0] not in wanted:
                 continue
             f, a = (left, right) if direction == "forward" else (right, left)
             try:
@@ -579,9 +580,9 @@ def _binary_candidates(
         except CombinationError:
             pass
         else:
-            if wanted is None or attached.constituent.category in wanted:
+            if attached.constituent.category in wanted:
                 out.append(attached)
-    if rpartial and not lpartial and coordinated is not None and (wanted is None or coordinated in wanted):
+    if rpartial and not lpartial and coordinated is not None and coordinated in wanted:
         partial: ConjPartial = right.semantics
         try:
             out.append(coordinate(partial.conj, left, partial.right, config.strict_conjunction))
@@ -609,10 +610,10 @@ def _raise_closure(chart: _Chart, span: tuple[int, int], raisings: tuple[TypeRai
 
 
 def _goal_categories(
-    tokens: list[str], lexicon: Lexicon, config: ParserConfig, raisings: tuple[TypeRaisingRule, ...]
+    entries: list[list[LexEntry]], config: ParserConfig, raisings: tuple[TypeRaisingRule, ...]
 ) -> dict[tuple[int, int], frozenset[Category]]:
     """Per span, the categories on some category-level derivation of the goal
-    over the whole sentence; empty if there is none.
+    over the whole sentence (each token's lexical ``entries``); empty if none.
 
     An inside pass over categories alone, then an outside pass down from the
     goal atoms at (0, n).  A graph step succeeds only where its categories
@@ -621,7 +622,7 @@ def _goal_categories(
     tables live for one call and have int keys: ``rows`` per pair of
     categories, ``pairs`` per pair of cells, ``feeds`` per such pair and want.
     """
-    n, rules = len(tokens), (config.max_composition_order, config.enabled)
+    n, rules = len(entries), (config.max_composition_order, config.enabled)
     cats, up, bit = [], [], {}  # per bit: its category, what raising makes of it; category -> bit
     ids, members = {}, []  # span mask -> id -> the bits of the mask
     rows, pairs, feeds, sets, wanted = {}, {}, {}, {}, {}
@@ -650,7 +651,7 @@ def _goal_categories(
     for width in range(1, n + 1):
         for i in range(n - width + 1):
             j = i + width
-            m = 0 if width > 1 else mask([e.category for e in lexicon.lookup(tokens[i])])
+            m = 0 if width > 1 else mask([e.category for e in entries[i]])
             for left, right in zip(cells[i][i + 1:j], cells[j][i + 1:j]):
                 union = pairs.get(left + right)
                 if union is None:
@@ -708,17 +709,18 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
     n = len(tokens)
     if n == 0:
         return []
-    missing = [t for t in tokens if not lexicon.lookup(t)]
+    entries = [lexicon.lookup(t) for t in tokens]
+    missing = [t for t, found in zip(tokens, entries) if not found]
     if missing:
         raise UnknownTokenError(f"tokens not in lexicon: {', '.join(sorted(set(missing)))}")
     raisings = tuple(r for r in config.type_raising  # a whitelist must name each raise
                      if config.enabled is None or raise_rule_name(r.target, r.direction) in config.enabled)
-    wanted = _goal_categories(tokens, lexicon, config, raisings)
+    wanted = _goal_categories(entries, config, raisings)
     if not wanted:
         return []
     chart = _Chart(config)
-    for i, token in enumerate(tokens):
-        for entry in lexicon.lookup(token):
+    for i, found in enumerate(entries):
+        for entry in found:
             c = Constituent(i, i + 1, entry.category, entry.semantics)
             chart.add((i, i + 1), _Item(c, entry.entry_id))
         _raise_closure(chart, (i, i + 1), raisings)

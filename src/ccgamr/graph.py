@@ -31,8 +31,9 @@ its relabeled edge itself).
 hash of the sorted (source concept, label, target concept) edge triples)
 is shared by isomorphic graphs, so a caller that holds many unequal graphs
 (a contested chart bucket) splits them by it and runs :func:`iso_map` only
-within a split; :func:`iso_map` itself checks only the node and
-free-variable counts before its search.
+within a split; :func:`iso_map` itself checks only the node, free-variable
+and edge counts before its search, and binds the free variables by
+position.
 """
 
 from __future__ import annotations
@@ -338,39 +339,29 @@ def invariant(g: AmrSubgraph) -> tuple[int, int, str, int]:
 
 
 def iso_map(g1: AmrSubgraph, g2: AmrSubgraph) -> dict[int, int] | None:
-    """Bijection witnessing isomorphism, or None.
+    """Bijection witnessing isomorphism of two graphs that, as valid graphs
+    do, list distinct free variables and repeat no triple; or None.
 
-    Concepts, edges, the root, and fv positions must all be preserved; free
-    variables can only map to free variables at the same fv index.  Graphs
-    with different node or fv counts are rejected at once; the search below
-    is exact for any other pair, so it does not compute :func:`invariant`
-    (a caller that holds many unequal graphs splits them by it first, as a
-    contested chart bucket does).  The fv pairs and the roots are bound
-    first, then the remaining nodes of g1 are tried in node order against
-    g2's nodes of the same concept, in node order, by a depth-first search
-    with an explicit stack.
+    Concepts, edges, the root, and fv positions must all be preserved.
+    Graphs with different node, fv or edge counts are rejected at once; the
+    search below is exact for any other pair, so it does not compute
+    :func:`invariant` (a caller that holds many unequal graphs splits them by
+    it first, as a contested chart bucket does).  The fv pairs are bound by
+    position, then the roots, then the remaining nodes of g1 are tried in
+    node order against g2's nodes of the same concept, in node order, by a
+    depth-first search with an explicit stack.
     """
-    if len(g1.nodes) != len(g2.nodes) or len(g1.fv) != len(g2.fv):
+    # with no repeated triple, equal edge counts make a map of g1's edges into g2's onto
+    if len(g1.nodes) != len(g2.nodes) or len(g1.fv) != len(g2.fv) or len(g1.edges) != len(g2.edges):
         return None
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def bind(a: int, b: int) -> bool:
-        if a in mapping:
-            return mapping[a] == b
-        if b in used:
-            return False
-        if g1.nodes[a].concept != g2.nodes[b].concept:
-            return False
-        mapping[a] = b
-        used.add(b)
-        return True
-
-    for a, b in zip(g1.fv, g2.fv):
-        if not bind(a, b):
-            return None
-    if not bind(g1.root, g2.root):
+    mapping = dict(zip(g1.fv, g2.fv))
+    used = set(mapping.values())
+    r1, r2 = g1.root, g2.root
+    # only free variables have concept None: a root maps to one only as its fv pair
+    if mapping.get(r1, r2) != r2 or g1.nodes[r1].concept != g2.nodes[r2].concept:
         return None
+    mapping[r1] = r2
+    used.add(r2)
 
     e2 = {(e.source, e.label, e.target) for e in g2.edges}
     incident: list[list[Edge]] = [[] for _ in g1.nodes]
@@ -381,10 +372,6 @@ def iso_map(g1: AmrSubgraph, g2: AmrSubgraph) -> dict[int, int] | None:
         incident[e.source].append(e)
         if e.target != e.source:
             incident[e.target].append(e)
-    # every g1 edge maps into e2 once all nodes are bound, so equal sizes
-    # make the image all of e2
-    if len({(e.source, e.label, e.target) for e in g1.edges}) != len(e2):
-        return None
     by_concept: dict[str | None, list[int]] = {}
     for n in g2.nodes:
         if n.id not in used:

@@ -14,11 +14,11 @@ with equal category text share one object.  Every entry must satisfy the
 functional-isomorphism principle and its graph must validate; violations are
 collected and reported together.
 
-``loads`` memoises its last 8 texts in a bounded cache, so reloading an
-unchanged lexicon in one process returns the same immutable ``Lexicon``
-without parsing or checking it again.  Errors are not cached: a bad text
-reports its problems on every call.  ``load`` reads its file on every call,
-so an edited file is seen at once.
+``loads`` memoises its last 8 texts, keyed by the text alone, so reloading
+an unchanged lexicon in one process under any source name returns the same
+immutable ``Lexicon`` without parsing or checking it again.  Errors are not
+cached: a bad text reports its problems, prefixed with the caller's source
+name, on every call.  ``load`` reads its file on every call.
 """
 
 from __future__ import annotations
@@ -83,8 +83,16 @@ class Lexicon:
         return sorted(self._by_token)
 
 
-@lru_cache(maxsize=8)  # errors are not cached: each bad text reports its own
 def loads(text: str, source: str = "<string>") -> Lexicon:
+    try:
+        return _parsed(text)
+    except LexiconError as err:
+        raise LexiconError([f"{source}:{p}" for p in err.problems]) from None
+
+
+@lru_cache(maxsize=8)  # errors are not cached: each bad text reports its own
+def _parsed(text: str) -> Lexicon:
+    """The lexicon ``text`` spells; each problem starts with its line number."""
     entries: list[LexEntry] = []
     problems: list[str] = []
     counts: dict[str, int] = {}
@@ -95,21 +103,21 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
             continue
         parts = [p.strip() for p in _FIELD_RE.findall(line)]
         if len(parts) not in (3, 4):
-            problems.append(f"{source}:{lineno}: expected 3 or 4 pipe-separated fields")
+            problems.append(f"{lineno}: expected 3 or 4 pipe-separated fields")
             continue
         token, cat_text, sem_text = parts[0], parts[1], parts[2]
         counts[token] = counts.get(token, 0) + 1
         entry_id = parts[3] if len(parts) == 4 else f"{token}.{counts[token]}"
         if not _ID_RE.fullmatch(entry_id):
-            problems.append(f"{source}:{lineno}: entry id {entry_id!r} is not one script token")
+            problems.append(f"{lineno}: entry id {entry_id!r} is not one script token")
             continue
         if entry_id in ids:
-            problems.append(f"{source}:{lineno}: duplicate entry id {entry_id!r}")
+            problems.append(f"{lineno}: duplicate entry id {entry_id!r}")
             continue
         try:
             category = parse_category(cat_text)
         except CategoryError as err:
-            problems.append(f"{source}:{lineno}: {err}")
+            problems.append(f"{lineno}: {err}")
             continue
         semantics: AmrSubgraph | Identity
         if sem_text == "ID":
@@ -118,10 +126,10 @@ def loads(text: str, source: str = "<string>") -> Lexicon:
             try:
                 semantics = penman.parse(sem_text)
             except penman.PenmanError as err:  # parse also validates the graph
-                problems.append(f"{source}:{lineno}: {err}")
+                problems.append(f"{lineno}: {err}")
                 continue
         for violation in check_iso_principle(category, semantics):
-            problems.append(f"{source}:{lineno}: entry {entry_id!r}: {violation}")
+            problems.append(f"{lineno}: entry {entry_id!r}: {violation}")
         ids.add(entry_id)
         entries.append(LexEntry(entry_id, token, category, semantics))
     if problems:

@@ -250,7 +250,7 @@ class _Serializer:
                 head = f"{self._name(node)}/{concept}"
                 needs_var = True
             if not first:
-                out.append(f"?{g.fv_index(node)}" if concept is None else self._name(node))
+                out.append(head if concept is None else self._name(node))
             elif not rels:
                 out.append(f"({head})" if depth == 0 and needs_var else head)
             else:

@@ -82,6 +82,7 @@ REPLAY_FAILURES = [
     ),
     ("(>T[Foo] (leaf 0 john.1))", "step root: unknown atomic category 'Foo' at offset 0"),
     ("(>T[S] (leaf 0 the.1))", "step root: only graph semantics can be type-raised"),
+    ("(>T[(S)] (leaf 0 john.1))", "step root: script names '>T[(S)]' but the engine derives '>T[S]'"),
     (
         Binary("frob", Leaf(0, "john.1"), Leaf(1, "likes.1")),
         "step root: 'frob' failed: unknown combinator name 'frob'",
@@ -357,6 +358,46 @@ _REFERENCE_TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+def reference_format_category(cat: Category) -> str:
+    """The explicit-stack printer ``format_category`` had before it shared a
+    walker with ``Functor.__repr__``, kept as its reference."""
+    parts: list[str] = []
+    # categories still to print and literal text, innermost-leftmost on top
+    stack: list[Category | str] = [cat]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Atom):
+            parts.append(item.base if item.feature is None else f"{item.base}[{item.feature}]")
+        elif isinstance(item.argument, Functor):
+            stack += (")", item.argument, item.slash + "(", item.result)
+        else:
+            stack += (item.argument, item.slash, item.result)
+    return "".join(parts)
+
+
+def reference_repr(cat: Category) -> str:
+    """The explicit-stack ``Functor.__repr__`` from before it shared a walker
+    with ``format_category``, kept as its reference; an atom's own repr."""
+    parts: list[str] = []
+    stack: list[str | Category] = [cat if cat.__class__ is Functor else repr(cat)]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is not Functor:
+            parts.append(item)
+            continue
+        result, argument = item.result, item.argument
+        stack += (
+            ")",
+            argument if argument.__class__ is Functor else repr(argument),
+            f", slash={item.slash!r}, argument=",
+            result if result.__class__ is Functor else repr(result),
+            "Functor(result=",
+        )
+    return "".join(parts)
 
 
 def reference_tokenize(text: str) -> list[tuple[str, str, int]]:

@@ -341,8 +341,9 @@ def _iso_pairs(draw):
     g1 = AmrSubgraph(nodes, tuple(edges), 0, fv_ids)
     g2 = relabeled(g1, draw(st.integers(0, 10_000)))
     # "swap-labels" and "rewire" keep the node and fv counts but change the
-    # edge triples, so iso_map's search, not a count check, must reject them
-    mutations = ["none", "concept", "label", "fv-order", "root", "swap-labels", "rewire"]
+    # edge triples, so iso_map's search, not a count check, must reject them;
+    # "drop-edge" and "add-edge" keep the node and fv counts but not the edge count
+    mutations = ["none", "concept", "label", "fv-order", "root", "swap-labels", "rewire", "drop-edge", "add-edge"]
     mutation = draw(st.sampled_from(mutations))
     constants = [x for x in g2.nodes if x.concept is not None]
     if mutation == "concept" and constants:
@@ -383,6 +384,14 @@ def _iso_pairs(draw):
             new_edges = list(g2.edges)
             new_edges[k] = Edge(draw(st.sampled_from(sources)), e.label, e.target)
             g2 = AmrSubgraph(g2.nodes, tuple(new_edges), g2.root, g2.fv)
+    elif mutation == "drop-edge" and g2.edges:
+        k = draw(st.integers(0, len(g2.edges) - 1))
+        g2 = AmrSubgraph(g2.nodes, g2.edges[:k] + g2.edges[k + 1:], g2.root, g2.fv)
+    elif mutation == "add-edge" and n >= 2:
+        triples = {(x.source, x.label, x.target) for x in g2.edges}
+        new = [(a, label, b) for a in range(n) for b in range(n) if a != b for label in LABELS
+               if (a, label, b) not in triples]
+        g2 = AmrSubgraph(g2.nodes, g2.edges + (Edge(*draw(st.sampled_from(new))),), g2.root, g2.fv)
     return g1, g2
 
 

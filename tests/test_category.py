@@ -27,7 +27,7 @@ from ccgamr.category import (
 from ccgamr.combinator import IDENTITY, check_iso_principle, conj_attach, match_categories, type_raise
 from ccgamr.penman import parse as parse_graph
 
-from support import categories, constituent
+from support import categories, constituent, reference_format_category, reference_repr
 
 
 def test_parse_left_associative():
@@ -222,6 +222,13 @@ def _copy(cat):
     return cat
 
 
+@given(cat=categories(max_depth=5))
+@settings(max_examples=150, deadline=None)
+def test_format_and_repr_share_one_walker_and_print_as_before(cat):
+    assert format_category(cat) == reference_format_category(cat)
+    assert repr(cat) == reference_repr(cat)
+
+
 def test_format_and_hash_of_deep_categories_do_not_recurse():
     assert format_category(_slashes(1000)) == "S" + "/NP" * 1000
     assert format_category(_nested(500)) == "S/(" * 499 + "S/NP" + ")" * 499
@@ -318,6 +325,7 @@ def test_functor_repr_is_the_dataclass_text(cat):
 def test_repr_and_pickle_of_deep_categories_do_not_recurse(cat):
     text = repr(cat)
     assert str(cat) == text and text.count("Functor(") == 1000
+    assert text == reference_repr(cat) and format_category(cat) == reference_format_category(cat)
     assert pickle.loads(pickle.dumps(cat)) is cat and copy.deepcopy(cat) is cat
 
 

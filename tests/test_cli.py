@@ -269,7 +269,7 @@ def test_replay_of_a_coordination_whose_conjuncts_are_not_adjacent_is_invalid(tm
     ]
 
 
-@pytest.mark.parametrize("text,message", REPLAY_FAILURES[:3], ids=["and", "raise-foo", "raise-id"])
+@pytest.mark.parametrize("text,message", REPLAY_FAILURES[:4], ids=["and", "raise-foo", "raise-id", "raise-spelling"])
 def test_a_failed_replay_step_exits_4_with_its_cause(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.ccg"
     bad.write_text(text)

@@ -136,6 +136,47 @@ def test_the_import_audit_skips_init_future_and_noqa_lines(tmp_path):
     assert unused_imports(tmp_path) == ["mod:os", "mod:regex", "mod:chain"]
 
 
+def string_constant_owners(src: Path, value: str) -> list[str]:
+    """``module:name`` of the top-level definition or assignment holding
+    each string constant equal to ``value``, ``module:<module>`` for one
+    outside any, in source order."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, _DEFS):
+                owner = top.name
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                owner = ",".join(ast.unparse(t) for t in targets)
+            else:
+                owner = "<module>"
+            found += [
+                f"{path.stem}:{owner}" for node in ast.walk(top)
+                if isinstance(node, ast.Constant) and node.value == value
+            ]
+    return found
+
+
+def test_the_conjunction_category_is_tested_in_one_place():
+    """'Conj' is named where it is declared a category and where a category
+    is tested for it, and nowhere else."""
+    assert string_constant_owners(SRC, "Conj") == ["category:ATOM_BASES", "combinator:is_conjunction"]
+
+
+def test_the_constant_audit_names_each_owner(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "BASES = ('Conj', 'S')\n"
+        "x: str = 'Conj'\n"
+        "def is_conj(c):\n"
+        "    return c == 'Conj'\n"
+        "class K:\n"
+        "    def m(self):\n"
+        "        return 'Conj word'\n"
+        "print('Conj')\n"
+    )
+    assert string_constant_owners(tmp_path, "Conj") == ["mod:BASES", "mod:x", "mod:is_conj", "mod:<module>"]
+
+
 def unbounded_caches(src: Path) -> list[str]:
     """``module:line`` of each ``functools`` cache not bounded by an explicit
     integer ``maxsize``: a bare ``lru_cache``, one without ``maxsize`` or with

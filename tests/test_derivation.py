@@ -214,7 +214,9 @@ def test_replay_rejects_a_left_conjunct_not_next_to_the_conjunction(lexicon, tex
     assert str(err.value) == "step root: '&' failed: left conjunct and conjunction are not adjacent"
 
 
-@pytest.mark.parametrize("script,message", REPLAY_FAILURES, ids=["and", "raise-foo", "raise-id", "binary", "unary"])
+@pytest.mark.parametrize(
+    "script,message", REPLAY_FAILURES, ids=["and", "raise-foo", "raise-id", "raise-spelling", "binary", "unary"]
+)
 def test_replay_failures_name_their_step_and_cause(lexicon, script, message):
     with pytest.raises(ReplayError) as err:
         replay(parse_script(script) if isinstance(script, str) else script, lexicon)
@@ -377,6 +379,16 @@ def _chart_items(lexicon, start: int) -> list[Constituent]:
     return items
 
 
+class _Everything:
+    """Holds every category: ``_binary_candidates`` gated by it skips nothing."""
+
+    def __contains__(self, category):
+        return True
+
+
+EVERYTHING = _Everything()
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_binary_candidates_agree_with_trying_every_combinator(lexicon, order):
     config = ParserConfig(max_composition_order=order)
@@ -399,7 +411,7 @@ def test_binary_candidates_agree_with_trying_every_combinator(lexicon, order):
     for left in lefts:
         for right in rights + partials:
             want = shown(try_every_combinator(left, right, config))
-            assert shown(_binary_candidates(left, right, config)) == want, (left, right)
+            assert shown(_binary_candidates(left, right, config, EVERYTHING)) == want, (left, right)
             hits += len(want)
     assert hits > len(lefts)
 
@@ -429,7 +441,7 @@ def test_binary_candidates_agree_with_trying_every_combinator_on_pending_conjunc
     for left in lefts:
         for right in rights + _chart_items(lexicon, 2):
             want = _shown(try_every_combinator(left, right, config))
-            assert _shown(_binary_candidates(left, right, config)) == want, (left, right)
+            assert _shown(_binary_candidates(left, right, config, EVERYTHING)) == want, (left, right)
 
 
 def test_category_rules_are_the_same_after_cache_clear(lexicon):
@@ -552,7 +564,7 @@ class _WantsEverything(dict):
         return True
 
     def get(self, span, default=None):
-        return None
+        return EVERYTHING
 
 
 _COMPOSITION_R = [f"{d}RB{o}{x}" for d in "><" for o in ("", "2") for x in ("", "x")]
@@ -688,7 +700,7 @@ def test_the_narrowed_final_check_leaves_every_output_unchanged(lexicon, monkeyp
 
 def _assert_goal_pass_equals_reference(tokens, lexicon, config) -> dict:
     raisings = _enabled_raisings(config)
-    wanted = derivation._goal_categories(tokens, lexicon, config, raisings)
+    wanted = derivation._goal_categories([lexicon.lookup(t) for t in tokens], config, raisings)
     reference = reference_goal_categories(tokens, lexicon, config, raisings)
     assert sorted(wanted) == sorted(reference), (tokens, config)
     for span, cats in reference.items():
@@ -725,7 +737,7 @@ def test_every_result_step_lies_on_a_goal_derivation_by_categories(lexicon):
     checked = 0
     for sentence, goal, raising in FIXTURE_PARSES:
         tokens, config = sentence.split(), ParserConfig(goal=goal, type_raising=raising)
-        wanted = derivation._goal_categories(tokens, lexicon, config, raising)
+        wanted = derivation._goal_categories([lexicon.lookup(t) for t in tokens], config, raising)
         for d in cky_parse(tokens, lexicon, config):
             for step in d.steps:
                 c = step.constituent
@@ -751,7 +763,7 @@ def test_the_goal_pass_skips_graph_steps_off_every_goal_derivation(lexicon, monk
     monkeypatch.undo()
     # no S spans the sentence by categories, so no item is built at all
     tokens = "John likes and Mary hates cats".split()
-    assert derivation._goal_categories(tokens, lexicon, ParserConfig(), ()) == {}
+    assert derivation._goal_categories([lexicon.lookup(t) for t in tokens], ParserConfig(), ()) == {}
     assert _graph_steps(monkeypatch, tokens, lexicon, ParserConfig()) == 0
 
 
@@ -776,7 +788,7 @@ def _coordinations(monkeypatch, tokens, lexicon, config) -> list[tuple]:
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_coordination_runs_its_graph_step_only_for_wanted_categories(lexicon, monkeypatch, k, raising):
     tokens, config = coordination_chain(k), ParserConfig(type_raising=raising)
-    wanted = derivation._goal_categories(tokens, lexicon, config, raising)
+    wanted = derivation._goal_categories([lexicon.lookup(t) for t in tokens], config, raising)
     gated = _coordinations(monkeypatch, tokens, lexicon, config)
     assert gated and all(cat in wanted[span] for span, cat in gated)
     monkeypatch.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())
@@ -801,7 +813,7 @@ def _pending_conjunctions(monkeypatch, tokens, lexicon, config) -> tuple[list, l
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_the_chart_holds_no_pending_conjunction_off_every_goal_derivation(lexicon, monkeypatch, k, raising):
     tokens, config = coordination_chain(k), ParserConfig(type_raising=raising)
-    wanted = derivation._goal_categories(tokens, lexicon, config, raising)
+    wanted = derivation._goal_categories([lexicon.lookup(t) for t in tokens], config, raising)
     gated, results = _pending_conjunctions(monkeypatch, tokens, lexicon, config)
     assert gated and all(cat in wanted[span] for span, cat in gated)
     monkeypatch.setattr(derivation, "_goal_categories", lambda *args: _WantsEverything())

@@ -7,6 +7,7 @@ from ccgamr.category import format_category, parse_category
 from ccgamr.combinator import IDENTITY
 from ccgamr.fixtures import LEXICON_PATH
 from ccgamr.graph import iso_equal
+from ccgamr import lexicon as lexicon_module
 from ccgamr.lexicon import Lexicon, LexiconError, load, loads
 from ccgamr.penman import parse, serialize
 
@@ -117,7 +118,7 @@ def test_hash_inside_quotes_is_literal():
 
 
 def test_equal_category_texts_share_one_parsed_category():
-    loads.cache_clear()  # a memoised load would parse no category at all
+    lexicon_module._parsed.cache_clear()  # a memoised load would parse no category at all
     parse_category.cache_clear()
     lex = load(LEXICON_PATH)
     info = parse_category.cache_info()
@@ -143,26 +144,31 @@ def test_pipe_inside_quotes_is_literal(line, entry_id):
     assert iso_equal(entry.semantics, parse('(h/hashtag :op1 "a|b")'))
 
 
-def test_loads_returns_one_object_per_text():
+def test_loads_returns_one_object_per_text(tmp_path):
     text = "john | NP | (j/john)\nthe | NP/N | ID"
-    assert loads(text) is loads(text)
+    path = tmp_path / "paper.lex"
+    path.write_text(text, encoding="utf-8")
+    lexicon_module._parsed.cache_clear()
+    found = [load(path), loads(text), loads(text, "paper.lex"), loads(text, source="paper.lex")]
+    assert all(lex is found[0] for lex in found)
+    assert lexicon_module._parsed.cache_info().misses == 1
     assert loads(text) is not loads(text + "\n# a comment")
 
 
 def test_bad_lexicon_raises_on_every_call():
     text = "ok | NP | (c/cat)\nbad | NP | (?1 :mod (b/bad))"
     problems = []
-    for _ in range(3):
+    for source in ("t.lex", "u.lex", "t.lex"):
         with pytest.raises(LexiconError) as err:
-            loads(text, source="t.lex")
-        problems.append(err.value.problems)
+            loads(text, source=source)
+        assert err.value.problems and all(p.startswith(f"{source}:2: entry 'bad.1': ") for p in err.value.problems)
+        problems.append([p.split(":", 1)[1] for p in err.value.problems])
     assert problems[0] == problems[1] == problems[2]
-    assert problems[0] and all(p.startswith("t.lex:2: entry 'bad.1': ") for p in problems[0])
 
 
 def test_cold_load_equals_warm_load():
     warm = load(LEXICON_PATH)
-    loads.cache_clear()
+    lexicon_module._parsed.cache_clear()
     parse.cache_clear()
     cold = load(LEXICON_PATH)
     assert cold is not warm and cold.entries == warm.entries  # equal entry for entry
