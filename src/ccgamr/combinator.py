@@ -5,6 +5,7 @@ category with its semantics (``check_iso_principle``).
 
 Application is composition of order 0.  Category matching
 (``match_categories``) runs before any graph work (``combine_matched``).
+Each rule returns a ``Combined``: the chart and replay keep it as a node.
 
 Variant selection is automatic, and nothing overrides it: a relation-wise
 combination fires if and only if the two graphs share an edge (same concrete
@@ -24,7 +25,7 @@ a variable merged across the shared edge in its earliest surviving slot.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .category import (
     Atom,
@@ -87,11 +88,17 @@ class SharedEdgeMatch:
     ambiguous: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Combined:
+    """One derivation node: a step's result, rule (a word's entry id) and
+    notes.  The chart and replay set its forest count and the nodes it was
+    built from: none for a word, one for a raise, two for a binary step."""
+
     constituent: Constituent
     rule: str
     notes: tuple[str, ...] = ()
+    forest_count: int = field(default=1, compare=False, repr=False)
+    children: tuple[Combined, ...] = field(default=(), compare=False, repr=False)
 
 
 def is_graph(sem: object) -> bool:

@@ -20,11 +20,13 @@ only when its result category lies on some category-level derivation of the
 goal (words, raising and attaching a conjunction are not gated).  Step names
 are read only through ``combinator.RULES`` and ``combinator.read_raise``.
 
-Both modes record a derivation the same way: as items that keep only
-back-pointers to the items they were built from.  A ``Derivation`` builds
-its script and steps from its root item the first time either is read, and
-keeps them.  That chart and replay agree is asserted in the tests
-(``tests/test_derivation.py``), not re-checked at run time.
+Both modes record a derivation the same way: each node is the ``Combined``
+its step returned, with back-pointers to the nodes it was built from.  A
+``Derivation`` builds its script and steps from its root node the first time
+either is read, and keeps them.  Trees are walked with an explicit stack, so
+a script built through the API may be of any depth.  That chart and replay
+agree is asserted in the tests (``tests/test_derivation.py``), not
+re-checked at run time.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import attrgetter
 
 from . import penman
 from .category import (
@@ -177,12 +180,39 @@ def parse_script(text: str) -> ScriptNode:
     return root
 
 
+def _script_children(node: ScriptNode) -> tuple[ScriptNode, ...]:
+    if isinstance(node, Binary):
+        return node.left, node.right
+    return (node.child,) if isinstance(node, Unary) else ()
+
+
+def _post_order(root, children) -> list[tuple]:
+    """(node, path) of each node of the tree at ``root``, post-order, left
+    child first; an explicit stack, so a deep tree never recurses."""
+    order = []  # pre-order, right child first: the post-order reversed
+    todo = [(root, ())]
+    while todo:
+        node, path = todo.pop()
+        order.append((node, path))
+        for i, kid in enumerate(children(node)):
+            todo.append((kid, path + (i,)))
+    order.reverse()
+    return order
+
+
 def format_script(node: ScriptNode) -> str:
-    if isinstance(node, Leaf):
-        return f"(leaf {node.token_index} {node.entry_id})"
-    if isinstance(node, Unary):
-        return f"({node.name} {format_script(node.child)})"
-    return f"({node.name} {format_script(node.left)} {format_script(node.right)})"
+    out: list[str] = []
+    todo: list[ScriptNode | str] = [node]  # what is left to write, last first
+    while todo:
+        n = todo.pop()
+        if n.__class__ is str:
+            out.append(n)
+        elif isinstance(n, Leaf):
+            out.append(f"(leaf {n.token_index} {n.entry_id})")
+        else:
+            out.append(f"({n.name} ")
+            todo += [")", n.child] if isinstance(n, Unary) else [")", n.right, " ", n.left]
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +234,7 @@ class Derivation:
     forest_count: int = 1
 
     def __getattr__(self, name: str):
-        # a derivation holds its root item until its script and steps are set;
+        # a derivation holds its root node until its script and steps are set;
         # another thread may have set them since this lookup missed them
         item = self.__dict__.get("_item")
         if item is not None and name in ("script", "steps"):
@@ -218,27 +248,12 @@ class Derivation:
         return format_script(self.script)
 
 
-@dataclass(slots=True)
-class _Item:
-    constituent: Constituent
-    rule: str  # the entry id of a lexical item
-    notes: tuple[str, ...] = ()
-    forest_count: int = 1
-    children: tuple["_Item", ...] = ()  # back-pointers: () lexical, 1 raised, 2 binary
-
-
-def _built(item: _Item) -> tuple[ScriptNode, list[Step]]:
-    """The item's script and its steps, read off the back-pointers:
+def _built(item: Combined) -> tuple[ScriptNode, list[Step]]:
+    """The node's script and its steps, read off the back-pointers:
     post-order, left child first."""
-    order = []  # pre-order, right child first: the post-order reversed
-    todo: list[tuple[_Item, tuple[int, ...]]] = [(item, ())]
-    while todo:
-        it, path = todo.pop()
-        order.append((it, path))
-        todo += [(kid, path + (i,)) for i, kid in enumerate(it.children)]
     steps: list[Step] = []
     done: list[ScriptNode] = []  # scripts of the finished subtrees
-    for it, path in reversed(order):
+    for it, path in _post_order(item, attrgetter("children")):
         rule, kids = it.rule, it.children
         if not kids:
             done.append(Leaf(it.constituent.start, rule))
@@ -252,7 +267,7 @@ def _built(item: _Item) -> tuple[ScriptNode, list[Step]]:
     return done[0], steps
 
 
-def _derivation(item: _Item) -> Derivation:
+def _derivation(item: Combined) -> Derivation:
     """The derivation rooted at ``item``; its script and steps are built on
     first read."""
     d = Derivation.__new__(Derivation)
@@ -305,16 +320,18 @@ def _explain_variant_mismatch(scripted: str, outcome: Combined) -> str:
 
 
 def replay(script: ScriptNode, lexicon: Lexicon) -> Derivation:
-    def walk(node: ScriptNode, path: tuple[int, ...]) -> _Item:
+    done: list[Combined] = []  # nodes of the finished subtrees
+    for node, path in _post_order(script, _script_children):
         if isinstance(node, Leaf):
             try:
                 entry = lexicon.entry(node.entry_id)
             except KeyError as err:
                 raise ReplayError(path, err.args[0]) from err
             c = Constituent(node.token_index, node.token_index + 1, entry.category, entry.semantics)
-            return _Item(c, node.entry_id)
+            done.append(Combined(c, node.entry_id))
+            continue
         if isinstance(node, Unary):
-            children = (walk(node.child, path + (0,)),)
+            children = (done.pop(),)
             raising = read_raise(node.name)
             if raising is None:
                 raise ReplayError(path, f"unknown unary combinator {node.name!r}")
@@ -324,16 +341,17 @@ def replay(script: ScriptNode, lexicon: Lexicon) -> Derivation:
             except (CombinationError, ValueError) as err:
                 raise ReplayError(path, str(err)) from err
         else:
-            children = (walk(node.left, path + (0,)), walk(node.right, path + (1,)))
+            right = done.pop()
+            children = (done.pop(), right)
             try:
-                outcome = _binary_outcome(node.name, *(kid.constituent for kid in children))
+                outcome = _binary_outcome(node.name, children[0].constituent, right.constituent)
             except CombinationError as err:
                 raise ReplayError(path, f"{node.name!r} failed: {err}") from err
         if outcome.rule != node.name:
             raise ReplayError(path, _explain_variant_mismatch(node.name, outcome))
-        return _Item(outcome.constituent, outcome.rule, outcome.notes, 1, children)
-
-    return _derivation(walk(script, ()))
+        outcome.children = children
+        done.append(outcome)
+    return _derivation(done[0])
 
 
 def finalize_check(c: Constituent) -> list[str]:
@@ -496,17 +514,18 @@ class _Chart:
 
     def __init__(self, config: ParserConfig):
         self.config = config
-        self.cells: dict[tuple[int, int], list[_Item]] = {}
-        self._buckets: dict[tuple, _Item | dict[tuple, list[_Item]]] = {}
+        self.cells: dict[tuple[int, int], list[Combined]] = {}
+        self._buckets: dict[tuple, Combined | dict[tuple, list[Combined]]] = {}
 
-    def add(self, span: tuple[int, int], item: _Item) -> bool:
+    def add(self, item: Combined) -> bool:
         c, sem = item.constituent, item.constituent.semantics
+        span = (c.start, c.end)
         key = (span, c.category, len(sem.nodes), len(sem.fv)) if is_graph(sem) else (span, c.category, sem)
         bucket = self._buckets.setdefault(key, item)
         if bucket is not item:
             # uncontested: one item, which merges only an equal value (every
             # value of a non-graph bucket is equal, so it is never contested)
-            if isinstance(bucket, _Item):
+            if isinstance(bucket, Combined):
                 if bucket.constituent.semantics == sem:
                     bucket.forest_count += item.forest_count
                     return False
@@ -603,10 +622,15 @@ def _raise_closure(chart: _Chart, span: tuple[int, int], raisings: tuple[TypeRai
                 if unify(rule.source, item.constituent.category) is None:
                     continue
                 outcome = type_raise(item.constituent, rule.target, rule.direction)
-                new = _Item(outcome.constituent, outcome.rule, outcome.notes,
-                            item.forest_count, (item,))
-                if chart.add(span, new):
+                outcome.forest_count, outcome.children = item.forest_count, (item,)
+                if chart.add(outcome):
                     changed = True
+
+
+def _is_goal(category: Category, goal: str) -> bool:
+    """Whether ``category`` completes a derivation: an atom of base ``goal``,
+    with any feature."""
+    return isinstance(category, Atom) and category.base == goal
 
 
 def _goal_categories(
@@ -676,8 +700,7 @@ def _goal_categories(
                 new, m = add & ~m, m | add
             cells[j][i] = ids[m] if m in ids else intern(m)
             cells[i][j] = cells[j][i] * size
-    wants[0][n] = sum(1 << b for b in members[cells[n][0]]
-                      if isinstance(cats[b], Atom) and cats[b].base == config.goal)
+    wants[0][n] = sum(1 << b for b in members[cells[n][0]] if _is_goal(cats[b], config.goal))
     shift = len(cats)  # a feed is the right child's wanted mask | the left child's << shift
     for width in range(n if wants[0][n] else 0, 0, -1):
         for i in range(n - width + 1):
@@ -721,8 +744,7 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
     chart = _Chart(config)
     for i, found in enumerate(entries):
         for entry in found:
-            c = Constituent(i, i + 1, entry.category, entry.semantics)
-            chart.add((i, i + 1), _Item(c, entry.entry_id))
+            chart.add(Combined(Constituent(i, i + 1, entry.category, entry.semantics), entry.entry_id))
         _raise_closure(chart, (i, i + 1), raisings)
     for width in range(2, n + 1):
         for i in range(0, n - width + 1):
@@ -732,13 +754,8 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
                 for litem in chart.cells.get((i, split), []):
                     for ritem in chart.cells.get((split, j), []):
                         for o in _binary_candidates(litem.constituent, ritem.constituent, config, want):
-                            count = litem.forest_count * ritem.forest_count
-                            new = _Item(o.constituent, o.rule, o.notes, count, (litem, ritem))
-                            chart.add((i, j), new)
+                            o.forest_count, o.children = litem.forest_count * ritem.forest_count, (litem, ritem)
+                            chart.add(o)
             _raise_closure(chart, (i, j), raisings)
-    results: list[Derivation] = []
-    for item in chart.cells.get((0, n), []):
-        cat = item.constituent.category
-        if isinstance(cat, Atom) and cat.base == config.goal and not finalize_check(item.constituent):
-            results.append(_derivation(item))
-    return results
+    return [_derivation(item) for item in chart.cells.get((0, n), [])
+            if _is_goal(item.constituent.category, config.goal) and not finalize_check(item.constituent)]

@@ -242,6 +242,8 @@ class _Serializer:
             if concept is None:
                 head = f"?{g.fv_index(node)}"
                 needs_var = False
+            elif not first:  # a revisit writes only the name
+                head = self._name(node)
             elif _is_literal(concept):
                 # a literal only needs a variable if it is ever mentioned again
                 needs_var = len(self.incident[node]) > 1 or bool(rels)
@@ -250,7 +252,7 @@ class _Serializer:
                 head = f"{self._name(node)}/{concept}"
                 needs_var = True
             if not first:
-                out.append(head if concept is None else self._name(node))
+                out.append(head)
             elif not rels:
                 out.append(f"({head})" if depth == 0 and needs_var else head)
             else:

@@ -149,6 +149,7 @@ def spaced_categories(draw):
 @example(case=("S  ]", None), message="bad category syntax at offset 3: ']'")
 @example(case=("S /  NP x", None), message="trailing category input at offset 8")
 @example(case=("( S", None), message="expected ')' at offset 3")
+@example(case=("(S(NP))", None), message="expected ')' at offset 2")
 @example(case=("   ", None), message="expected a category at offset 3")
 @settings(max_examples=300, deadline=None)
 def test_whitespace_is_skipped_and_errors_give_the_offending_tokens_offset(case, message):

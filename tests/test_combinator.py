@@ -493,9 +493,11 @@ def test_conj_attach_then_assemble():
             ("NP", "(b/beta)", 1, 2),
             "a conjunction word needs a single-concept semantics",
         ),
+        (("Conj", "ID", 0, 1), ("NP", "(b/beta)", 1, 2), "a conjunction word needs a single-concept semantics"),
+        (("Conj", "(?1)", 0, 1), ("NP", "(b/beta)", 1, 2), "a conjunction word needs a single-concept semantics"),
         (("Conj", "(a/and)", 0, 1), ("NP", "(b/beta)", 2, 3), "conjunction and right conjunct are not adjacent"),
     ],
-    ids=["not-conj", "two-concepts", "apart"],
+    ids=["not-conj", "two-concepts", "identity", "free-variable", "apart"],
 )
 def test_conj_attach_rejects_each_bad_input_with_its_own_message(conj, right, message):
     with pytest.raises(CombinationError) as err:

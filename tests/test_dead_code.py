@@ -261,3 +261,65 @@ def test_modules_import_in_one_direction():
     assert imports["graph"] == imports["category"] == set()
     for i, name in enumerate(LAYERS):
         assert imports[name] <= set(LAYERS[:i]), name
+
+
+def _calls_itself(fn: ast.FunctionDef, method: bool) -> bool:
+    """Whether ``fn`` calls its own name: bare, or through ``self.`` in a
+    ``method``."""
+    for call in ast.walk(fn):
+        f = getattr(call, "func", None)
+        if method:
+            own = isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "self"
+            name = f.attr if own else None
+        else:
+            name = f.id if isinstance(f, ast.Name) else None
+        if name == fn.name:
+            return True
+    return False
+
+
+def self_calls(src: Path) -> list[str]:
+    """``module:qualified name`` of each function that calls itself, in
+    source order.  ``super().__init__`` and another object's method of the
+    same name do not count."""
+    found = []
+
+    def visit(node, module, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            name, method = prefix, in_class
+            if isinstance(child, _DEFS):
+                name, method = f"{prefix}{child.name}.", isinstance(child, ast.ClassDef)
+                if isinstance(child, ast.FunctionDef) and _calls_itself(child, in_class):
+                    found.append(f"{module}:{prefix}{child.name}")
+            visit(child, module, name, method)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "", False)
+    return found
+
+
+def test_only_the_depth_limited_readers_recurse():
+    """A walk over a tree built through the API uses an explicit stack; only
+    the two text readers recurse, and they stop at ``penman.MAX_DEPTH``."""
+    assert self_calls(SRC) == ["derivation:parse_script.node", "penman:_Parser.parse_node"]
+
+
+def test_the_recursion_audit_finds_bare_and_self_calls(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def fact(n):\n"
+        "    return 1 if n < 2 else n * fact(n - 1)\n"
+        "def outer(xs):\n"
+        "    def walk(x):\n"
+        "        return [walk(y) for y in x]\n"
+        "    return walk(xs)\n"
+        "class Tree(list):\n"
+        "    def __init__(self):\n"
+        "        super().__init__()\n"
+        "    def depth(self):\n"
+        "        return 1 + max(self.depth() for _ in self)\n"
+        "    def size(self, other):\n"
+        "        return size(self) + other.size(None)\n"
+        "def size(tree):\n"
+        "    return len(tree)\n"
+    )
+    assert self_calls(tmp_path) == ["mod:fact", "mod:outer.walk", "mod:Tree.depth"]

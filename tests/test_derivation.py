@@ -195,6 +195,30 @@ def test_replay_rejects_relation_name_when_regular_applies(lexicon):
     assert "no shared edge" in str(err.value) or "'<R'" in str(err.value)
 
 
+def test_replay_explains_a_relation_name_where_the_regular_step_applies(lexicon):
+    flipped = script_path("like_cat").read_text().replace("(<", "(<R", 1)
+    with pytest.raises(ReplayError) as err:
+        replay(parse_script(flipped), lexicon)
+    assert str(err.value) == (
+        "step root: script names '<R' but the engine derives '<'; '<R' fails: no relation is shared at the "
+        "required free variables; '<' holds: the regular variant applies"
+    )
+
+
+def test_replay_and_format_script_take_a_script_deeper_than_the_recursion_limit(lexicon):
+    vp = parse_script("(> (leaf 1 likes.1) (> (leaf 2 the.1) (leaf 3 cat.1)))")
+    for i in range(1500):
+        vp = Binary("<", vp, Leaf(4 + i, "yesterday.1"))
+    script = Binary("<", Leaf(0, "john.1"), vp)
+    d = replay(script, lexicon)
+    assert d.final.category == Atom("S") and len(d.final.semantics.nodes) == 1505 and len(d.steps) == 3007
+    text = format_script(script)
+    assert len(text) == 40976 and text.startswith("(< (leaf 0 john.1) (< (< ")
+    assert d.to_script() == text
+    with pytest.raises(ScriptError, match="nesting deeper than 500 levels"):
+        parse_script(text)  # the text reader keeps its depth limit
+
+
 def test_replay_rejects_nonadjacent_leaves(lexicon):
     bad = Binary(">", Leaf(0, "likes.1"), Leaf(2, "cats.1"))
     with pytest.raises(ReplayError, match="adjacent"):
@@ -473,7 +497,7 @@ def _added(*graphs) -> tuple[list[bool], list[int]]:
     """What ``_Chart.add`` returns for one S item per graph, all in span
     (0, 1), and the forest counts of the items the cell keeps."""
     chart = derivation._Chart(ParserConfig())
-    added = [chart.add((0, 1), derivation._Item(Constituent(0, 1, Atom("S"), g), "x")) for g in graphs]
+    added = [chart.add(combinator.Combined(Constituent(0, 1, Atom("S"), g), "x")) for g in graphs]
     return added, [item.forest_count for item in chart.cells[0, 1]]
 
 
@@ -902,9 +926,9 @@ def test_equal_identity_entries_merge_in_the_chart():
     # the words merge in their own cell, not only once they combine with "cat"
     chart = derivation._Chart(ParserConfig())
     the1, the2 = (
-        derivation._Item(Constituent(0, 1, e.category, e.semantics), e.entry_id) for e in lexicon.lookup("the")
+        combinator.Combined(Constituent(0, 1, e.category, e.semantics), e.entry_id) for e in lexicon.lookup("the")
     )
-    assert chart.add((0, 1), the1) and not chart.add((0, 1), the2)
+    assert chart.add(the1) and not chart.add(the2)
     assert chart.cells == {(0, 1): [the1]} and the1.forest_count == 2
 
 
