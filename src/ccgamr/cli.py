@@ -84,7 +84,10 @@ def _build_config(path: str | None, goal: str | None) -> ParserConfig:
         cells = read_int(MAX_CELL_ENV, limit.strip()) if limit else None
         config = ParserConfig.from_text(text, path or "<default>")
         if cells is not None:
-            config = replace(config, max_cell_items=cells)
+            try:
+                config = replace(config, max_cell_items=cells)
+            except ValueError as err:  # only the cell bound can fail here, and the variable set it
+                raise ValueError(f"{err}, found {limit.strip()!r}".replace("max_cell_items", MAX_CELL_ENV))
         return config if goal is None else replace(config, goal=goal)
     except ValueError as err:
         raise _Exit(USAGE, f"error: {err}")

@@ -14,11 +14,12 @@ isomorphism search, and the isomorphism invariant is computed only for
 unequal graphs of one span, category, node count and free-variable count
 (``_Chart``).  What the binary rules can do with a pair of adjacent
 categories comes from one bounded cache (``_category_rules``), which both
-passes read.  A category-only pass on bit masks (``_goal_categories``) runs
-first, and an application, composition or coordination does its graph step
-only when its result category lies on some category-level derivation of the
-goal (words, raising and attaching a conjunction are not gated).  Step names
-are read only through ``combinator.RULES`` and ``combinator.read_raise``.
+passes read.  A category-only pass on bit masks (``_goal_categories``, whose
+tables each rule set keeps for the process) runs first, and an application,
+composition or coordination does its graph step only when its result
+category lies on some category-level derivation of the goal (words, raising
+and attaching a conjunction are not gated).  Step names are read only
+through ``combinator.RULES`` and ``combinator.read_raise``.
 
 Both modes record a derivation the same way: each node is the ``Combined``
 its step returned, with back-pointers to the nodes it was built from.  A
@@ -32,6 +33,7 @@ re-checked at run time.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -115,6 +117,7 @@ ScriptNode = Leaf | Unary | Binary
 # a raise name is one token, parentheses and all: >T[S/(S\NP)], <T[S[dcl]\(S[dcl]/NP)]
 _SCRIPT_TOKEN_RE = re.compile(r"[()]|[<>]T\[(?:[^\[\]\s]|\[[^\[\]\s]*\])*\](?=[\s()]|$)|[^\s()]+")
 _INT_RE = re.compile(r"[+-]?[0-9]+")  # what read_int accepts
+_GOAL_TABLE_CAP = 4096  # entries a table of _goal_tables may hold when a goal pass starts
 
 
 def looks_like_script(text: str) -> bool:
@@ -633,6 +636,12 @@ def _is_goal(category: Category, goal: str) -> bool:
     return isinstance(category, Atom) and category.base == goal
 
 
+@lru_cache(maxsize=8)
+def _goal_tables(max_order: int, enabled: frozenset[str] | None, raisings: tuple) -> tuple:
+    """One rule set's goal-pass tables: lock, cats, up, bit, rows, pairs, feeds, sets, members."""
+    return threading.Lock(), [], [], {}, {}, {}, {}, {}, {}
+
+
 def _goal_categories(
     entries: list[list[LexEntry]], config: ParserConfig, raisings: tuple[TypeRaisingRule, ...]
 ) -> dict[tuple[int, int], frozenset[Category]]:
@@ -642,87 +651,91 @@ def _goal_categories(
     An inside pass over categories alone, then an outside pass down from the
     goal atoms at (0, n).  A graph step succeeds only where its categories
     match, so every chart item that can feed a result has its (span,
-    category) here.  Category sets are int masks (a union is one OR); the
-    tables live for one call and have int keys: ``rows`` per pair of
-    categories, ``pairs`` per pair of cells, ``feeds`` per such pair and want.
+    category) here.  Category sets are int masks (a union is one OR).  No
+    table depends on the sentence, so each rule set keeps its tables for the
+    process (``_goal_tables``): each category's bit and raising mask,
+    ``rows`` per pair of bits, ``pairs`` per pair of masks, ``feeds`` per
+    pair and want, and each mask's bits and frozenset.  A pass holds their
+    lock, and first clears them all if one is over ``_GOAL_TABLE_CAP``.
     """
     n, rules = len(entries), (config.max_composition_order, config.enabled)
-    cats, up, bit = [], [], {}  # per bit: its category, what raising makes of it; category -> bit
-    ids, members = {}, []  # span mask -> id -> the bits of the mask
-    rows, pairs, feeds, sets, wanted = {}, {}, {}, {}, {}
-    size = n * (n + 1) + 1  # more than the ids of all inside and wanted masks
+    lock, cats, up, bit, rows, pairs, feeds, sets, members = tables = _goal_tables(*rules, raisings)
+    with lock:  # never cleared mid-pass: a category keeps its bit while masks use it
+        if max(map(len, tables[1:])) > _GOAL_TABLE_CAP:
+            for table in tables[1:]:
+                table.clear()
 
-    def mask(group) -> int:
-        m = 0
-        for cat in group:
-            b = bit.get(cat)
-            if b is None:
-                b = bit[cat] = len(cats)
-                cats.append(cat)
-            m |= 1 << b
-        return m
+        def mask(group) -> int:
+            m = 0
+            for cat in group:
+                b = bit.get(cat)
+                if b is None:
+                    b = bit[cat] = len(cats)
+                    cats.append(cat)
+                m |= 1 << b
+            return m
 
-    def intern(m: int) -> int:
-        ids[m], rest, out = len(members), m, []
-        while rest:  # one lowest set bit at a time
-            out.append((rest & -rest).bit_length() - 1)
-            rest &= rest - 1
-        members.append(out)
-        return ids[m]
-
-    # span (i, j) has its id times size at cells[i][j], its id at cells[j][i], and what is wanted of it at wants[i][j]
-    cells, wants = [[0] * (n + 1) for _ in range(n + 1)], [[0] * (n + 1) for _ in range(n + 1)]
-    for width in range(1, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            m = 0 if width > 1 else mask([e.category for e in entries[i]])
-            for left, right in zip(cells[i][i + 1:j], cells[j][i + 1:j]):
-                union = pairs.get(left + right)
-                if union is None:
-                    union = 0
-                    for bl in members[left // size]:
-                        for br in members[right]:
-                            key = (bl + br) * (bl + br + 1) // 2 + br  # Cantor pairing: one int per pair of bits
-                            if key not in rows:
-                                rows[key] = mask(_category_rules(cats[bl], cats[br], *rules)[-1])
-                            union |= rows[key]
-                    pairs[left + right] = union
-                m |= union
-            new = m if raisings else 0
-            while new:  # type raising to a fixpoint
-                for cat in cats[len(up):]:
-                    up.append(mask(raised_category(cat, r.target, r.direction) for r in raisings
-                                   if unify(r.source, cat) is not None))
-                add, rest = 0, new
-                while rest:
-                    add |= up[(rest & -rest).bit_length() - 1]
+        def bits(m: int) -> list[int]:
+            out = members.get(m)
+            if out is None:
+                out, rest = [], m
+                while rest:  # one lowest set bit at a time
+                    out.append((rest & -rest).bit_length() - 1)
                     rest &= rest - 1
-                new, m = add & ~m, m | add
-            cells[j][i] = ids[m] if m in ids else intern(m)
-            cells[i][j] = cells[j][i] * size
-    wants[0][n] = sum(1 << b for b in members[cells[n][0]] if _is_goal(cats[b], config.goal))
-    shift = len(cats)  # a feed is the right child's wanted mask | the left child's << shift
-    for width in range(n if wants[0][n] else 0, 0, -1):
-        for i in range(n - width + 1):
-            j = i + width
-            want = wants[i][j] & (1 << shift) - 1  # as a right child it got whole feeds
-            while raisings and (sources := sum(1 << b for b in members[cells[j][i]] if up[b] & want) & ~want):
-                want |= sources  # a wanted raised category wants its source
-            if not want:
-                continue
-            wid = ids[want] if want in ids else intern(want)
-            wanted[i, j] = sets.get(wid) or sets.setdefault(wid, frozenset(map(cats.__getitem__, members[wid])))
-            for split, left, right in zip(range(i + 1, j), cells[i][i + 1:j], cells[j][i + 1:j]):
-                feed = feeds.get((left + right) * size + wid)
-                if feed is None:
-                    feed = 0
-                    for bl in members[left // size]:
-                        for br in members[right]:
-                            if rows[(bl + br) * (bl + br + 1) // 2 + br] & want:
-                                feed |= 1 << bl + shift | 1 << br
-                    feeds[(left + right) * size + wid] = feed
-                wants[i][split] |= feed >> shift
-                wants[split][j] |= feed
+                members[m] = out  # stored whole, so a pass cut short leaves no partial list
+            return out
+
+        # span (i, j) has its mask at cells[i][j] and at cells[j][i], and what is wanted of it at wants[i][j]
+        cells, wants, wanted = [[0] * (n + 1) for _ in range(n + 1)], [[0] * (n + 1) for _ in range(n + 1)], {}
+        for width in range(1, n + 1):
+            for i in range(n - width + 1):
+                j = i + width
+                m = 0 if width > 1 else mask([e.category for e in entries[i]])
+                for left, right in zip(cells[i][i + 1:j], cells[j][i + 1:j]):
+                    union = pairs.get((left, right))
+                    if union is None:
+                        union = 0
+                        for bl in bits(left):
+                            for br in bits(right):
+                                key = (bl + br) * (bl + br + 1) // 2 + br  # Cantor pairing: one int per pair of bits
+                                if key not in rows:
+                                    rows[key] = mask(_category_rules(cats[bl], cats[br], *rules)[-1])
+                                union |= rows[key]
+                        pairs[left, right] = union
+                    m |= union
+                new = m if raisings else 0
+                while new:  # type raising to a fixpoint
+                    for cat in cats[len(up):]:
+                        up.append(mask(raised_category(cat, r.target, r.direction) for r in raisings
+                                       if unify(r.source, cat) is not None))
+                    add, rest = 0, new
+                    while rest:
+                        add |= up[(rest & -rest).bit_length() - 1]
+                        rest &= rest - 1
+                    new, m = add & ~m, m | add
+                cells[j][i] = m
+                cells[i][j] = m
+        wants[0][n] = sum(1 << b for b in bits(cells[0][n]) if _is_goal(cats[b], config.goal))
+        for width in range(n if wants[0][n] else 0, 0, -1):
+            for i in range(n - width + 1):
+                j = i + width
+                want = wants[i][j]
+                while raisings and (sources := sum(1 << b for b in bits(cells[i][j]) if up[b] & want) & ~want):
+                    want |= sources  # a wanted raised category wants its source
+                if not want:
+                    continue
+                wanted[i, j] = sets.get(want) or sets.setdefault(want, frozenset(map(cats.__getitem__, bits(want))))
+                for split, left, right in zip(range(i + 1, j), cells[i][i + 1:j], cells[j][i + 1:j]):
+                    feed = feeds.get((left, right, want))
+                    if feed is None:
+                        lfeed = rfeed = 0
+                        for bl in bits(left):
+                            for br in bits(right):
+                                if rows[(bl + br) * (bl + br + 1) // 2 + br] & want:
+                                    lfeed, rfeed = lfeed | 1 << bl, rfeed | 1 << br
+                        feed = feeds[left, right, want] = lfeed, rfeed
+                    wants[i][split] |= feed[0]
+                    wants[split][j] |= feed[1]
     return wanted
 
 

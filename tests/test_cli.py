@@ -201,6 +201,15 @@ def test_parse_env_var_must_be_an_integer(capsys, monkeypatch, limit):
     assert err.splitlines() == [f"error: CCGAMR_MAX_CELL must be an integer, found '{limit}'"]
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_parse_env_var_below_one_names_the_variable(capsys, monkeypatch, limit):
+    """No config file sets max_cell_items, so the error names the variable."""
+    monkeypatch.setenv("CCGAMR_MAX_CELL", limit)
+    code, out, err = run(capsys, "parse", "--lexicon", LEX, "--sentence", "John likes the cat")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: CCGAMR_MAX_CELL must be at least 1, found '{limit}'"]
+
+
 def test_parse_env_var_overrides_cell_limit(capsys, monkeypatch):
     monkeypatch.setenv("CCGAMR_MAX_CELL", "1")
     code, _, err = run(

@@ -757,6 +757,138 @@ def test_the_goal_pass_equals_its_reference_on_masks_wider_than_a_machine_word()
         assert len(set().union(*wanted.values())) == count
 
 
+#: Raising off, NP_TO_S, and a whitelist without >B (raising to S enabled).
+TABLE_CONFIGS = [
+    ParserConfig(),
+    ParserConfig(type_raising=NP_TO_S),
+    ParserConfig(enabled=frozenset([*combinator.RULES, "&", ">T[S]"]) - {">B"}, type_raising=NP_TO_S),
+]
+
+
+def _tables_by_name(config: ParserConfig) -> dict:
+    """The goal pass's process-wide tables for ``config``, by name."""
+    _, *tables = derivation._goal_tables(config.max_composition_order, config.enabled, _enabled_raisings(config))
+    return dict(zip(("cats", "up", "bit", "rows", "pairs", "feeds", "sets", "members"), tables))
+
+
+def _goal_pass(lexicon, tokens, config):
+    return derivation._goal_categories([lexicon.lookup(t) for t in tokens], config, _enabled_raisings(config))
+
+
+def _fixture_windows() -> list[list[str]]:
+    """Every distinct contiguous window of the fixture sentences."""
+    sentences = [sentence.split() for sentence, _, _ in FIXTURE_PARSES]
+    return sorted({tuple(t[a:b]) for t in sentences for a in range(len(t)) for b in range(a + 1, len(t) + 1)})
+
+
+@pytest.mark.hash_seed
+def test_warm_goal_tables_change_no_output(lexicon):
+    """Each window's goal pass from cleared tables equals its pass over
+    tables warmed on every other input in a shuffled order, and both equal
+    the set-based reference."""
+    cases = [(list(window), config) for config in TABLE_CONFIGS for window in _fixture_windows()]
+    cold = []
+    for tokens, config in cases:
+        derivation._goal_tables.cache_clear()
+        cold.append(_goal_pass(lexicon, tokens, config))
+    derivation._goal_tables.cache_clear()
+    rng, order = random.Random(1997), list(range(len(cases)))
+    for _ in range(2):  # in the second round each input follows all the others
+        rng.shuffle(order)
+        for k in order:
+            assert _goal_pass(lexicon, *cases[k]) == cold[k], cases[k]
+    for (tokens, config), wanted in zip(cases, cold):
+        assert wanted == reference_goal_categories(tokens, lexicon, config, _enabled_raisings(config))
+    assert (len(cases), sum(map(bool, cold))) == (3 * 249, 89)  # windows over S, under three configs
+
+
+def test_a_repeated_goal_pass_asks_no_rule_and_a_window_misses_no_pair(lexicon, monkeypatch):
+    calls = []
+    original = derivation._category_rules
+    monkeypatch.setattr(derivation, "_category_rules", lambda *args: calls.append(args) or original(*args))
+    tokens, config = "Mary persuaded John to practice guitar".split(), ParserConfig(type_raising=NP_TO_S)
+    derivation._goal_tables.cache_clear()
+    first = _goal_pass(lexicon, tokens, config)
+    assert first and calls
+    calls.clear()
+    assert _goal_pass(lexicon, tokens, config) == first and calls == []
+    tables = _tables_by_name(config)
+    sizes = {name: len(table) for name, table in tables.items()}
+    for a, b in combinations(range(len(tokens) + 1), 2):
+        _goal_pass(lexicon, tokens[a:b], config)
+    # the inside pass of a window meets only pairs of cells the sentence met
+    assert calls == [] and all(len(tables[name]) == sizes[name] for name in ("cats", "rows", "pairs"))
+
+
+def test_the_goal_tables_stay_within_their_cap(lexicon, monkeypatch):
+    """Over the cap, a pass first clears its tables, so none holds more than
+    the cap and one pass's own entries, and no output changes."""
+    cases = [(sentence.split(), ParserConfig(goal=goal, type_raising=raising))
+             for sentence, goal, raising in FIXTURE_PARSES]
+    want, alone = [], []
+    for tokens, config in cases:  # each parse from cleared tables, and what its pass alone stores
+        derivation._goal_tables.cache_clear()
+        want.append([_record(d) for d in cky_parse(tokens, lexicon, config)])
+        alone.append({name: len(table) for name, table in _tables_by_name(config).items()})
+    cap, cleared = 16, 0
+    monkeypatch.setattr(derivation, "_GOAL_TABLE_CAP", cap)
+    derivation._goal_tables.cache_clear()
+    for (tokens, config), records, own in zip(cases * 2, want * 2, alone * 2):
+        before = len(_tables_by_name(config)["rows"])
+        assert [_record(d) for d in cky_parse(tokens, lexicon, config)] == records, tokens
+        tables = _tables_by_name(config)
+        cleared += len(tables["rows"]) < before
+        assert len(tables["up"]) <= len(tables["cats"]) == len(tables["bit"]) <= cap + own["bit"], tokens
+        for name in ("rows", "pairs", "feeds", "sets", "members"):
+            assert len(tables[name]) <= cap + own[name], (tokens, name)
+    assert cleared > 0
+
+
+def test_goal_passes_in_several_threads_share_their_tables_safely(lexicon):
+    """Two threads with raising and two without start at once from cleared
+    tables, so each pair fills one set of tables; every result is the one a
+    single thread gets, and the tables stay consistent.  Without the lock,
+    two passes can give one bit to two categories."""
+    jobs = [("Mary bought a ticket to see the movie", NP_TO_S), ("John made a decision on his major", ()),
+            ("Mary persuaded John to practice guitar", NP_TO_S), ("What did you decide to eat yesterday", ())]
+
+    def outcome(sentence, raising):
+        results = cky_parse(sentence.split(), lexicon, ParserConfig(type_raising=raising))
+        return [(repr(d.final), d.forest_count, d.to_script()) for d in results]
+
+    def consistent(raising) -> bool:  # every category's bit indexes it, and raising masks follow the bits
+        tables = _tables_by_name(ParserConfig(type_raising=raising))
+        cats, bit = tables["cats"], tables["bit"]
+        return len(tables["up"]) <= len(cats) == len(bit) and all(bit[c] == b for b, c in enumerate(cats))
+
+    want = [outcome(*job) for job in jobs]
+    assert all(want)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(100):  # without the lock, only some rounds interleave badly
+            derivation._goal_tables.cache_clear()
+            barrier, got, errors = threading.Barrier(len(jobs)), [None] * len(jobs), []
+
+            def parse(k):
+                barrier.wait(timeout=10)
+                try:
+                    got[k] = outcome(*jobs[k])
+                except Exception as err:
+                    errors.append(err)
+
+            threads = [threading.Thread(target=parse, args=(k,)) for k in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == [] and got == want
+            assert consistent(()) and consistent(NP_TO_S)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_every_result_step_lies_on_a_goal_derivation_by_categories(lexicon):
     checked = 0
     for sentence, goal, raising in FIXTURE_PARSES:
