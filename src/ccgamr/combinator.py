@@ -113,31 +113,27 @@ def relation_wise_match(f: AmrSubgraph, a: AmrSubgraph, k: int) -> SharedEdgeMat
     label must be concrete; the function side may be underspecified.  The
     argument edge must join two distinct nodes: its ends fold into the
     function edge's, so a self-loop would fold those into one.
+
+    The argument's candidate edges are collected once, before the function's
+    edges are scanned, and the scan stops at the second qualifying pair.
     """
     if not f.fv or len(a.fv) < k:
         return None
-    f1 = f.fv[0]
-    ak = a.fv[k - 1]
-    found: list[tuple[int, int, str, str]] = []
-    for i, fe in enumerate(f.edges):
-        if fe.source == f1:
-            f_side = "source"
-        elif fe.target == f1:
-            f_side = "target"
-        else:
-            continue
-        for j, ae in enumerate(a.edges):
-            if ak not in (ae.source, ae.target) or ae.source == ae.target:
-                continue
-            if ae.label == UNDERSPECIFIED:
-                continue
-            if fe.label != UNDERSPECIFIED and fe.label != ae.label:
-                continue
-            found.append((i, j, f_side, ae.label))
-    if not found:
+    f1, ak = f.fv[0], a.fv[k - 1]
+    edges = a.edges
+    candidates = [j for j, ae in enumerate(edges)
+                  if ak in (ae.source, ae.target) and ae.source != ae.target and ae.label != UNDERSPECIFIED]
+    if not candidates:
         return None
-    i, j, side, label = found[0]
-    return SharedEdgeMatch(i, j, side, label, ambiguous=len(found) > 1)
+    first = None
+    for i, fe in enumerate(f.edges):
+        if f1 in (fe.source, fe.target):
+            for j in candidates:
+                if fe.label == UNDERSPECIFIED or fe.label == edges[j].label:
+                    if first:
+                        return SharedEdgeMatch(*first, ambiguous=True)
+                    first = (i, j, "source" if fe.source == f1 else "target", edges[j].label)
+    return first and SharedEdgeMatch(*first)
 
 
 def relation_wise_combine(

@@ -12,10 +12,14 @@ category and semantics: two items of a cell merge when their semantics are
 equal, or are isomorphic graphs.  Two equal graphs merge without an
 isomorphism search, and the isomorphism invariant is computed only for
 unequal graphs of one span, category, node count and free-variable count
-(``_Chart``).  What the binary rules can do with a pair of adjacent
-categories comes from one bounded cache (``_category_rules``), which both
-passes read.  A category-only pass on bit masks (``_goal_categories``, whose
-tables each rule set keeps for the process) runs first, and an application,
+(``_Chart``).  The graph step of a spurious rebracketing ((A B) C) is
+skipped when chart state proves that it lands in the item A (B C) landed in
+(regular, uncrossed steps and a primary functor with one free variable),
+and that item takes its forest count, so no count or output changes.  What
+the binary rules can do with a pair of adjacent categories comes from one
+bounded cache (``_category_rules``), which both passes read.  A
+category-only pass on bit masks (``_goal_categories``, whose tables each
+rule set keeps for the process) runs first, and an application,
 composition or coordination does its graph step only when its result
 category lies on some category-level derivation of the goal (words, raising
 and attaching a conjunction are not gated).  Step names are read only
@@ -65,6 +69,7 @@ from .combinator import (
     raise_rule_name,
     raised_category,
     read_raise,
+    relation_wise_match,
     type_raise,
 )
 from .graph import UNDERSPECIFIED, has_cycle, invariant, iso_equal, validate  # noqa: F401 (bench/tracing.py wraps it)
@@ -118,6 +123,8 @@ ScriptNode = Leaf | Unary | Binary
 _SCRIPT_TOKEN_RE = re.compile(r"[()]|[<>]T\[(?:[^\[\]\s]|\[[^\[\]\s]*\])*\](?=[\s()]|$)|[^\s()]+")
 _INT_RE = re.compile(r"[+-]?[0-9]+")  # what read_int accepts
 _GOAL_TABLE_CAP = 4096  # entries a table of _goal_tables may hold when a goal pass starts
+#: (direction, order) of each regular, uncrossed application or composition name
+_UNCROSSED = {name: rule[:2] for name, rule in RULES.items() if not (rule[2] or rule[3])}
 
 
 def looks_like_script(text: str) -> bool:
@@ -513,6 +520,11 @@ class _Chart:
     The first unequal graph splits the bucket into sub-buckets by
     :func:`invariant`, and a new item is then compared for isomorphism only
     with the items of its own sub-bucket.
+
+    A rebracketing ((A B) C) of regular, uncrossed steps whose primary
+    functor has one free variable is not built when ``rebracketed`` proves
+    it would merge into the item A (B C) landed in at an earlier split; that
+    item takes its forest count, so no count or result changes.
     """
 
     def __init__(self, config: ParserConfig):
@@ -548,6 +560,68 @@ class _Chart:
             )
         return True
 
+    def rebracketed(self, left: Combined, right: Combined, direction: str, order: int, match) -> bool:
+        """Whether the step of ``direction`` and ``order`` on ``left`` (built
+        as A B) and ``right`` (C), of category ``match``, provably lands in
+        the item X that A (B C) landed in; if so, X takes the pair's forest
+        count and no graph is built (Eisner 1996; Hockenmaier & Bisk 2010).
+        All four steps must be regular and uncrossed, and the primary functor
+        (C backward, A forward) have one free variable: with more, the two
+        bracketings order the leftover variables differently.  The graphs are
+        then isomorphic, a lemma ``tests/test_derivation.py`` checks."""
+        shape = _UNCROSSED.get(left.rule)
+        if match[1] or shape is None or shape[0] != direction or not left.children:
+            return False
+        (a, b), q, forward = left.children, shape[1], direction == "forward"
+        if (q == 0 if forward else q > order) or not is_graph(right.constituent.semantics):
+            return False
+        if not (is_graph(a.constituent.semantics) and is_graph(b.constituent.semantics)):
+            return False
+        primary = (a if forward else right).constituent.semantics
+        if len(primary.fv) != 1 or not self._enabled(direction, order):
+            return False  # the bracketings could differ, or the step's result would be dropped
+        if forward:  # ((A >q B) >p C) is A >(p+q-1) (B >p C)
+            inner = self._landed(b, right, direction, order)
+            x = inner and self._landed(a, inner, direction, order + q - 1)
+        else:  # ((A <q B) <p C) is A <q (B <(p-q+1) C)
+            inner = self._landed(right, b, direction, order - q + 1)
+            x = inner and self._landed(inner, a, direction, q)
+        f, g = (left, right) if forward else (right, left)
+        if not x or x.constituent.category != match[0] or relation_wise_match(
+            f.constituent.semantics, g.constituent.semantics, order + 1
+        ):
+            return False
+        x.forest_count += left.forest_count * right.forest_count
+        return True
+
+    def _enabled(self, direction: str, order: int) -> bool:
+        enabled = self.config.enabled
+        return enabled is None or RULE_NAMES[direction, order, False, False] in enabled
+
+    def _landed(self, f: Combined, a: Combined, direction: str, order: int) -> Combined | None:
+        """The item that the regular, uncrossed step of ``direction`` and
+        ``order`` of ``f`` on ``a``, graph items the chart has paired, put
+        its result in, if chart state proves it: the step ran (categories,
+        name, a free variable, no shared edge), and its bucket holds one
+        item, made by a binary rule (so of a wanted category); else None."""
+        fsem, asem = f.constituent.semantics, a.constituent.semantics
+        if not fsem.fv or not self._enabled(direction, order):
+            return None
+        left, right = (f.constituent, a.constituent) if direction == "forward" else (a.constituent, f.constituent)
+        config = self.config
+        for d, o, (cat, crossed) in _category_rules(
+            left.category, right.category, config.max_composition_order, config.enabled
+        )[0]:
+            if d == direction and o == order:
+                break
+        else:
+            return None
+        size = (len(fsem.nodes) + len(asem.nodes) - 1, len(fsem.fv) - 1 + len(asem.fv))
+        item = None if crossed else self._buckets.get(((left.start, right.end), cat, *size))
+        if item.__class__ is not Combined or item.rule not in RULES or relation_wise_match(fsem, asem, order + 1):
+            return None
+        return item
+
 
 @lru_cache(maxsize=4096)
 def _category_rules(lcat: Category, rcat: Category, max_order: int, enabled: frozenset[str] | None) -> tuple:
@@ -575,13 +649,15 @@ def _category_rules(lcat: Category, rcat: Category, max_order: int, enabled: fro
 
 
 def _binary_candidates(
-    left: Constituent, right: Constituent, config: ParserConfig, wanted
+    litem: Combined, ritem: Combined, config: ParserConfig, wanted, chart: _Chart | None = None
 ) -> list[Combined]:
-    """Every enabled rule's outcome on two adjacent constituents; graph work
+    """Every enabled rule's outcome on two adjacent chart items; graph work
     runs only where ``_category_rules`` allows it and, for an application,
-    composition or coordination, only for a result category in ``wanted``.
+    composition or coordination, only for a result category in ``wanted``
+    and, given the ``chart``, not for a step it proves ``rebracketed``.
     Attaching a conjunction builds no graph, so it is tried for every pair
     and only a pending conjunction of a wanted category is kept."""
+    left, right = litem.constituent, ritem.constituent
     matches, attach, coordinated, _ = _category_rules(
         left.category, right.category, config.max_composition_order, config.enabled
     )
@@ -590,6 +666,8 @@ def _binary_candidates(
     if not (lpartial or rpartial):
         for direction, order, match in matches:
             if match[0] not in wanted:
+                continue
+            if chart is not None and chart.rebracketed(litem, ritem, direction, order, match):
                 continue
             f, a = (left, right) if direction == "forward" else (right, left)
             try:
@@ -765,8 +843,10 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
             want = wanted.get((i, j), ())
             for split in range(i + 1, j):
                 for litem in chart.cells.get((i, split), []):
+                    # only an item a regular, uncrossed step built can start a rebracketing
+                    witness = chart if litem.children and litem.rule in _UNCROSSED else None
                     for ritem in chart.cells.get((split, j), []):
-                        for o in _binary_candidates(litem.constituent, ritem.constituent, config, want):
+                        for o in _binary_candidates(litem, ritem, config, want, witness):
                             o.forest_count, o.children = litem.forest_count * ritem.forest_count, (litem, ritem)
                             chart.add(o)
             _raise_closure(chart, (i, j), raisings)

@@ -23,6 +23,7 @@ from ccgamr.combinator import (
     ConjPartial,
     Constituent,
     Identity,
+    SharedEdgeMatch,
     check_iso_principle,
     combine_application,
     combine_composition,
@@ -311,6 +312,36 @@ def reference_relation_wise(f: AmrSubgraph, a: AmrSubgraph, match, order: int) -
     f_all = [fmap[x] for x in f.fv]
     graph, _ = ws.freeze(root, a_rest + f_all if order else f_all + a_rest)
     return graph
+
+
+def reference_relation_wise_match(f: AmrSubgraph, a: AmrSubgraph, k: int) -> SharedEdgeMatch | None:
+    """Reference for ``combinator.relation_wise_match``: the double loop it
+    replaced, which tries every argument edge for each function edge at the
+    function's first free variable and keeps every qualifying pair."""
+    if not f.fv or len(a.fv) < k:
+        return None
+    f1 = f.fv[0]
+    ak = a.fv[k - 1]
+    found: list[tuple[int, int, str, str]] = []
+    for i, fe in enumerate(f.edges):
+        if fe.source == f1:
+            f_side = "source"
+        elif fe.target == f1:
+            f_side = "target"
+        else:
+            continue
+        for j, ae in enumerate(a.edges):
+            if ak not in (ae.source, ae.target) or ae.source == ae.target:
+                continue
+            if ae.label == UNDERSPECIFIED:
+                continue
+            if fe.label != UNDERSPECIFIED and fe.label != ae.label:
+                continue
+            found.append((i, j, f_side, ae.label))
+    if not found:
+        return None
+    i, j, side, label = found[0]
+    return SharedEdgeMatch(i, j, side, label, ambiguous=len(found) > 1)
 
 
 def reference_type_raise(g: AmrSubgraph) -> AmrSubgraph:

@@ -27,7 +27,7 @@ from ccgamr.graph import UNDERSPECIFIED, AmrSubgraph, UnificationError, iso_equa
 from ccgamr.lexicon import loads
 from ccgamr.penman import parse, serialize
 
-from support import LABELS, constituent, forced_variant, graphs
+from support import LABELS, constituent, forced_variant, graphs, reference_relation_wise_match
 
 
 def c(cat, sem, start=0, end=1):
@@ -202,6 +202,18 @@ def test_match_needs_enough_argument_variables():
     f = parse("(?1 :ARG0 (a/alpha))")
     a = parse("(b/beta :ARG0 ?1)")
     assert relation_wise_match(f, a, k=2) is None
+
+
+@given(
+    f=graphs(min_fv=1, labels=(":ARG0", ":ARG1", UNDERSPECIFIED)),
+    a=graphs(min_fv=1, labels=(":ARG0", ":ARG1", UNDERSPECIFIED)),
+    k=st.integers(1, 3),
+)
+@settings(max_examples=500, deadline=None)
+def test_relation_wise_match_agrees_with_the_double_loop(f, a, k):
+    """The same first candidate and the same ``ambiguous`` flag as the
+    double loop over every pair of edges."""
+    assert relation_wise_match(f, a, k) == reference_relation_wise_match(f, a, k)
 
 
 def test_relation_wise_application_wh_root_exception():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 import re
 import sys
@@ -44,6 +45,7 @@ from support import (
     brute_force_forest,
     constituent,
     deep_lexicon_text,
+    graphs as support_graphs,
     reference_finalize_check,
     reference_goal_categories,
     relabeled,
@@ -413,6 +415,11 @@ class _Everything:
 EVERYTHING = _Everything()
 
 
+def _items(*constituents: Constituent) -> list[combinator.Combined]:
+    """Each constituent as a chart item built by no step."""
+    return [combinator.Combined(c, "x") for c in constituents]
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_binary_candidates_agree_with_trying_every_combinator(lexicon, order):
     config = ParserConfig(max_composition_order=order)
@@ -435,7 +442,7 @@ def test_binary_candidates_agree_with_trying_every_combinator(lexicon, order):
     for left in lefts:
         for right in rights + partials:
             want = shown(try_every_combinator(left, right, config))
-            assert shown(_binary_candidates(left, right, config, EVERYTHING)) == want, (left, right)
+            assert shown(_binary_candidates(*_items(left, right), config, EVERYTHING)) == want, (left, right)
             hits += len(want)
     assert hits > len(lefts)
 
@@ -465,7 +472,7 @@ def test_binary_candidates_agree_with_trying_every_combinator_on_pending_conjunc
     for left in lefts:
         for right in rights + _chart_items(lexicon, 2):
             want = _shown(try_every_combinator(left, right, config))
-            assert _shown(_binary_candidates(left, right, config, EVERYTHING)) == want, (left, right)
+            assert _shown(_binary_candidates(*_items(left, right), config, EVERYTHING)) == want, (left, right)
 
 
 def test_category_rules_are_the_same_after_cache_clear(lexicon):
@@ -1384,3 +1391,141 @@ def test_cky_parse_unifies_categories_a_thousand_slashes_deep(sentence, graphs):
     for d, text in zip(results, graphs):
         assert format_category(d.final.category) == "S"
         assert iso_equal(d.final.semantics, parse(text))
+
+
+# --- rebracketing skips -----------------------------------------------------
+
+def _regular(f, a, order: int):
+    """``substitute(f, a, order)`` if the chart would run it as a regular
+    step: ``f`` has a free variable and no edge is shared; else None."""
+    if not f.fv or combinator.relation_wise_match(f, a, order + 1) is not None:
+        return None
+    return graph.substitute(f, a, order)
+
+
+def _bracketings(direction: str, n: int, order: int, a, b, c):
+    """((A B) C) and (A (B C)) of the regular, uncrossed steps that
+    ``_Chart.rebracketed`` pairs, or None if a step would not be regular.
+    Backward, ``order`` is q: (A <q B) <p C and A <q (B <n C), p = q + n - 1;
+    forward, it is p: (A >n B) >p C and A >m (B >p C), m = p + n - 1."""
+    if direction == "backward":
+        p = order + n - 1
+        left = _regular(b, a, order)
+        inner = _regular(c, b, n)
+        return left and inner and (_regular(c, left, p), _regular(inner, a, order))
+    left, inner = _regular(a, b, n), _regular(b, c, order)
+    return left and inner and (_regular(left, c, order), _regular(a, inner, order + n - 1))
+
+
+@given(one=support_graphs(min_fv=1, max_fv=1), middle=support_graphs(min_fv=1), other=support_graphs())
+@settings(max_examples=300, deadline=None)
+def test_rebracketing_a_one_variable_primary_functor_gives_an_iso_graph(one, middle, other):
+    """The lemma ``_Chart.rebracketed`` rests on: with all four steps regular
+    and uncrossed, the primary functor (C backward, A forward) holding one
+    free variable, both bracketings give isomorphic graphs."""
+    for direction, a, c in (("backward", other, one), ("forward", one, other)):
+        for n in (1, 2):
+            for order in range(3 - n + 1):  # no step's order exceeds 2
+                both = _bracketings(direction, n, order, a, middle, c)
+                if both and all(both):
+                    assert iso_equal(*both), (direction, n, order)
+
+
+def test_rebracketing_a_two_variable_primary_functor_reorders_its_free_variables():
+    """Why ``_Chart.rebracketed`` wants one free variable on the primary
+    functor: with two, (L <0 R1) <0 R2 and L <0 (R1 <B R2) are regular
+    throughout but list the leftover variables in opposite orders."""
+    r2 = parse("(a/alpha :ARG0 ?1 :ARG1 ?2)")
+    r1 = parse("(b/beta :ARG0 ?1 :ARG1 ?2)")
+    left, right = _bracketings("backward", 1, 0, parse("(c/gamma)"), r1, r2)
+    assert (left.fv, right.fv) == ((2, 4), (4, 2))
+    assert not iso_equal(left, right)
+
+
+#: Lexicons on which a skip that dropped a guard of ``_Chart.rebracketed``
+#: would change the output, with a sentence, a whitelist (None enables every
+#: combinator) and the sentence's forest counts.
+GUARDED = [
+    # the primary functor r2 has two free variables: (c r1) r2 and c (r1 r2)
+    # are two classes, which fill alpha's and beta's :ARG1 the other way round
+    ("x | NP | (x/ex)\ny | NP | (y/why)\nc | NP | (c/gamma)\n"
+     "r1 | (S\\NP)\\NP | (b/beta :ARG0 ?1 :ARG1 ?2)\n"
+     "r2 | ((S\\NP)\\NP)\\(S\\NP) | (a/alpha :ARG0 ?1 :ARG1 ?2)", "x y c r1 r2", None, [1, 1]),
+    # (leaves today) x shares an :ARG0 edge, and the relation-wise step fails
+    # the iso principle, while leaves (today x) is regular throughout
+    ("john | NP | (j/john)\nleaves | S\\NP | (l/leave-01 :ARG0 ?1)\n"
+     "today | (S\\NP)\\(S\\NP) | (t/today :time-of ?1)\n"
+     "x | (S\\NP)\\(S\\NP) | (?1 :ARG0 (p/person))", "john leaves today x", None, [1]),
+    # b c shares a :mod edge with the first c, not with the second, whose
+    # regular b c has the node count the first's would have had; (a b) c
+    # shares no edge, since the composition shifts b's ?2 behind a's two
+    ("y | NP | (y/why)\nx | NP | (x/ex)\nn | N | (n/en)\n"
+     "a | (PP\\NP)\\N | (a/alpha :ARG0 ?1 :ARG1 ?2)\n"
+     "b | ((S\\NP)\\NP)\\(PP\\NP) | (b/beta :ARG0 ?1 :mod ?2)\n"
+     "c | ((S\\NP)\\NP)\\((S\\NP)\\NP) | (?1 :mod (m/em))\n"
+     "c | ((S\\NP)\\NP)\\((S\\NP)\\NP) | (?1 :time (t/tee))", "y x n a b c", None, [3, 2, 2]),
+    # (c b) m would be a <B step, which the whitelist drops; c (b m) is <B2
+    ("x | NP | (x/ex)\nc | NP | (c/gamma)\nb | (S\\NP)\\NP | (b/beta :ARG0 ?1 :ARG1 ?2)\n"
+     "m | S\\S | (?1 :mod (m/em))", "x c b m", frozenset(["<", "<B2", "<RB"]), [2]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, sentence, enabled, counts", GUARDED,
+    ids=["two_variables", "shared_edge", "shared_inner_edge", "disabled_step"],
+)
+def test_rebracketing_guards_keep_each_class_and_count(monkeypatch, text, sentence, enabled, counts):
+    cases = [(sentence.split(), ParserConfig(enabled=enabled))]
+    results = _outputs(cases, loads(text))
+    assert [count for _, count, _, _ in results[0]] == counts
+    monkeypatch.setattr(derivation._Chart, "rebracketed", lambda *args: None)
+    assert _outputs(cases, loads(text)) == results
+
+
+def _differential_cases(lexicon):
+    """(tokens, config) of every fixture parse, adjunct chains of 1 to 10
+    adjuncts, coordination chains of 2 to 4 clauses raising off and on, and
+    the goal-pass cases (windows and random strings)."""
+    for sentence, goal, raising in FIXTURE_PARSES:
+        yield sentence.split(), ParserConfig(goal=goal, type_raising=raising)
+    for k in range(1, 11):
+        yield "John likes the cat".split() + ["yesterday"] * k, ParserConfig()
+    for k in range(2, 5):
+        for raising in ((), NP_TO_S):
+            yield coordination_chain(k), ParserConfig(type_raising=raising)
+    yield from _goal_pass_cases(lexicon)
+
+
+def _outputs(cases, lexicon) -> list[list[tuple]]:
+    return [[(repr(d.final), d.forest_count, d.to_script(), d.steps) for d in cky_parse(tokens, lexicon, config)]
+            for tokens, config in cases]
+
+
+@pytest.mark.hash_seed
+def test_rebracketing_skips_change_no_output(lexicon, monkeypatch):
+    """Results, their order, forest counts, scripts and steps are the same
+    whether or not the chart skips the rebracketings it proves."""
+    cases = list(_differential_cases(lexicon))
+    skipped, rebracketed = [], derivation._Chart.rebracketed
+
+    def spy(*args):
+        skipped.append(rebracketed(*args))
+        return skipped[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(derivation._Chart, "rebracketed", lambda *args: None)
+        want = _outputs(cases, lexicon)
+    monkeypatch.setattr(derivation._Chart, "rebracketed", spy)
+    assert _outputs(cases, lexicon) == want
+    assert sum(map(bool, want)) > 200 and sum(skipped) > 1000
+
+
+@pytest.mark.hash_seed
+def test_adjunct_chains_make_a_quadratic_number_of_graph_steps(lexicon, monkeypatch):
+    """Each of the C(k + 2, 3) - C(k + 1, 2) rebracketings of "John likes the
+    cat" + k adjuncts that the chart would merge is skipped."""
+    for k in range(1, 11):
+        tokens = "John likes the cat".split() + ["yesterday"] * k
+        assert _graph_steps(monkeypatch, tokens, lexicon, ParserConfig()) == 6 + math.comb(k + 1, 2), k
+        catalan = math.comb(2 * k, k) // (k + 1)
+        assert [d.forest_count for d in cky_parse(tokens, lexicon, ParserConfig())] == [2 * catalan] * 2
