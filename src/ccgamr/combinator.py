@@ -92,13 +92,16 @@ class SharedEdgeMatch:
 class Combined:
     """One derivation node: a step's result, rule (a word's entry id) and
     notes.  The chart and replay set its forest count and the nodes it was
-    built from: none for a word, one for a raise, two for a binary step."""
+    built from: none for a word, one for a raise, two for a binary step.
+    The chart keeps (right operand, rule, landing) of the node's regular,
+    uncrossed steps as a left operand in the current column in ``_landings``."""
 
     constituent: Constituent
     rule: str
     notes: tuple[str, ...] = ()
     forest_count: int = field(default=1, compare=False, repr=False)
     children: tuple[Combined, ...] = field(default=(), compare=False, repr=False)
+    _landings: tuple = field(default=(), init=False, compare=False, repr=False)
 
 
 def is_graph(sem: object) -> bool:

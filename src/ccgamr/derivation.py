@@ -12,10 +12,12 @@ category and semantics: two items of a cell merge when their semantics are
 equal, or are isomorphic graphs.  Two equal graphs merge without an
 isomorphism search, and the isomorphism invariant is computed only for
 unequal graphs of one span, category, node count and free-variable count
-(``_Chart``).  The graph step of a spurious rebracketing ((A B) C) is
-skipped when chart state proves that it lands in the item A (B C) landed in
-(regular, uncrossed steps and a primary functor with one free variable),
-and that item takes its forest count, so no count or output changes.  What
+(``_Chart``).  Cells fill column by column, and an item records where its
+regular, uncrossed steps as a left operand landed in the current column: the
+graph step of a spurious rebracketing ((A B) C) is skipped when those records
+show where A (B C) landed (regular, uncrossed steps, the skipped one enabled
+and sharing no edge, a primary functor with one free variable), and that
+item takes its forest count, so no count or output changes.  What
 the binary rules can do with a pair of adjacent categories comes from one
 bounded cache (``_category_rules``), which both passes read.  A
 category-only pass on bit masks (``_goal_categories``, whose tables each
@@ -40,7 +42,7 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 
 from . import penman
@@ -125,6 +127,15 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")  # what read_int accepts
 _GOAL_TABLE_CAP = 4096  # entries a table of _goal_tables may hold when a goal pass starts
 #: (direction, order) of each regular, uncrossed application or composition name
 _UNCROSSED = {name: rule[:2] for name, rule in RULES.items() if not (rule[2] or rule[3])}
+#: (name of A B's regular, uncrossed step, direction, order p of the step on C) -> names of that
+#: step, of B C and of A (B C): ((A >q B) >p C) = A >(p+q-1) (B >p C) for q >= 1 and
+#: ((A <q B) <p C) = A <q (B <(p-q+1) C) for q <= p, wherever a rule has each order
+_REBRACKETINGS = {
+    (name, direction, p): tuple(RULE_NAMES[direction, o, False, False] for o in orders)
+    for name, (direction, q) in _UNCROSSED.items() for p in range(3)
+    for orders in [(p, p, p + q - 1) if direction == "forward" else (p, p - q + 1, q)]
+    if (q >= 1 if direction == "forward" else q <= p) and all((direction, o, False, False) in RULE_NAMES for o in orders)
+}
 
 
 def looks_like_script(text: str) -> bool:
@@ -521,10 +532,11 @@ class _Chart:
     :func:`invariant`, and a new item is then compared for isomorphism only
     with the items of its own sub-bucket.
 
-    A rebracketing ((A B) C) of regular, uncrossed steps whose primary
-    functor has one free variable is not built when ``rebracketed`` proves
-    it would merge into the item A (B C) landed in at an earlier split; that
-    item takes its forest count, so no count or result changes.
+    Cells fill column by column, so an item is the left operand of one cell
+    per column, where it records (``Combined._landings``) where its regular,
+    uncrossed steps landed.  A rebracketing ((A B) C) is not built when
+    ``rebracketed`` reads from those records that it would merge into the
+    item A (B C) landed in; that item takes its forest count instead.
     """
 
     def __init__(self, config: ParserConfig):
@@ -532,7 +544,8 @@ class _Chart:
         self.cells: dict[tuple[int, int], list[Combined]] = {}
         self._buckets: dict[tuple, Combined | dict[tuple, list[Combined]]] = {}
 
-    def add(self, item: Combined) -> bool:
+    def add(self, item: Combined) -> Combined:
+        """``item`` if the cell keeps it, else the item it merged into."""
         c, sem = item.constituent, item.constituent.semantics
         span = (c.start, c.end)
         key = (span, c.category, len(sem.nodes), len(sem.fv)) if is_graph(sem) else (span, c.category, sem)
@@ -543,14 +556,14 @@ class _Chart:
             if isinstance(bucket, Combined):
                 if bucket.constituent.semantics == sem:
                     bucket.forest_count += item.forest_count
-                    return False
+                    return bucket
                 bucket = self._buckets[key] = {invariant(bucket.constituent.semantics): [bucket]}
             rivals = bucket.setdefault(invariant(sem), [])
             for existing in rivals:
                 # equal graphs are isomorphic under the identity map
                 if existing.constituent.semantics == sem or iso_equal(existing.constituent.semantics, sem):
                     existing.forest_count += item.forest_count
-                    return False
+                    return existing
             rivals.append(item)
         cell = self.cells.setdefault(span, [])
         cell.append(item)
@@ -558,69 +571,48 @@ class _Chart:
             raise ChartOverflowError(
                 f"chart cell {span} exceeded {self.config.max_cell_items} items"
             )
-        return True
+        return item
 
     def rebracketed(self, left: Combined, right: Combined, direction: str, order: int, match) -> bool:
         """Whether the step of ``direction`` and ``order`` on ``left`` (built
-        as A B) and ``right`` (C), of category ``match``, provably lands in
-        the item X that A (B C) landed in; if so, X takes the pair's forest
-        count and no graph is built (Eisner 1996; Hockenmaier & Bisk 2010).
-        All four steps must be regular and uncrossed, and the primary functor
-        (C backward, A forward) have one free variable: with more, the two
-        bracketings order the leftover variables differently.  The graphs are
-        then isomorphic, a lemma ``tests/test_derivation.py`` checks."""
-        shape = _UNCROSSED.get(left.rule)
-        if match[1] or shape is None or shape[0] != direction or not left.children:
+        as A B) and ``right`` (C), of category ``match``, lands in the item X
+        that A (B C) landed in, as B and A recorded in this column; if so, X
+        takes the pair's forest count and is recorded as its landing, and no
+        graph is built (Eisner 1996; Hockenmaier & Bisk 2010).  All four steps
+        must be regular and uncrossed, the skipped one enabled and with no
+        shared edge, and the primary functor (C backward, A forward) have one
+        free variable: with more, the bracketings order the leftover variables
+        differently.  The graphs are then isomorphic, a lemma the tests check."""
+        names = _REBRACKETINGS.get((left.rule, direction, order))
+        if names is None or match[1]:
             return False
-        (a, b), q, forward = left.children, shape[1], direction == "forward"
-        if (q == 0 if forward else q > order) or not is_graph(right.constituent.semantics):
+        (a, b), forward, (step, inner_step, outer_step) = left.children, direction == "forward", names
+        if not (is_graph(a.constituent.semantics) and is_graph(b.constituent.semantics)
+                and is_graph(right.constituent.semantics)):
             return False
-        if not (is_graph(a.constituent.semantics) and is_graph(b.constituent.semantics)):
-            return False
-        primary = (a if forward else right).constituent.semantics
-        if len(primary.fv) != 1 or not self._enabled(direction, order):
+        primary, enabled = (a if forward else right).constituent.semantics, self.config.enabled
+        if len(primary.fv) != 1 or not (enabled is None or step in enabled):
             return False  # the bracketings could differ, or the step's result would be dropped
-        if forward:  # ((A >q B) >p C) is A >(p+q-1) (B >p C)
-            inner = self._landed(b, right, direction, order)
-            x = inner and self._landed(a, inner, direction, order + q - 1)
-        else:  # ((A <q B) <p C) is A <q (B <(p-q+1) C)
-            inner = self._landed(right, b, direction, order - q + 1)
-            x = inner and self._landed(inner, a, direction, q)
+        inner = _landing(b, right, inner_step)
+        x = inner and _landing(a, inner, outer_step)
         f, g = (left, right) if forward else (right, left)
         if not x or x.constituent.category != match[0] or relation_wise_match(
             f.constituent.semantics, g.constituent.semantics, order + 1
         ):
             return False
         x.forest_count += left.forest_count * right.forest_count
+        left._landings += (right, step, x)
         return True
 
-    def _enabled(self, direction: str, order: int) -> bool:
-        enabled = self.config.enabled
-        return enabled is None or RULE_NAMES[direction, order, False, False] in enabled
 
-    def _landed(self, f: Combined, a: Combined, direction: str, order: int) -> Combined | None:
-        """The item that the regular, uncrossed step of ``direction`` and
-        ``order`` of ``f`` on ``a``, graph items the chart has paired, put
-        its result in, if chart state proves it: the step ran (categories,
-        name, a free variable, no shared edge), and its bucket holds one
-        item, made by a binary rule (so of a wanted category); else None."""
-        fsem, asem = f.constituent.semantics, a.constituent.semantics
-        if not fsem.fv or not self._enabled(direction, order):
-            return None
-        left, right = (f.constituent, a.constituent) if direction == "forward" else (a.constituent, f.constituent)
-        config = self.config
-        for d, o, (cat, crossed) in _category_rules(
-            left.category, right.category, config.max_composition_order, config.enabled
-        )[0]:
-            if d == direction and o == order:
-                break
-        else:
-            return None
-        size = (len(fsem.nodes) + len(asem.nodes) - 1, len(fsem.fv) - 1 + len(asem.fv))
-        item = None if crossed else self._buckets.get(((left.start, right.end), cat, *size))
-        if item.__class__ is not Combined or item.rule not in RULES or relation_wise_match(fsem, asem, order + 1):
-            return None
-        return item
+def _landing(left: Combined, right: Combined, name: str) -> Combined | None:
+    """Where ``left`` recorded, in this column, that its step ``name`` on ``right`` landed."""
+    landed, k = left._landings, 0
+    while k < len(landed):  # no range object: most items hold one landing
+        if landed[k] is right and landed[k + 1] == name:
+            return landed[k + 2]
+        k += 3
+    return None
 
 
 @lru_cache(maxsize=4096)
@@ -654,7 +646,8 @@ def _binary_candidates(
     """Every enabled rule's outcome on two adjacent chart items; graph work
     runs only where ``_category_rules`` allows it and, for an application,
     composition or coordination, only for a result category in ``wanted``
-    and, given the ``chart``, not for a step it proves ``rebracketed``.
+    and, given the ``chart``, not for a step that the landings recorded in
+    this column show ``rebracketed``.
     Attaching a conjunction builds no graph, so it is tried for every pair
     and only a pending conjunction of a wanted category is kept."""
     left, right = litem.constituent, ritem.constituent
@@ -704,7 +697,7 @@ def _raise_closure(chart: _Chart, span: tuple[int, int], raisings: tuple[TypeRai
                     continue
                 outcome = type_raise(item.constituent, rule.target, rule.direction)
                 outcome.forest_count, outcome.children = item.forest_count, (item,)
-                if chart.add(outcome):
+                if chart.add(outcome) is outcome:
                     changed = True
 
 
@@ -837,18 +830,22 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
         for entry in found:
             chart.add(Combined(Constituent(i, i + 1, entry.category, entry.semantics), entry.entry_id))
         _raise_closure(chart, (i, i + 1), raisings)
-    for width in range(2, n + 1):
-        for i in range(0, n - width + 1):
-            j = i + width
+    for j in range(2, n + 1):  # column by column: an item is the left operand of one cell per column
+        for i in range(j - 2, -1, -1):
             want = wanted.get((i, j), ())
             for split in range(i + 1, j):
                 for litem in chart.cells.get((i, split), []):
+                    litem._landings = ()  # drop the landings of an earlier column
                     # only an item a regular, uncrossed step built can start a rebracketing
-                    witness = chart if litem.children and litem.rule in _UNCROSSED else None
+                    witness = chart if litem.rule in _UNCROSSED else None
                     for ritem in chart.cells.get((split, j), []):
                         for o in _binary_candidates(litem, ritem, config, want, witness):
                             o.forest_count, o.children = litem.forest_count * ritem.forest_count, (litem, ritem)
-                            chart.add(o)
+                            x = chart.add(o)
+                            if o.rule in _UNCROSSED:
+                                litem._landings += (ritem, o.rule, x)
             _raise_closure(chart, (i, j), raisings)
+    for item in chain.from_iterable(chart.cells.values()):  # a landing may be built from its holder: no cycles
+        item._landings = ()
     return [_derivation(item) for item in chart.cells.get((0, n), [])
             if _is_goal(item.constituent.category, config.goal) and not finalize_check(item.constituent)]

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import random
@@ -501,10 +502,12 @@ def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
 
 
 def _added(*graphs) -> tuple[list[bool], list[int]]:
-    """What ``_Chart.add`` returns for one S item per graph, all in span
-    (0, 1), and the forest counts of the items the cell keeps."""
+    """Whether ``_Chart.add`` keeps each of one S item per graph, all in span
+    (0, 1), as the item it returns, and the forest counts of the items the
+    cell keeps."""
     chart = derivation._Chart(ParserConfig())
-    added = [chart.add(combinator.Combined(Constituent(0, 1, Atom("S"), g), "x")) for g in graphs]
+    items = [combinator.Combined(Constituent(0, 1, Atom("S"), g), "x") for g in graphs]
+    added = [chart.add(item) is item for item in items]
     return added, [item.forest_count for item in chart.cells[0, 1]]
 
 
@@ -1067,7 +1070,7 @@ def test_equal_identity_entries_merge_in_the_chart():
     the1, the2 = (
         combinator.Combined(Constituent(0, 1, e.category, e.semantics), e.entry_id) for e in lexicon.lookup("the")
     )
-    assert chart.add(the1) and not chart.add(the2)
+    assert chart.add(the1) is the1 and chart.add(the2) is the1
     assert chart.cells == {(0, 1): [the1]} and the1.forest_count == 2
 
 
@@ -1236,6 +1239,16 @@ def test_cky_cell_overflow(lexicon):
         cky_parse(
             "John likes the cat".split(), lexicon, ParserConfig(max_cell_items=1)
         )
+
+
+def test_cky_fills_the_chart_column_by_column():
+    """Cells fill by end, then by start from the right, so the first cell to
+    overflow is (0, 3), with three classes of "a c a"; filled width by width,
+    the chart would overflow first at (2, 4), with four of "a s"."""
+    lexicon = loads("a | S/S | (?1 :mod (a/alpha))\na | S/S | (?1 :mod (b/beta))\n"
+                    "c | S/S | (?1 :mod (c/gamma))\ns | S | (s/ess)\ns | S | (t/tee)\n")
+    with pytest.raises(ChartOverflowError, match=re.escape("chart cell (0, 3) exceeded 2 items")):
+        cky_parse("a c a s".split(), lexicon, ParserConfig(max_cell_items=2))
 
 
 def test_cky_rejects_bad_composition_order(lexicon):
@@ -1444,7 +1457,10 @@ def test_rebracketing_a_two_variable_primary_functor_reorders_its_free_variables
 
 #: Lexicons on which a skip that dropped a guard of ``_Chart.rebracketed``
 #: would change the output, with a sentence, a whitelist (None enables every
-#: combinator) and the sentence's forest counts.
+#: combinator) and the sentence's forest counts.  The guards they pin: a
+#: primary functor with one free variable, no shared edge on the skipped
+#: pair, the skipped step's name enabled, and landings recorded only for
+#: regular, uncrossed steps.
 GUARDED = [
     # the primary functor r2 has two free variables: (c r1) r2 and c (r1 r2)
     # are two classes, which fill alpha's and beta's :ARG1 the other way round
@@ -1456,9 +1472,12 @@ GUARDED = [
     ("john | NP | (j/john)\nleaves | S\\NP | (l/leave-01 :ARG0 ?1)\n"
      "today | (S\\NP)\\(S\\NP) | (t/today :time-of ?1)\n"
      "x | (S\\NP)\\(S\\NP) | (?1 :ARG0 (p/person))", "john leaves today x", None, [1]),
-    # b c shares a :mod edge with the first c, not with the second, whose
-    # regular b c has the node count the first's would have had; (a b) c
-    # shares no edge, since the composition shifts b's ?2 behind a's two
+    # b c shares a :mod edge with the first c, so that step is relation-wise
+    # and records no landing; the second c's regular b c lands in an item of
+    # the size the first's would have had, which a landing proved from bucket
+    # state alone would mistake for the first's (kept as a regression input
+    # for that hazard); (a b) c shares no edge, since the composition shifts
+    # b's ?2 behind a's two
     ("y | NP | (y/why)\nx | NP | (x/ex)\nn | N | (n/en)\n"
      "a | (PP\\NP)\\N | (a/alpha :ARG0 ?1 :ARG1 ?2)\n"
      "b | ((S\\NP)\\NP)\\(PP\\NP) | (b/beta :ARG0 ?1 :mod ?2)\n"
@@ -1529,3 +1548,63 @@ def test_adjunct_chains_make_a_quadratic_number_of_graph_steps(lexicon, monkeypa
         assert _graph_steps(monkeypatch, tokens, lexicon, ParserConfig()) == 6 + math.comb(k + 1, 2), k
         catalan = math.comb(2 * k, k) // (k + 1)
         assert [d.forest_count for d in cky_parse(tokens, lexicon, ParserConfig())] == [2 * catalan] * 2
+
+
+def test_adjunct_chain_skips_read_recorded_landings(lexicon, monkeypatch):
+    """The witness of a skip reads the landings the chart recorded and
+    re-derives none: "John likes the cat" + k adjuncts makes one
+    ``relation_wise_match`` call per skip (its shared-edge guard) and per
+    graph step on two graphs, C(k + 2, 3) + 4 in all, and one
+    ``_category_rules`` lookup per pair of items the chart visits,
+    C(k + 2, 3) + 4k + 10, once the goal pass's tables are warm."""
+    counts = {"relation_wise_match": 0, "_category_rules": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    for module, name in ((derivation, "relation_wise_match"), (combinator, "relation_wise_match"),
+                         (derivation, "_category_rules")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    derivation._goal_tables.cache_clear()
+    for k in range(1, 11):
+        tokens = "John likes the cat".split() + ["yesterday"] * k
+        cky_parse(tokens, lexicon, ParserConfig())  # warms the goal pass's tables for these categories
+        counts.update(relation_wise_match=0, _category_rules=0)
+        cky_parse(tokens, lexicon, ParserConfig())
+        assert counts == {"relation_wise_match": math.comb(k + 2, 3) + 4,
+                          "_category_rules": math.comb(k + 2, 3) + 4 * k + 10}, k
+
+
+def test_cky_parse_leaves_no_reference_cycles(lexicon):
+    """An item's landings may hold items built from it; the chart drops them
+    before it returns, so reference counting alone frees a parse's chart."""
+    tokens = "John likes the cat".split() + ["yesterday"] * 4
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(cky_parse(tokens, lexicon, ParserConfig())) == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("text, sentence, rules, counts", [
+    # ((a >B2 b) >B2 c) would rebracket as a >B3 (b >B2 c)
+    ("a | S/NP | (a/alpha :ARG0 ?1)\nb | (NP/N)/PP | (b/beta :ARG0 ?1 :ARG1 ?2)\n"
+     "c | (PP/NP)/N | (c/gamma :ARG0 ?1 :ARG1 ?2)\nn | N | (n/en)\nm | NP | (m/em)", "a b c n m n", [">", ">B2"], [11, 5]),
+    # ((x < b) <B2 m) would rebracket as x < (b <B3 m)
+    ("x | NP | (x/ex)\ny | NP | (y/why)\nz | NP | (z/zed)\n"
+     "b | ((S\\NP)\\NP)\\NP | (b/beta :ARG0 ?1 :ARG1 ?2 :ARG2 ?3)\nm | S\\S | (?1 :mod (m/em))",
+     "z y x b m", ["<", "<B2"], [3, 2]),
+], ids=["forward", "backward"])
+def test_rebracketings_that_need_a_third_order_rule_are_built(monkeypatch, text, sentence, rules, counts):
+    """No rule has order 3, so the chart builds these steps, with every
+    combinator enabled or with a whitelist."""
+    cases = [(sentence.split(), ParserConfig(enabled=enabled)) for enabled in (None, frozenset(rules))]
+    results = _outputs(cases, loads(text))
+    assert [count for r in results for _, count, _, _ in r] == counts
+    monkeypatch.setattr(derivation._Chart, "rebracketed", lambda *args: None)
+    assert _outputs(cases, loads(text)) == results
