@@ -93,8 +93,7 @@ class Combined:
     """One derivation node: a step's result, rule (a word's entry id) and
     notes.  The chart and replay set its forest count and the nodes it was
     built from: none for a word, one for a raise, two for a binary step.
-    The chart keeps (right operand, rule, landing) of the node's regular,
-    uncrossed steps as a left operand in the current column in ``_landings``."""
+    The chart records in ``_landings`` where its steps as a left operand landed."""
 
     constituent: Constituent
     rule: str

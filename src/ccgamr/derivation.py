@@ -532,11 +532,10 @@ class _Chart:
     :func:`invariant`, and a new item is then compared for isomorphism only
     with the items of its own sub-bucket.
 
-    Cells fill column by column, so an item is the left operand of one cell
-    per column, where it records (``Combined._landings``) where its regular,
-    uncrossed steps landed.  A rebracketing ((A B) C) is not built when
-    ``rebracketed`` reads from those records that it would merge into the
-    item A (B C) landed in; that item takes its forest count instead.
+    Cells fill column by column, and in each an item records where its
+    regular, uncrossed steps as a left operand landed (``Combined._landings``);
+    ``rebracketed`` skips a rebracketing ((A B) C) that those records show
+    merges into the item A (B C) landed in, which takes its forest count.
     """
 
     def __init__(self, config: ParserConfig):
@@ -830,22 +829,24 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
         for entry in found:
             chart.add(Combined(Constituent(i, i + 1, entry.category, entry.semantics), entry.entry_id))
         _raise_closure(chart, (i, i + 1), raisings)
-    for j in range(2, n + 1):  # column by column: an item is the left operand of one cell per column
-        for i in range(j - 2, -1, -1):
-            want = wanted.get((i, j), ())
-            for split in range(i + 1, j):
-                for litem in chart.cells.get((i, split), []):
-                    litem._landings = ()  # drop the landings of an earlier column
-                    # only an item a regular, uncrossed step built can start a rebracketing
-                    witness = chart if litem.rule in _UNCROSSED else None
-                    for ritem in chart.cells.get((split, j), []):
-                        for o in _binary_candidates(litem, ritem, config, want, witness):
-                            o.forest_count, o.children = litem.forest_count * ritem.forest_count, (litem, ritem)
-                            x = chart.add(o)
-                            if o.rule in _UNCROSSED:
-                                litem._landings += (ritem, o.rule, x)
-            _raise_closure(chart, (i, j), raisings)
-    for item in chain.from_iterable(chart.cells.values()):  # a landing may be built from its holder: no cycles
-        item._landings = ()
+    try:
+        for j in range(2, n + 1):  # column by column: an item is the left operand of one cell per column
+            for i in range(j - 2, -1, -1):
+                want = wanted.get((i, j), ())
+                for split in range(i + 1, j):
+                    for litem in chart.cells.get((i, split), []):
+                        litem._landings = ()  # drop the landings of an earlier column
+                        # only an item a regular, uncrossed step built can start a rebracketing
+                        witness = chart if litem.children and litem.rule in _UNCROSSED else None
+                        for ritem in chart.cells.get((split, j), []):
+                            for o in _binary_candidates(litem, ritem, config, want, witness):
+                                o.forest_count, o.children = litem.forest_count * ritem.forest_count, (litem, ritem)
+                                x = chart.add(o)
+                                if o.rule in _UNCROSSED:
+                                    litem._landings += (ritem, o.rule, x)
+                _raise_closure(chart, (i, j), raisings)
+    finally:  # a landing may be built from its holder: leave no cycles, also when a cell overflows
+        for item in chain.from_iterable(chart.cells.values()):
+            item._landings = ()
     return [_derivation(item) for item in chart.cells.get((0, n), [])
             if _is_goal(item.constituent.category, config.goal) and not finalize_check(item.constituent)]

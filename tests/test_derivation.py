@@ -1241,14 +1241,17 @@ def test_cky_cell_overflow(lexicon):
         )
 
 
+#: "a c a s" overflows two cells at ``max_cell_items=2``: (0, 3), with three
+#: classes of "a c a", and (2, 4), with four of "a s"
+TWO_OVERFLOWS = "a | S/S | (?1 :mod (a/alpha))\na | S/S | (?1 :mod (b/beta))\n" \
+    "c | S/S | (?1 :mod (c/gamma))\ns | S | (s/ess)\ns | S | (t/tee)\n"
+
+
 def test_cky_fills_the_chart_column_by_column():
     """Cells fill by end, then by start from the right, so the first cell to
-    overflow is (0, 3), with three classes of "a c a"; filled width by width,
-    the chart would overflow first at (2, 4), with four of "a s"."""
-    lexicon = loads("a | S/S | (?1 :mod (a/alpha))\na | S/S | (?1 :mod (b/beta))\n"
-                    "c | S/S | (?1 :mod (c/gamma))\ns | S | (s/ess)\ns | S | (t/tee)\n")
+    overflow is (0, 3); filled width by width, it would be (2, 4)."""
     with pytest.raises(ChartOverflowError, match=re.escape("chart cell (0, 3) exceeded 2 items")):
-        cky_parse("a c a s".split(), lexicon, ParserConfig(max_cell_items=2))
+        cky_parse("a c a s".split(), loads(TWO_OVERFLOWS), ParserConfig(max_cell_items=2))
 
 
 def test_cky_rejects_bad_composition_order(lexicon):
@@ -1456,11 +1459,11 @@ def test_rebracketing_a_two_variable_primary_functor_reorders_its_free_variables
 
 
 #: Lexicons on which a skip that dropped a guard of ``_Chart.rebracketed``
-#: would change the output, with a sentence, a whitelist (None enables every
-#: combinator) and the sentence's forest counts.  The guards they pin: a
-#: primary functor with one free variable, no shared edge on the skipped
-#: pair, the skipped step's name enabled, and landings recorded only for
-#: regular, uncrossed steps.
+#: would change the output or fail, with a sentence, a whitelist (None
+#: enables every combinator) and the sentence's forest counts.  The guards
+#: they pin: a primary functor with one free variable, no shared edge on the
+#: skipped pair, the skipped step's name enabled, landings recorded only for
+#: regular, uncrossed steps, and A B built by such a step.
 GUARDED = [
     # the primary functor r2 has two free variables: (c r1) r2 and c (r1 r2)
     # are two classes, which fill alpha's and beta's :ARG1 the other way round
@@ -1486,12 +1489,16 @@ GUARDED = [
     # (c b) m would be a <B step, which the whitelist drops; c (b m) is <B2
     ("x | NP | (x/ex)\nc | NP | (c/gamma)\nb | (S\\NP)\\NP | (b/beta :ARG0 ?1 :ARG1 ?2)\n"
      "m | S\\S | (?1 :mod (m/em))", "x c b m", frozenset(["<", "<B2", "<RB"]), [2]),
+    # a word's rule is its entry id, which may spell a combinator's name, but
+    # a word was built by no step, so it is never the A B of a rebracketing
+    ("f | S/NP | (f/eff :ARG0 ?1) | >B\nd | NP/NP | (?1 :mod (d/dee))\nm | NP | (m/em)", "f d d m", None, [5]),
+    ("x | NP | (x/ex) | <\nv | S\\NP | (v/vee :ARG0 ?1)\nt | S\\S | (?1 :time (t/tee))", "x v t t", None, [5]),
 ]
 
 
 @pytest.mark.parametrize(
     "text, sentence, enabled, counts", GUARDED,
-    ids=["two_variables", "shared_edge", "shared_inner_edge", "disabled_step"],
+    ids=["two_variables", "shared_edge", "shared_inner_edge", "disabled_step", "word_id_forward", "word_id_backward"],
 )
 def test_rebracketing_guards_keep_each_class_and_count(monkeypatch, text, sentence, enabled, counts):
     cases = [(sentence.split(), ParserConfig(enabled=enabled))]
@@ -1580,12 +1587,15 @@ def test_adjunct_chain_skips_read_recorded_landings(lexicon, monkeypatch):
 
 def test_cky_parse_leaves_no_reference_cycles(lexicon):
     """An item's landings may hold items built from it; the chart drops them
-    before it returns, so reference counting alone frees a parse's chart."""
-    tokens = "John likes the cat".split() + ["yesterday"] * 4
+    before it returns or raises, so reference counting alone frees a parse's
+    chart, also when a cell overflows after landings were recorded."""
     gc.collect()
     gc.disable()
     try:
-        assert len(cky_parse(tokens, lexicon, ParserConfig())) == 2
+        assert len(cky_parse("John likes the cat".split() + ["yesterday"] * 4, lexicon, ParserConfig())) == 2
+        assert gc.collect() == 0
+        with pytest.raises(ChartOverflowError):
+            cky_parse("a c a s".split(), loads(TWO_OVERFLOWS), ParserConfig(max_cell_items=2))
         assert gc.collect() == 0
     finally:
         gc.enable()
