@@ -10,18 +10,19 @@ is the one the script names.  CKY search explores all enabled combinators
 over a token sequence and returns complete derivations deduplicated by
 category and semantics: two items of a cell merge when their semantics are
 equal, or are isomorphic graphs.  Two equal graphs merge without an
-isomorphism search, and the isomorphism invariant is computed only for
-unequal graphs of one span, category, node count and free-variable count
-(``_Chart``).  Cells fill column by column, and an item records where its
-regular, uncrossed steps as a left operand landed in the current column: the
-graph step of a spurious rebracketing ((A B) C) is skipped when those records
-show where A (B C) landed (regular, uncrossed steps, the skipped one enabled
-and sharing no edge, a primary functor with one free variable), and that
-item takes its forest count, so no count or output changes.  What
-the binary rules can do with a pair of adjacent categories comes from one
-bounded cache (``_category_rules``), which both passes read.  A
-category-only pass on bit masks (``_goal_categories``, whose tables each
-rule set keeps for the process) runs first, and an application,
+isomorphism search, the isomorphism invariant is computed only for unequal
+graphs of one span, category, node count and free-variable count, and two
+coordinations whose conjuncts have no free variable are compared by their
+conjunct items (``_Chart``).  Cells fill column by column, and an item
+records where its regular, uncrossed steps as a left operand landed in the
+current column: the graph step of a spurious rebracketing ((A B) C) is
+skipped when those records show where A (B C) landed (regular, uncrossed
+steps, the skipped one enabled and sharing no edge, a primary functor with
+one free variable), and that item takes its forest count, so no count or
+output changes.  What the binary rules can do with a pair of adjacent
+categories comes from one bounded cache (``_category_rules``), which both
+passes read.  A category-only pass on bit masks (``_goal_categories``,
+whose tables each rule set keeps for the process) runs first, and an application,
 composition or coordination does its graph step only when its result
 category lies on some category-level derivation of the goal (words, raising
 and attaching a conjunction are not gated).  Step names are read only
@@ -530,7 +531,7 @@ class _Chart:
     merge of a spurious-ambiguity chain is, so no invariant is computed.
     The first unequal graph splits the bucket into sub-buckets by
     :func:`invariant`, and a new item is then compared for isomorphism only
-    with the items of its own sub-bucket.
+    with the items of its own sub-bucket (``_isomorphic``).
 
     Cells fill column by column, and in each an item records where its
     regular, uncrossed steps as a left operand landed (``Combined._landings``);
@@ -560,7 +561,7 @@ class _Chart:
             rivals = bucket.setdefault(invariant(sem), [])
             for existing in rivals:
                 # equal graphs are isomorphic under the identity map
-                if existing.constituent.semantics == sem or iso_equal(existing.constituent.semantics, sem):
+                if existing.constituent.semantics == sem or _isomorphic(existing, item):
                     existing.forest_count += item.forest_count
                     return existing
             rivals.append(item)
@@ -602,6 +603,33 @@ class _Chart:
         x.forest_count += left.forest_count * right.forest_count
         left._landings += (right, step, x)
         return True
+
+
+def _isomorphic(a: Combined, b: Combined) -> bool:
+    """Whether two chart items of one bucket have isomorphic graphs.
+
+    Two coordinations whose conjuncts have no free variable are decided by
+    their conjunct items, as Aho, Hopcroft & Ullman (1974) decide rooted
+    trees by their children's classes: nothing folds, so each root has only
+    its ``:op1`` and ``:op2`` out-edges and no in-edge, and its conjuncts
+    are connected and disjoint.  So an isomorphism maps each conjunct onto
+    its partner, and isomorphisms of the conjuncts join into one.  Conjunct
+    items of one span and category are isomorphic only if they are one
+    object: the chart keeps one item per class there.  Any other pair is
+    searched whole."""
+    ga, gb = a.constituent.semantics, b.constituent.semantics
+    # a word's entry id may read "&", but a word has no children
+    if not (a.rule == b.rule == "&" and a.children and b.children
+            and not a.children[0].constituent.semantics.fv and not b.children[0].constituent.semantics.fv):
+        return iso_equal(ga, gb)
+    if ga.nodes[ga.root].concept != gb.nodes[gb.root].concept:
+        return False
+    for x, y in ((a.children[0], b.children[0]), (a.children[1].children[1], b.children[1].children[1])):
+        cx, cy = x.constituent, y.constituent
+        if x is not y and ((cx.start, cx.end, cx.category) == (cy.start, cy.end, cy.category)
+                           or not iso_equal(cx.semantics, cy.semantics)):
+            return False
+    return True
 
 
 def _landing(left: Combined, right: Combined, name: str) -> Combined | None:

@@ -12,12 +12,13 @@ free variables in opposite directions.  Only a finished result must be
 acyclic, which :func:`has_cycle` tests.
 
 :func:`substitute` (fill the first free variable with another subgraph's
-root: the regular variants) and :func:`raised` (type raising: a fresh root
-variable over the old root) build their result in one pass.  They identify
-at most one node pair, so inputs that list distinct free variables and
-repeat no triple and have no self-loop, as chart items do, leave nothing
-to collapse.  :func:`conjoined` (coordination) and relation-wise
-combination fold two or more node pairs, which can repeat a triple, in a
+root: the regular variants), :func:`raised` (type raising: a fresh root
+variable over the old root) and :func:`conjoined` (coordination: the right
+conjunct's free variables fold pairwise into the left's) build their
+result in one pass.  Inputs that list distinct free variables and repeat
+no triple and have no self-loop, as chart items do, leave nothing to
+collapse unless two or more node pairs fold, as in a coordination with
+free variables.  Relation-wise combination folds two node pairs in a
 :class:`Workspace`: the input graphs are appended one after another, each
 node that merges into an earlier one folds into it and the rest close up,
 and the caller may add or relabel edges before it freezes the result.  A
@@ -112,35 +113,9 @@ class Workspace:
         self.edges: list[Edge] = []
 
     def add(self, g: AmrSubgraph, folds: dict[int, int] | None = None) -> list[int]:
-        """Append g and return a list indexed by g's node ids: each node's
-        new id.
-
-        g's nodes take the next ids in order, except that a node that is a
-        key of ``folds`` is identified with the already-built node it maps to
-        (constant beats free variable; two different constants raise
-        :class:`UnificationError`) and the rest close up.  Nodes and edges
-        whose values did not change are the input objects themselves.
-        """
-        nodes, base = self.nodes, len(self.nodes)
-        positions = list(range(base, base + len(g.nodes) - len(folds or ())))
-        if folds:
-            for k, i in folds.items():
-                concept, kept = g.nodes[k].concept, nodes[i].concept
-                if concept is not None and concept != kept:
-                    if kept is not None:
-                        raise UnificationError(f"cannot merge constants {kept!r} and {concept!r}")
-                    nodes[i] = _node(i, concept)
-            for k, i in sorted(folds.items()):
-                positions.insert(k, i)
-        elif not base:  # g keeps every id
-            nodes += g.nodes
-            self.edges += g.edges
-            return positions
-        nodes += [
-            node if node.id == i else _node(i, node.concept)
-            for i, node in zip(positions, g.nodes)
-            if i >= base  # a folded node is already in place as its partner
-        ]
+        """Append g's nodes as :func:`_appended` does, and its edges, and
+        return a list indexed by g's node ids: each node's new id."""
+        positions = _appended(self.nodes, g, folds or {})
         self.edges += _moved(g.edges, positions)
         return positions
 
@@ -205,22 +180,54 @@ def conjoined(conj: AmrSubgraph, left: AmrSubgraph, right: AmrSubgraph) -> AmrSu
     """``left`` and ``right`` as the ``:op1`` and ``:op2`` of ``conj``'s root,
     with their free variables identified pairwise by position.
 
-    Nodes are numbered ``left``'s, then ``conj``'s, then ``right``'s, where a
-    free variable of ``right`` folds into its partner in ``left`` (a constant
-    beats a free variable; two different constants raise
-    :class:`UnificationError`) and the rest close up, so ``left`` keeps every
-    node and edge.  Edges are the three graphs' in that order, then the two
-    ``:op`` edges, with repeated triples collapsed (first occurrence wins).
-    Nodes and edges whose values did not change are the input objects
-    themselves.  ``right`` must list each free variable once, as
-    :func:`validate` requires.
+    Built in one pass: ``left`` keeps every node and edge, ``conj``'s root
+    takes id ``len(left.nodes)``, and ``right``'s nodes follow, where a free
+    variable folds into its partner in ``left`` (a constant beats a free
+    variable; two different constants raise :class:`UnificationError`) and
+    the rest close up.  Edges are ``left``'s, ``right``'s, then the two
+    ``:op`` edges; only a fold can repeat a triple, and then the first
+    occurrence wins.  Nodes and edges whose values did not change are the
+    input objects themselves.  ``conj`` must be one node with no edge, as a
+    conjunction word's graph is, and ``right`` must list each free variable
+    once, as :func:`validate` requires.
     """
-    ws = Workspace()
-    ws.add(left)
-    root = ws.add(conj)[conj.root]
-    rmap = ws.add(right, dict(zip(right.fv, left.fv)))
-    ws.edges += [_edge(root, ":op1", left.root), _edge(root, ":op2", rmap[right.root])]
-    return ws.freeze(root, [*left.fv, *[rmap[x] for x in right.fv]])
+    n = len(left.nodes)
+    nodes = [*left.nodes, _node(n, conj.nodes[conj.root].concept)]
+    folds = dict(zip(right.fv, left.fv))
+    positions = _appended(nodes, right, folds)
+    edges = [*left.edges, *_moved(right.edges, positions),
+             _edge(n, ":op1", left.root), _edge(n, ":op2", positions[right.root])]
+    slots = [*left.fv, *[positions[x] for x in right.fv]]
+    fv = tuple(dict.fromkeys([i for i in slots if nodes[i].concept is None]))
+    return AmrSubgraph(tuple(nodes), _unique(edges) if folds else tuple(edges), n, fv)
+
+
+def _appended(nodes: list[Node], g: AmrSubgraph, folds: dict[int, int]) -> list[int]:
+    """Append g's nodes to ``nodes`` and return a list indexed by g's node
+    ids: each node's new id.
+
+    g's nodes take the next ids in order, except that a node that is a key
+    of ``folds`` is identified with the already-built node it maps to
+    (constant beats free variable; two different constants raise
+    :class:`UnificationError`) and the rest close up.  Nodes whose values
+    did not change are the input objects themselves.
+    """
+    base = len(nodes)
+    positions = list(range(base, base + len(g.nodes) - len(folds)))
+    for k, i in folds.items():
+        concept, kept = g.nodes[k].concept, nodes[i].concept
+        if concept is not None and concept != kept:
+            if kept is not None:
+                raise UnificationError(f"cannot merge constants {kept!r} and {concept!r}")
+            nodes[i] = _node(i, concept)
+    for k, i in sorted(folds.items()):
+        positions.insert(k, i)
+    nodes += [
+        node if node.id == i else _node(i, node.concept)
+        for i, node in zip(positions, g.nodes)
+        if i >= base  # a folded node is already in place as its partner
+    ]
+    return positions
 
 
 def _moved(edges: tuple[Edge, ...], ids: list[int]) -> list[Edge]:

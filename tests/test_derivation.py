@@ -1085,24 +1085,84 @@ def test_cky_results_are_pairwise_distinct_classes(lexicon, raising):
         )
 
 
-@pytest.mark.hash_seed
-def test_chart_compares_only_graphs_with_equal_invariants(lexicon, monkeypatch):
-    calls = []
-    original = derivation.iso_equal
+def _iso_calls(monkeypatch, tokens, lexicon, config) -> tuple[list, list[tuple[bool, bool]]]:
+    """A ``cky_parse`` run's results, and (result, equal node counts) of
+    each ``iso_equal`` call it made."""
+    calls, original = [], derivation.iso_equal
 
     def counting(a, b):
-        calls.append(invariant(a) == invariant(b))
-        return original(a, b)
+        calls.append((original(a, b), len(a.nodes) == len(b.nodes)))
+        return calls[-1][0]
 
-    monkeypatch.setattr(derivation, "iso_equal", counting)
-    for raising, searches in (((), 94), (NP_TO_S, 110)):
-        calls.clear()
-        results = cky_parse(coordination_chain(4), lexicon, ParserConfig(type_raising=raising))
-        assert len(results) == 80  # Catalan(3) bracketings times 2^4 name readings
-        assert all(calls)
-        # as many as when every item was keyed by its invariant: splitting a
-        # contested bucket adds no search
-        assert len(calls) == searches
+    with monkeypatch.context() as m:
+        m.setattr(derivation, "iso_equal", counting)
+        return cky_parse(tokens, lexicon, config), calls
+
+
+@pytest.mark.hash_seed
+def test_chart_iso_searches_fail_only_on_unequal_node_counts(lexicon, monkeypatch):
+    """Coordinations merge by their conjuncts, so no search over graphs of
+    equal size fails: a false call is a conjunct pair that the node counts
+    reject at once.  The true calls are raised subjects' steps merging into
+    the item that ``<`` built."""
+    for k, falses in zip(range(2, 6), (0, 0, 36, 1512)):
+        for raising, trues in (((), 0), (NP_TO_S, 4 * k)):
+            config = ParserConfig(type_raising=raising, max_cell_items=500)
+            results, calls = _iso_calls(monkeypatch, coordination_chain(k), lexicon, config)
+            if k == 4:
+                assert len(results) == 80  # Catalan(3) bracketings times 2^4 name readings
+            assert [equal for found, equal in calls if not found] == [False] * falses, (k, raising)
+            assert sum(found for found, _ in calls) == trues, (k, raising)
+
+
+@pytest.mark.hash_seed
+def test_coordinations_merge_by_their_conjuncts_as_the_whole_graph_search_would(lexicon, monkeypatch):
+    """The lemma ``_isomorphic`` rests on: on every pair the chart compares,
+    over the fixture windows and coordination chains, its decision is the
+    search over the two whole graphs."""
+    pairs, decide = [], derivation._isomorphic
+
+    def checked(a, b):
+        pairs.append((decide(a, b), iso_equal(a.constituent.semantics, b.constituent.semantics), a.rule == b.rule == "&"))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(derivation, "_isomorphic", checked)
+    for window in _fixture_windows():
+        for goal in ("S", "NP", "N"):
+            for raising in ((), NP_TO_S):
+                cky_parse(list(window), lexicon, ParserConfig(goal=goal, type_raising=raising))
+    for k in range(2, 6):
+        for raising in ((), NP_TO_S):
+            cky_parse(coordination_chain(k), lexicon, ParserConfig(type_raising=raising, max_cell_items=500))
+    assert [p for p in pairs if p[0] != p[1]] == []
+    assert len(pairs) > 5000 and sum(coordination for *_, coordination in pairs) > 5000
+
+
+def _coordination(concept: str, left: combinator.Combined, right: combinator.Combined) -> combinator.Combined:
+    """``left`` and ``right`` coordinated by a conjunction of ``concept``
+    between them, with the children the chart gives a coordination."""
+    start = left.constituent.end
+    conj = combinator.Combined(Constituent(start, start + 1, Atom("Conj"), parse(f"(c / {concept})")), concept)
+    pending = conj_attach(conj.constituent, right.constituent)
+    pending.children = (conj, right)
+    out = combinator.coordinate(conj.constituent, left.constituent, right.constituent)
+    out.children = (left, pending)
+    return out
+
+
+def test_coordination_merge_decision_on_hand_built_items():
+    def item(start, category, text):
+        return combinator.Combined(Constituent(start, start + 1, parse_category(category), parse(text)), "x")
+
+    cat, clause = item(0, "S", "(c / cat)"), item(2, "S[dcl]", "(l / like-01 :ARG0 (p / person))")
+    plain, declarative = _coordination("and", cat, clause), _coordination("and", item(0, "S[dcl]", "(c / cat)"), clause)
+    other = _coordination("or", cat, clause)
+    bare = combinator.Combined(Constituent(0, 3, plain.constituent.category, plain.constituent.semantics), "x")
+    # conjuncts of one span and different categories: searched, and isomorphic
+    cases = [(plain, declarative, True), (plain, other, False), (plain, bare, True), (bare, plain, True)]
+    for a, b, want in cases:
+        assert derivation._isomorphic(a, b) is want
+        assert iso_equal(a.constituent.semantics, b.constituent.semantics) is want
 
 
 def test_graph_steps_build_each_node_and_edge_value_once(lexicon, monkeypatch):
@@ -1555,6 +1615,19 @@ def test_adjunct_chains_make_a_quadratic_number_of_graph_steps(lexicon, monkeypa
         assert _graph_steps(monkeypatch, tokens, lexicon, ParserConfig()) == 6 + math.comb(k + 1, 2), k
         catalan = math.comb(2 * k, k) // (k + 1)
         assert [d.forest_count for d in cky_parse(tokens, lexicon, ParserConfig())] == [2 * catalan] * 2
+
+
+@pytest.mark.parametrize("raising", [(), NP_TO_S], ids=["plain", "raised"])
+@pytest.mark.parametrize("k", [5, 6])
+def test_coordination_chains_keep_every_class_without_a_failed_search(lexicon, monkeypatch, k, raising):
+    """k clauses give Catalan(k - 1) * 2^k classes (bracketings times name
+    readings), each of 5^k derivations with raising and of one without, and
+    no search over graphs of equal size fails."""
+    config = ParserConfig(type_raising=raising, max_cell_items=3000)
+    results, calls = _iso_calls(monkeypatch, coordination_chain(k), lexicon, config)
+    assert len(results) == math.comb(2 * k - 2, k - 1) // k * 2**k == {5: 448, 6: 2688}[k]
+    assert {d.forest_count for d in results} == {5**k if raising else 1}
+    assert not any(equal for found, equal in calls if not found)
 
 
 def test_adjunct_chain_skips_read_recorded_landings(lexicon, monkeypatch):
