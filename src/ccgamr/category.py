@@ -12,7 +12,6 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 ATOM_BASES = ("S", "NP", "N", "PP", "Conj")
 
@@ -101,7 +100,7 @@ def _from_terms(terms: list) -> "Category":
     return built[-1]
 
 
-Category = Union[Atom, Functor]
+Category = Atom | Functor
 
 #: Deepest parenthesised nesting ``parse_category`` accepts.
 MAX_DEPTH = 500

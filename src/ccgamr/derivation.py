@@ -6,27 +6,27 @@ Replay takes an s-expression derivation script, e.g.::
 
 evaluates it bottom-up against a lexicon, and verifies at each step that
 the combinator the engine selects (relation-wise or regular, crossed or not)
-is the one the script names.  CKY search explores all enabled combinators
-over a token sequence and returns complete derivations deduplicated by
-category and semantics: two items of a cell merge when their semantics are
-equal, or are isomorphic graphs.  Two equal graphs merge without an
-isomorphism search, the isomorphism invariant is computed only for unequal
-graphs of one span, category, node count and free-variable count, and two
-coordinations whose conjuncts have no free variable are compared by their
-conjunct items (``_Chart``).  Cells fill column by column, and an item
-records where its regular, uncrossed steps as a left operand landed in the
-current column: the graph step of a spurious rebracketing ((A B) C) is
-skipped when those records show where A (B C) landed (regular, uncrossed
-steps, the skipped one enabled and sharing no edge, a primary functor with
-one free variable), and that item takes its forest count, so no count or
+is the one the script names.  CKY search explores all enabled combinators over
+a token sequence and returns complete derivations deduplicated by category and
+semantics: two items of a cell merge when their semantics are equal, or are
+isomorphic graphs.  Two equal graphs merge without an isomorphism search, the
+isomorphism invariant is computed only for unequal graphs of one span,
+category, node count and free-variable count, and two coordinations whose
+conjuncts have no free variable are compared by their conjunct items
+(``_Chart``).  Cells fill column by column, and an item records where its
+regular, uncrossed steps as a left operand landed in the current column: the
+graph step of a spurious rebracketing ((A B) C) is skipped when those records
+show where A (B C) landed (A and C graphs, one free variable on the primary
+functor, the skipped step enabled, unshared and of that item's category: the
+``GUARDED`` tests), and that item takes its forest count, so no count or
 output changes.  What the binary rules can do with a pair of adjacent
 categories comes from one bounded cache (``_category_rules``), which both
-passes read.  A category-only pass on bit masks (``_goal_categories``,
-whose tables each rule set keeps for the process) runs first, and an application,
-composition or coordination does its graph step only when its result
-category lies on some category-level derivation of the goal (words, raising
-and attaching a conjunction are not gated).  Step names are read only
-through ``combinator.RULES`` and ``combinator.read_raise``.
+passes read.  A category-only pass on bit masks (``_goal_categories``, whose
+tables each rule set keeps for the process) runs first, and an application,
+composition or coordination does its graph step only when its result category
+lies on some category-level derivation of the goal (words, raising and
+attaching a conjunction are not gated).  Step names are read only through
+``combinator.RULES`` and ``combinator.read_raise``.
 
 Both modes record a derivation the same way: each node is the ``Combined``
 its step returned, with back-pointers to the nodes it was built from.  A
@@ -128,14 +128,14 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")  # what read_int accepts
 _GOAL_TABLE_CAP = 4096  # entries a table of _goal_tables may hold when a goal pass starts
 #: (direction, order) of each regular, uncrossed application or composition name
 _UNCROSSED = {name: rule[:2] for name, rule in RULES.items() if not (rule[2] or rule[3])}
-#: (name of A B's regular, uncrossed step, direction, order p of the step on C) -> names of that
-#: step, of B C and of A (B C): ((A >q B) >p C) = A >(p+q-1) (B >p C) for q >= 1 and
-#: ((A <q B) <p C) = A <q (B <(p-q+1) C) for q <= p, wherever a rule has each order
+#: (name of A B's regular, uncrossed step, direction, order p of the step on C) -> names of that step,
+#: of B C and of A (B C): ((A >q B) >p C) = A >(p+q-1) (B >p C), ((A <q B) <p C) = A <q (B <(p-q+1) C)
+#: wherever a rule has each order; q = 0 forward or q > p needs a 3-slash category (tests/test_smallscope.py)
 _REBRACKETINGS = {
     (name, direction, p): tuple(RULE_NAMES[direction, o, False, False] for o in orders)
     for name, (direction, q) in _UNCROSSED.items() for p in range(3)
     for orders in [(p, p, p + q - 1) if direction == "forward" else (p, p - q + 1, q)]
-    if (q >= 1 if direction == "forward" else q <= p) and all((direction, o, False, False) in RULE_NAMES for o in orders)
+    if all((direction, o, False, False) in RULE_NAMES for o in orders)
 }
 
 
@@ -535,8 +535,9 @@ class _Chart:
 
     Cells fill column by column, and in each an item records where its
     regular, uncrossed steps as a left operand landed (``Combined._landings``);
-    ``rebracketed`` skips a rebracketing ((A B) C) that those records show
-    merges into the item A (B C) landed in, which takes its forest count.
+    under the guards it names, ``rebracketed`` skips a rebracketing ((A B) C)
+    that those records show merges into the item A (B C) landed in, which
+    takes its forest count.
     """
 
     def __init__(self, config: ParserConfig):
@@ -578,17 +579,16 @@ class _Chart:
         as A B) and ``right`` (C), of category ``match``, lands in the item X
         that A (B C) landed in, as B and A recorded in this column; if so, X
         takes the pair's forest count and is recorded as its landing, and no
-        graph is built (Eisner 1996; Hockenmaier & Bisk 2010).  All four steps
-        must be regular and uncrossed, the skipped one enabled and with no
-        shared edge, and the primary functor (C backward, A forward) have one
-        free variable: with more, the bracketings order the leftover variables
-        differently.  The graphs are then isomorphic, a lemma the tests check."""
+        graph is built (Eisner 1996; Hockenmaier & Bisk 2010).  Each guard has
+        a ``GUARDED`` row: A and C are graphs, the primary functor (C backward,
+        A forward) has one free variable, the step is enabled and shares no
+        edge, and X has its category.  ``tests/test_smallscope.py`` checks the
+        rest on every small input: the graphs are then isomorphic."""
         names = _REBRACKETINGS.get((left.rule, direction, order))
-        if names is None or match[1]:
+        if names is None:  # a crossed step finds no uncrossed landings (tests/test_smallscope.py)
             return False
         (a, b), forward, (step, inner_step, outer_step) = left.children, direction == "forward", names
-        if not (is_graph(a.constituent.semantics) and is_graph(b.constituent.semantics)
-                and is_graph(right.constituent.semantics)):
+        if not (is_graph(a.constituent.semantics) and is_graph(right.constituent.semantics)):  # B may be IDENTITY
             return False
         primary, enabled = (a if forward else right).constituent.semantics, self.config.enabled
         if len(primary.fv) != 1 or not (enabled is None or step in enabled):

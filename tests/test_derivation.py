@@ -1523,7 +1523,11 @@ def test_rebracketing_a_two_variable_primary_functor_reorders_its_free_variables
 #: enables every combinator) and the sentence's forest counts.  The guards
 #: they pin: a primary functor with one free variable, no shared edge on the
 #: skipped pair, the skipped step's name enabled, landings recorded only for
-#: regular, uncrossed steps, and A B built by such a step.
+#: regular, uncrossed steps, A B built by such a step, C a graph, and the
+#: item A (B C) landed in of the skipped step's category.  The last two rows
+#: pin the guards ``tests/test_smallscope.py`` shows needed, with one-slash
+#: categories; it shows that the skip needs none on crossing, on B's
+#: semantics or on the orders of ``_REBRACKETINGS``.
 GUARDED = [
     # the primary functor r2 has two free variables: (c r1) r2 and c (r1 r2)
     # are two classes, which fill alpha's and beta's :ARG1 the other way round
@@ -1553,12 +1557,19 @@ GUARDED = [
     # a word was built by no step, so it is never the A B of a rebracketing
     ("f | S/NP | (f/eff :ARG0 ?1) | >B\nd | NP/NP | (?1 :mod (d/dee))\nm | NP | (m/em)", "f d d m", None, [5]),
     ("x | NP | (x/ex) | <\nv | S\\NP | (v/vee :ARG0 ?1)\nt | S\\S | (?1 :time (t/tee))", "x v t t", None, [5]),
+    # C is IDENTITY: (x v) t is backward, so t is the primary functor, and an
+    # identity has no free-variable list to count
+    ("x | NP | (x/ex)\nv | S\\NP | (v/vee :ARG0 ?1)\nt | S\\S | ID", "x v t", None, [2]),
+    # a >B b is S/S, a modifier that passes c's S[dcl] on, while a (b c) is S:
+    # one graph under two categories, two items
+    ("a | S/S[dcl] | (a/alpha :ARG0 ?1)\nb | S/S | (?1 :mod (b/beta))\nc | S[dcl] | (c/gamma)", "a b c", None, [1, 1]),
 ]
 
 
 @pytest.mark.parametrize(
     "text, sentence, enabled, counts", GUARDED,
-    ids=["two_variables", "shared_edge", "shared_inner_edge", "disabled_step", "word_id_forward", "word_id_backward"],
+    ids=["two_variables", "shared_edge", "shared_inner_edge", "disabled_step", "word_id_forward", "word_id_backward",
+         "identity_modifier", "lost_feature"],
 )
 def test_rebracketing_guards_keep_each_class_and_count(monkeypatch, text, sentence, enabled, counts):
     cases = [(sentence.split(), ParserConfig(enabled=enabled))]
@@ -1566,6 +1577,43 @@ def test_rebracketing_guards_keep_each_class_and_count(monkeypatch, text, senten
     assert [count for _, count, _, _ in results[0]] == counts
     monkeypatch.setattr(derivation._Chart, "rebracketed", lambda *args: None)
     assert _outputs(cases, loads(text)) == results
+
+
+#: ``_REBRACKETINGS`` as the identities it encodes: the row (x, direction of
+#: y, order of y) names (y, w, z) for ((A x B) y C) = A z (B w C).
+REBRACKETINGS = [
+    "((A > B) >B C) = A > (B >B C)",
+    "((A > B) >B2 C) = A >B (B >B2 C)",
+    "((A >B B) > C) = A > (B > C)",
+    "((A >B B) >B C) = A >B (B >B C)",
+    "((A >B B) >B2 C) = A >B2 (B >B2 C)",
+    "((A >B2 B) > C) = A >B (B > C)",
+    "((A >B2 B) >B C) = A >B2 (B >B C)",
+    "((A < B) < C) = A < (B <B C)",
+    "((A < B) <B C) = A < (B <B2 C)",
+    "((A <B B) < C) = A <B (B < C)",
+    "((A <B B) <B C) = A <B (B <B C)",
+    "((A <B B) <B2 C) = A <B (B <B2 C)",
+    "((A <B2 B) <B C) = A <B2 (B < C)",
+    "((A <B2 B) <B2 C) = A <B2 (B <B C)",
+]
+
+
+def test_the_rebracketing_tables_are_the_pinned_identities():
+    """A change to the rule table shows here as a diff of named identities."""
+    assert derivation._UNCROSSED == {
+        ">": ("forward", 0),  # X/Y Y => X
+        ">B": ("forward", 1),  # X/Y Y/Z => X/Z
+        ">B2": ("forward", 2),  # X/Y (Y/Z)/W => (X/Z)/W
+        "<": ("backward", 0),  # Y X\Y => X
+        "<B": ("backward", 1),  # Y\Z X\Y => X\Z
+        "<B2": ("backward", 2),  # (Y\Z)\W X\Y => (X\Z)\W
+    }
+    spelled = []
+    for (name, direction, p), (step, inner, outer) in derivation._REBRACKETINGS.items():
+        assert combinator.RULES[step][:2] == (direction, p)
+        spelled.append(f"((A {name} B) {step} C) = A {outer} (B {inner} C)")
+    assert spelled == REBRACKETINGS
 
 
 def _differential_cases(lexicon):
