@@ -92,15 +92,13 @@ class SharedEdgeMatch:
 class Combined:
     """One derivation node: a step's result, rule (a word's entry id) and
     notes.  The chart and replay set its forest count and the nodes it was
-    built from: none for a word, one for a raise, two for a binary step.
-    The chart records in ``_landings`` where its steps as a left operand landed."""
+    built from: none for a word, one for a raise, two for a binary step."""
 
     constituent: Constituent
     rule: str
     notes: tuple[str, ...] = ()
     forest_count: int = field(default=1, compare=False, repr=False)
     children: tuple[Combined, ...] = field(default=(), compare=False, repr=False)
-    _landings: tuple = field(default=(), init=False, compare=False, repr=False)
 
 
 def is_graph(sem: object) -> bool:
@@ -364,14 +362,16 @@ def type_raise(c: Constituent, target: Category, direction: str) -> Combined:
 
     The new semantics is a fresh free variable with an underspecified edge to
     the old root; the variable goes first in the fv order and the edge label
-    is fixed by a later relation-wise combination.
+    is fixed by a later relation-wise combination.  As every step's, the
+    result must keep the functional-isomorphism principle, which a raised
+    functor breaks once its target is atomic.
     """
     check_direction(direction)
     if not is_graph(c.semantics):
         raise CombinationError("only graph semantics can be type-raised")
-    cat = raised_category(c.category, target, direction)
-    rule = raise_rule_name(target, direction)
-    return Combined(Constituent(c.start, c.end, cat, raised(c.semantics)), rule)
+    cat, graph = raised_category(c.category, target, direction), raised(c.semantics)
+    _check_result(cat, graph)
+    return Combined(Constituent(c.start, c.end, cat, graph), raise_rule_name(target, direction))
 
 
 def _conj_concept_graph(conj: Constituent) -> AmrSubgraph:

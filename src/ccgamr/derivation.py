@@ -13,10 +13,10 @@ isomorphic graphs.  Two equal graphs merge without an isomorphism search, the
 isomorphism invariant is computed only for unequal graphs of one span,
 category, node count and free-variable count, and two coordinations whose
 conjuncts have no free variable are compared by their conjunct items
-(``_Chart``).  Cells fill column by column, and an item records where its
-regular, uncrossed steps as a left operand landed in the current column: the
-graph step of a spurious rebracketing ((A B) C) is skipped when those records
-show where A (B C) landed (A and C graphs, one free variable on the primary
+(``_Chart``).  Cells fill column by column, and the chart records where each
+regular, uncrossed step of the current column landed: the graph step of a
+spurious rebracketing ((A B) C) is skipped when those records show where
+A (B C) landed (A and C graphs, one free variable on the primary
 functor, the skipped step enabled, unshared and of that item's category: the
 ``GUARDED`` tests), and that item takes its forest count, so no count or
 output changes.  What the binary rules can do with a pair of adjacent
@@ -43,7 +43,7 @@ import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter
 
 from . import penman
@@ -75,7 +75,8 @@ from .combinator import (
     relation_wise_match,
     type_raise,
 )
-from .graph import UNDERSPECIFIED, has_cycle, invariant, iso_equal, validate  # noqa: F401 (bench/tracing.py wraps it)
+from .graph import UNDERSPECIFIED, has_cycle, invariant, iso_equal
+from .graph import validate  # noqa: F401 (bench/tracing.py wraps it)
 from .lexicon import LexEntry, Lexicon
 
 
@@ -379,7 +380,9 @@ def replay(script: ScriptNode, lexicon: Lexicon) -> Derivation:
 def finalize_check(c: Constituent) -> list[str]:
     """Violations that keep a constituent the engine built from completing a
     sentence: a pending step, an unfilled variable, an unresolved ``:?`` edge
-    or a directed cycle, the one graph defect a step (coordination) can make."""
+    or a directed cycle, the one graph defect a step (coordination) can make.
+    Every graph the engine builds is connected, so one with fewer edges than
+    nodes is a tree, and only the others are sorted."""
     sem = c.semantics
     if isinstance(sem, Identity):
         return ["identity semantics cannot complete a derivation"]
@@ -390,7 +393,7 @@ def finalize_check(c: Constituent) -> list[str]:
         f"underspecified edge {(e.source, e.label, e.target)} was never resolved"
         for e in sem.edges if e.label == UNDERSPECIFIED
     ]
-    if has_cycle(sem):
+    if len(sem.edges) >= len(sem.nodes) and has_cycle(sem):
         problems.append("graph has a directed cycle")
     return problems
 
@@ -406,6 +409,8 @@ class TypeRaisingRule:
 
     def __post_init__(self):
         check_direction(self.direction)
+        if not isinstance(self.source, Atom):  # its graph has a free variable, and the raise adds one
+            raise ValueError(f"type raising needs an atomic source, found {format_category(self.source)}")
 
 
 #: The one raising rule the fixtures ever need: NP to S/(S\NP).
@@ -533,17 +538,21 @@ class _Chart:
     :func:`invariant`, and a new item is then compared for isomorphism only
     with the items of its own sub-bucket (``_isomorphic``).
 
-    Cells fill column by column, and in each an item records where its
-    regular, uncrossed steps as a left operand landed (``Combined._landings``);
-    under the guards it names, ``rebracketed`` skips a rebracketing ((A B) C)
-    that those records show merges into the item A (B C) landed in, which
-    takes its forest count.
+    Cells fill column by column, and ``landings`` maps each regular,
+    uncrossed step of the current column, by the ids of its two operands and
+    its name, to the item it landed in; under the guards it names,
+    ``rebracketed`` skips a rebracketing ((A B) C) that those records show
+    merges into the item A (B C) landed in, which takes its forest count.
+    Each key holds the ids of chart items, which live as long as the chart,
+    and no item refers to the chart or to an item built from it, so a parse
+    leaves no reference cycles.
     """
 
     def __init__(self, config: ParserConfig):
         self.config = config
         self.cells: dict[tuple[int, int], list[Combined]] = {}
         self._buckets: dict[tuple, Combined | dict[tuple, list[Combined]]] = {}
+        self.landings: dict[tuple[int, int, str], Combined] = {}
 
     def add(self, item: Combined) -> Combined:
         """``item`` if the cell keeps it, else the item it merged into."""
@@ -577,7 +586,7 @@ class _Chart:
     def rebracketed(self, left: Combined, right: Combined, direction: str, order: int, match) -> bool:
         """Whether the step of ``direction`` and ``order`` on ``left`` (built
         as A B) and ``right`` (C), of category ``match``, lands in the item X
-        that A (B C) landed in, as B and A recorded in this column; if so, X
+        that A (B C) landed in, as ``landings`` shows for this column; if so, X
         takes the pair's forest count and is recorded as its landing, and no
         graph is built (Eisner 1996; Hockenmaier & Bisk 2010).  Each guard has
         a ``GUARDED`` row: A and C are graphs, the primary functor (C backward,
@@ -593,15 +602,16 @@ class _Chart:
         primary, enabled = (a if forward else right).constituent.semantics, self.config.enabled
         if len(primary.fv) != 1 or not (enabled is None or step in enabled):
             return False  # the bracketings could differ, or the step's result would be dropped
-        inner = _landing(b, right, inner_step)
-        x = inner and _landing(a, inner, outer_step)
+        landings = self.landings
+        inner = landings.get((id(b), id(right), inner_step))
+        x = inner and landings.get((id(a), id(inner), outer_step))
         f, g = (left, right) if forward else (right, left)
         if not x or x.constituent.category != match[0] or relation_wise_match(
             f.constituent.semantics, g.constituent.semantics, order + 1
         ):
             return False
         x.forest_count += left.forest_count * right.forest_count
-        left._landings += (right, step, x)
+        landings[id(left), id(right), step] = x
         return True
 
 
@@ -630,16 +640,6 @@ def _isomorphic(a: Combined, b: Combined) -> bool:
                            or not iso_equal(cx.semantics, cy.semantics)):
             return False
     return True
-
-
-def _landing(left: Combined, right: Combined, name: str) -> Combined | None:
-    """Where ``left`` recorded, in this column, that its step ``name`` on ``right`` landed."""
-    landed, k = left._landings, 0
-    while k < len(landed):  # no range object: most items hold one landing
-        if landed[k] is right and landed[k + 1] == name:
-            return landed[k + 2]
-        k += 3
-    return None
 
 
 @lru_cache(maxsize=4096)
@@ -857,24 +857,21 @@ def cky_parse(tokens: list[str], lexicon: Lexicon, config: ParserConfig | None =
         for entry in found:
             chart.add(Combined(Constituent(i, i + 1, entry.category, entry.semantics), entry.entry_id))
         _raise_closure(chart, (i, i + 1), raisings)
-    try:
-        for j in range(2, n + 1):  # column by column: an item is the left operand of one cell per column
-            for i in range(j - 2, -1, -1):
-                want = wanted.get((i, j), ())
-                for split in range(i + 1, j):
-                    for litem in chart.cells.get((i, split), []):
-                        litem._landings = ()  # drop the landings of an earlier column
-                        # only an item a regular, uncrossed step built can start a rebracketing
-                        witness = chart if litem.children and litem.rule in _UNCROSSED else None
-                        for ritem in chart.cells.get((split, j), []):
-                            for o in _binary_candidates(litem, ritem, config, want, witness):
-                                o.forest_count, o.children = litem.forest_count * ritem.forest_count, (litem, ritem)
-                                x = chart.add(o)
-                                if o.rule in _UNCROSSED:
-                                    litem._landings += (ritem, o.rule, x)
-                _raise_closure(chart, (i, j), raisings)
-    finally:  # a landing may be built from its holder: leave no cycles, also when a cell overflows
-        for item in chain.from_iterable(chart.cells.values()):
-            item._landings = ()
+    landings = chart.landings
+    for j in range(2, n + 1):  # column by column: a rebracketing reads only landings in its own column
+        landings.clear()
+        for i in range(j - 2, -1, -1):
+            want = wanted.get((i, j), ())
+            for split in range(i + 1, j):
+                for litem in chart.cells.get((i, split), []):
+                    # only an item a regular, uncrossed step built can start a rebracketing
+                    witness = chart if litem.children and litem.rule in _UNCROSSED else None
+                    for ritem in chart.cells.get((split, j), []):
+                        for o in _binary_candidates(litem, ritem, config, want, witness):
+                            o.forest_count, o.children = litem.forest_count * ritem.forest_count, (litem, ritem)
+                            x = chart.add(o)
+                            if o.rule in _UNCROSSED:
+                                landings[id(litem), id(ritem), o.rule] = x
+            _raise_closure(chart, (i, j), raisings)
     return [_derivation(item) for item in chart.cells.get((0, n), [])
             if _is_goal(item.constituent.category, config.goal) and not finalize_check(item.constituent)]

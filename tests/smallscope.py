@@ -6,8 +6,9 @@ Standard library only.  ``graphs`` lists every graph :func:`validate`
 accepts within a node bound and ``categories`` every category within a
 slash bound; ``category_law`` and ``rebracketing_law`` run the engine's own
 ``match_categories``, ``combine_matched`` and ``_Chart.rebracketed`` over
-them.  Tier-1 runs the laws at 2 nodes; ``SMALLSCOPE_NODES=3`` in the
-environment turns on the 3-node tier (``NODES``).
+them, and ``homomorphism_law`` runs its graph builders.  Tier-1 runs the
+laws at 2 nodes; ``SMALLSCOPE_NODES=3`` in the environment turns on the
+3-node tier (``NODES``).
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from itertools import permutations, product
 from ccgamr.category import BACKWARD, FORWARD, Atom, Category, Functor, arity
 from ccgamr.combinator import (
     IDENTITY, CombinationError, Combined, Constituent, RULES, combine_matched, match_categories,
+    relation_wise_combine, relation_wise_match,
 )
 from ccgamr.derivation import _REBRACKETINGS, ParserConfig, _Chart
-from ccgamr.graph import UNDERSPECIFIED, AmrSubgraph, Edge, Node, iso_equal, validate
+from ccgamr.graph import (
+    UNDERSPECIFIED, AmrSubgraph, Edge, Node, UnificationError, conjoined, iso_equal, raised, substitute, validate,
+)
 
 #: The largest node bound the laws run at: 3 with SMALLSCOPE_NODES=3, else 2.
 NODES = 3 if os.environ.get("SMALLSCOPE_NODES") == "3" else 2
@@ -213,7 +217,7 @@ def rebracketing_law(key, cats, operands, counts: Counter) -> None:
                     inner = inners[j, k] = _run(direction, inner_order, b, c, bc_match, inner_name)
                 if inner is None:
                     continue
-                b._landings, a._landings, left._landings = (c, inner_name, inner), (inner, outer_name, stand_in), ()
+                chart.landings = {(id(b), id(c), inner_name): inner, (id(a), id(inner), outer_name): stand_in}
                 if not chart.rebracketed(left, c, direction, p, skipped_match):
                     continue
                 x = _run(direction, outer_order, a, inner, x_match, outer_name)
@@ -227,3 +231,54 @@ def rebracketing_law(key, cats, operands, counts: Counter) -> None:
                 assert got.semantics == want.semantics or iso_equal(got.semantics, want.semantics), case
                 counts[key] += 1
                 counts["B is IDENTITY"] += b.constituent.semantics is IDENTITY
+
+
+#: The graph of a conjunction word: one node, no edge, under each concept.
+CONJUNCTIONS = tuple(AmrSubgraph((Node(0, c),), (), 0, ()) for c in CONCEPTS)
+
+
+def maps_into(g: AmrSubgraph, r: AmrSubgraph) -> bool:
+    """Whether some map of ``g``'s nodes to ``r``'s sends each constant to a
+    node of the same concept, each free variable to any node, and each edge
+    to an edge of ``r`` with the same label, where ``:?`` in ``g`` matches
+    any label: a homomorphism of ``g`` into ``r``.  Node ids are positions,
+    as :func:`validate` requires."""
+    labels: dict = {}
+    for e in r.edges:
+        labels.setdefault((e.source, e.target), set()).add(e.label)
+    images = [[m.id for m in r.nodes if n.concept is None or m.concept == n.concept] for n in g.nodes]
+    return any(all((found := labels.get((image[e.source], image[e.target]))) and (
+        e.label == UNDERSPECIFIED or e.label in found) for e in g.edges) for image in product(*images))
+
+
+def _built(step, *args) -> AmrSubgraph | None:
+    """``step``'s result on ``args``, or None where it fails to unify."""
+    try:
+        return step(*args)
+    except UnificationError:
+        return None
+
+
+def homomorphism_law(firsts: list[AmrSubgraph], seconds: list[AmrSubgraph], counts: Counter) -> None:
+    """Each input graph of every graph step maps into its result
+    (``maps_into``): ``raised`` on each of ``firsts``, and on each pair of
+    ``firsts`` and ``seconds``, ``substitute`` at orders 0 and 1 (a higher
+    order only moves free variables), the relation-wise builder that
+    ``combine_matched`` picks at each order where ``relation_wise_match``
+    finds a shared edge, and ``conjoined`` under each of ``CONJUNCTIONS``
+    where the free-variable counts agree, as ``coordinate`` requires.
+    A step that fails to unify has no result.  ``counts`` gets one per
+    result under its step's name."""
+    for f in firsts:
+        assert maps_into(f, raised(f)), f
+        counts["raised"] += 1
+        for a in seconds:
+            results = [("substitute", _built(substitute, f, a, order)) for order in (0, 1) if f.fv]
+            results += [("relation-wise", _built(relation_wise_combine, f, a, m, order))
+                        for order in range(3) if (m := relation_wise_match(f, a, order + 1))]
+            results += [("conjoined", _built(conjoined, conj, f, a))
+                        for conj in CONJUNCTIONS if len(f.fv) == len(a.fv)]
+            for name, result in results:
+                if result is not None:
+                    assert maps_into(f, result) and maps_into(a, result), (name, f, a, result)
+                    counts[name] += 1

@@ -164,6 +164,7 @@ def test_parse_all_prints_scripts_and_forest_counts(tmp_path, capsys):
             "type_raise = NP >", "bad type_raise rule 'NP >': missing target category",
             id="type_raise = NP >-expected a category",
         ),
+        ("type_raise = S\\NP > S", "bad type_raise rule 'S\\\\NP > S': type raising needs an atomic source"),
         ("max_composition_order = 3", "max_composition_order must be 1 or 2"),
         ("strict_conjunction = maybe", "strict_conjunction must be one of"),
         ("goal =", "goal must not be empty"),
@@ -685,8 +686,11 @@ def test_non_ascii_leaf_index_is_usage_error_without_traceback(tmp_path, command
 def test_replay_trace_prints_deeply_raised_categories(tmp_path):
     import subprocess, sys
 
+    # a left-branching target needs no parentheses, so the reader takes it at
+    # any length, and its raise nests past the recursion limit
+    target = "S" + "/S" * 998
     path = tmp_path / "deep.ccg"
-    path.write_text("(>T[S] " * 498 + "(leaf 0 john.1)" + ")" * 498)
+    path.write_text(f"(>T[{target}] (leaf 0 john.1))")
     proc = subprocess.run(
         [sys.executable, "-m", "ccgamr", "replay", "--lexicon", LEX, "--derivation", str(path), "--trace"],
         capture_output=True, text=True,
@@ -694,8 +698,7 @@ def test_replay_trace_prints_deeply_raised_categories(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
-    assert sum(line.startswith(">T[S]") for line in lines) == 498
-    assert lines[2].split()[2] == "S/(S\\(S/(S\\NP)))"
+    assert lines[1].split()[:3] == [f">T[{target}]", "(0,1)", f"{target}/({target}\\NP)"]
 
 
 def test_check_too_deep_category_is_validation_error_without_traceback(tmp_path):

@@ -378,13 +378,23 @@ def test_type_raise_constant():
 
 
 def test_type_raise_two_variable_graph_puts_fresh_variable_first():
+    # a target of two arguments gives the raised category the three a raised
+    # two-variable graph needs
     out = type_raise(
-        c("(S\\NP)/NP", "(l/like-01 :ARG0 ?2 :ARG1 ?1)"), parse_category("S"), "backward"
+        c("(S\\NP)/NP", "(l/like-01 :ARG0 ?2 :ARG1 ?1)"), parse_category("(S\\NP)/NP"), "backward"
     )
     sem = out.constituent.semantics
     assert len(sem.fv) == 3
     assert sem.fv[0] == sem.root  # the fresh variable leads
-    assert format_category(out.constituent.category) == "S\\(S/(S\\NP/NP))"
+    assert format_category(out.constituent.category) == "S\\NP/NP\\(S\\NP/NP/(S\\NP/NP))"
+
+
+def test_type_raise_of_a_functor_to_an_atom_breaks_the_principle():
+    with pytest.raises(CombinationError) as err:
+        type_raise(c("S\\NP", "(v/vee :ARG0 ?1)"), parse_category("S"), "forward")
+    assert str(err.value) == (
+        "result breaks the functional-isomorphism principle: 2 free variables exceed arity 1 of S/(S\\(S\\NP))"
+    )
 
 
 def test_type_raise_rejects_identity():

@@ -93,11 +93,11 @@ def test_a_local_variable_does_not_count_as_a_use_of_a_method(tmp_path):
     assert unused_definitions(tmp_path) == ["mod:node"]
 
 
-def unused_imports(src: Path) -> list[str]:
+def unused_imports(src: Path) -> tuple[list[str], list[str]]:
     """``module:name`` of each name a module other than ``__init__`` imports
-    and never names; ``__future__`` imports and lines marked
-    ``# noqa: F401`` are skipped."""
-    unused = []
+    and never names, ``__future__`` imports aside: those on lines not
+    marked ``# noqa: F401``, then those on marked lines, the exempt."""
+    unused, exempt = [], []
     for path in sorted(src.glob("*.py")):
         if path.stem == "__init__":
             continue
@@ -110,13 +110,16 @@ def unused_imports(src: Path) -> list[str]:
                 continue
             for alias in node.names:
                 name = (alias.asname or alias.name).split(".")[0]
-                if name not in names and "# noqa: F401" not in lines[alias.lineno - 1]:
-                    unused.append(f"{path.stem}:{name}")
-    return unused
+                if name not in names:
+                    marked = "# noqa: F401" in lines[alias.lineno - 1]
+                    (exempt if marked else unused).append(f"{path.stem}:{name}")
+    return unused, exempt
 
 
 def test_every_import_is_used():
-    assert unused_imports(SRC) == []
+    """Only the two ``validate`` imports that ``bench/tracing.py`` wraps are
+    exempt: any other unused name on a marked line shows up here too."""
+    assert unused_imports(SRC) == ([], ["derivation:validate", "lexicon:validate"])
 
 
 def test_the_import_audit_skips_init_future_and_noqa_lines(tmp_path):
@@ -128,12 +131,12 @@ def test_the_import_audit_skips_init_future_and_noqa_lines(tmp_path):
         "    chain,\n"
         "    islice,\n"
         ")\n"
-        "from json import dumps  # noqa: F401\n"
+        "from json import dumps, loads  # noqa: F401\n"
         "def first(xs):\n"
-        "    return next(islice(xs, 1))\n"
+        "    return next(islice(xs, 1)), loads\n"
     )
     (tmp_path / "__init__.py").write_text("from .mod import first\nimport sys\n")
-    assert unused_imports(tmp_path) == ["mod:os", "mod:regex", "mod:chain"]
+    assert unused_imports(tmp_path) == (["mod:os", "mod:regex", "mod:chain"], ["mod:dumps"])
 
 
 def string_constant_owners(src: Path, value: str) -> list[str]:

@@ -34,7 +34,7 @@ from ccgamr.derivation import (
     parse_script,
     replay,
 )
-from ccgamr.graph import Edge, invariant, iso_equal
+from ccgamr.graph import Edge, invariant, iso_equal, validate
 from ccgamr.lexicon import Lexicon, loads
 from ccgamr.penman import parse
 from ccgamr.fixtures import script as script_path
@@ -140,10 +140,14 @@ def _raised_script(depth: int) -> str:
     return "(>T[S] " * (depth - 1) + "(leaf 0 john.1)" + ")" * (depth - 1)
 
 
-def test_parse_script_accepts_nesting_at_the_depth_limit(lexicon):
-    d = replay(parse_script(_raised_script(penman.MAX_DEPTH)), lexicon)
-    assert len(d.steps) == penman.MAX_DEPTH
-    assert d.steps[0].path == (0,) * (penman.MAX_DEPTH - 1)
+def test_parse_script_accepts_nesting_at_the_depth_limit():
+    # a sentence under depth - 1 modifiers: a raise of a raise would break
+    # the functional-isomorphism principle
+    depth = penman.MAX_DEPTH
+    text = "(< " * (depth - 1) + "(leaf 0 x.1)" + "".join(f" (leaf {i} m.1))" for i in range(1, depth))
+    d = replay(parse_script(text), loads("x | S | (x/ex)\nm | S\\S | (?1 :mod (m/em))\n"))
+    assert len(d.steps) == 2 * depth - 1
+    assert d.steps[0].path == (0,) * (depth - 1)
 
 
 @pytest.mark.parametrize(
@@ -196,6 +200,15 @@ def test_replay_rejects_relation_name_when_regular_applies(lexicon):
     with pytest.raises(ReplayError) as err:
         replay(parse_script(flipped), lexicon)
     assert "no shared edge" in str(err.value) or "'<R'" in str(err.value)
+
+
+def test_replay_of_a_raised_functor_names_the_principle(lexicon):
+    with pytest.raises(ReplayError) as err:
+        replay(parse_script("(>T[S] (leaf 1 likes.1))"), lexicon)
+    assert str(err.value) == (
+        "step root: result breaks the functional-isomorphism principle: "
+        "3 free variables exceed arity 1 of S/(S\\(S\\NP/NP))"
+    )
 
 
 def test_replay_explains_a_relation_name_where_the_regular_step_applies(lexicon):
@@ -562,6 +575,27 @@ def _pinned_parses():
     for k in range(2, 5):
         for raising in ((), NP_TO_S):
             yield coordination_chain(k), ParserConfig(type_raising=raising)
+
+
+def test_the_final_check_sorts_only_graphs_with_as_many_edges_as_nodes(lexicon, monkeypatch):
+    """Every graph item of the pinned parses passes ``validate`` but for a
+    cycle, so it is connected, and one with fewer edges than nodes is then
+    a tree: none is cyclic.  ``finalize_check`` sorts none of the
+    coordination chains' finals, whose graphs are trees."""
+    items, sorts = [], []
+    add, sort = derivation._Chart.add, derivation.has_cycle
+    monkeypatch.setattr(derivation._Chart, "add", lambda chart, item: items.append(item) or add(chart, item))
+    monkeypatch.setattr(derivation, "has_cycle", lambda g: sorts.append(g) or sort(g))
+    for tokens, config in _pinned_parses():
+        cky_parse(tokens, lexicon, config)
+    graphs = [item.constituent.semantics for item in items if is_graph(item.constituent.semantics)]
+    assert all(set(validate(g)) <= {"graph has a directed cycle"} for g in graphs)
+    trees = [g for g in graphs if len(g.edges) < len(g.nodes)]
+    assert (len(graphs), len(trees)) == (1345, 1119) and not any(map(sort, trees))
+    sorts.clear()
+    finals = [d for k in range(2, 5) for raising in ((), NP_TO_S)
+              for d in cky_parse(coordination_chain(k), lexicon, ParserConfig(type_raising=raising))]
+    assert (len(finals), len(sorts)) == (200, 0)
 
 
 def _record(d: Derivation) -> str:
@@ -1249,6 +1283,7 @@ def test_a_type_raising_rule_rejects_an_unknown_direction(direction):
         ("type_raise = NP", "bad type_raise rule 'NP': expected 'SOURCE > TARGET' or 'SOURCE < TARGET'"),
         ("type_raise = NP > S[", "bad type_raise rule 'NP > S[': bad category syntax at offset 1: '['"),
         ("type_raise = < S", "bad type_raise rule '< S': missing source category"),
+        ("type_raise = S\\NP > S", "bad type_raise rule 'S\\\\NP > S': type raising needs an atomic source, found S\\NP"),
         ("max_composition_order = 3", "max_composition_order must be 1 or 2"),
         ("strict_conjunction = maybe",
          "strict_conjunction must be one of 1/0/true/false/yes/no, found 'maybe'"),
@@ -1707,9 +1742,9 @@ def test_adjunct_chain_skips_read_recorded_landings(lexicon, monkeypatch):
 
 
 def test_cky_parse_leaves_no_reference_cycles(lexicon):
-    """An item's landings may hold items built from it; the chart drops them
-    before it returns or raises, so reference counting alone frees a parse's
-    chart, also when a cell overflows after landings were recorded."""
+    """The chart keys its landings by the ids of its items, and no item
+    refers to an item built from it, so reference counting alone frees a
+    parse's chart, also when a cell overflows after landings were recorded."""
     gc.collect()
     gc.disable()
     try:

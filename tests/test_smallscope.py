@@ -2,9 +2,11 @@
 printing its case counts (``pytest -s`` shows them).  Tier-1 runs the 2-node
 tier; the tests marked ``three_nodes`` run only with SMALLSCOPE_NODES=3.
 
-The rebracketing laws decide which guards ``_Chart.rebracketed`` and
-``_REBRACKETINGS`` need: the code keeps only those the laws show needed, and
-each has its smallest failing input among ``test_derivation.GUARDED``."""
+The homomorphism law is the one gold-constrained search would rest on: every
+item on a derivation of a graph maps into it.  The rebracketing laws decide
+which guards ``_Chart.rebracketed`` and ``_REBRACKETINGS`` need: the code
+keeps only those the laws show needed, and each has its smallest failing
+input among ``test_derivation.GUARDED``."""
 
 from collections import Counter
 from itertools import permutations
@@ -13,8 +15,10 @@ import pytest
 
 from ccgamr.category import Atom, Functor
 from ccgamr.combinator import IDENTITY
-from ccgamr.graph import UNDERSPECIFIED, AmrSubgraph, iso_equal
-from smallscope import LABELS, NODES, category_law, categories, graphs, rebracketing_law
+from ccgamr.graph import UNDERSPECIFIED, AmrSubgraph, Edge, Node, iso_equal
+from smallscope import (
+    LABELS, NODES, category_law, categories, graphs, homomorphism_law, maps_into, rebracketing_law,
+)
 from support import iso_oracle, relabeled
 
 three_nodes = pytest.mark.skipif(NODES < 3, reason="the 3-node tier runs with SMALLSCOPE_NODES=3")
@@ -157,3 +161,32 @@ def test_the_unbounded_rebracketing_rows_fire_on_three_slashes_and_keep_the_law(
     _report("rebracketing law on the unbounded rows, 2 nodes, :ARG0 and :?", counts)
     assert set(counts) - {"B is IDENTITY"} == set(UNBOUNDED)
     assert sum(counts[key] for key in UNBOUNDED) == 4532 and counts["B is IDENTITY"] == 460
+
+
+def test_maps_into_keeps_concepts_labels_and_directions():
+    nodes = (Node(0, "a"), Node(1, "b"))
+    arg0, mod = (AmrSubgraph(nodes, (Edge(0, label, 1),), 0, ()) for label in (":ARG0", ":mod"))
+    assert maps_into(arg0, arg0) and not maps_into(arg0, mod)
+    assert not maps_into(arg0, AmrSubgraph(nodes, (Edge(1, ":ARG0", 0),), 1, ()))
+    assert not maps_into(AmrSubgraph((Node(0, "a"),), (), 0, ()), AmrSubgraph((Node(0, "b"),), (), 0, ()))
+    # a free variable goes anywhere, and :? matches any label
+    assert maps_into(AmrSubgraph((Node(0, None), Node(1, "b")), (Edge(0, UNDERSPECIFIED, 1),), 0, (0,)), mod)
+
+
+def test_every_graph_step_maps_its_inputs_into_its_result_on_two_node_graphs():
+    counts = Counter()
+    homomorphism_law(graphs(2), graphs(2), counts)
+    _report("homomorphism law, 2 nodes", counts)
+    assert counts == {"raised": 93, "substitute": 10230, "relation-wise": 2904, "conjoined": 6274}
+
+
+@three_nodes
+def test_every_graph_step_maps_its_inputs_into_its_result_on_three_node_graphs():
+    """Each pair of a graph with at most 3 nodes and one with at most 2, in
+    either order."""
+    small, big = graphs(2), graphs(3)
+    counts = Counter()
+    homomorphism_law(big, small, counts)
+    homomorphism_law(small, big, counts)
+    _report("homomorphism law, 3 nodes", counts)
+    assert counts == {"raised": 6684, "substitute": 1689420, "relation-wise": 651244, "conjoined": 671924}
